@@ -17,26 +17,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from detlab.detcount import COUNT_ENGINES
 from detlab.families import FamilySpec
-from detlab.harness import ResultCache, fit_exponent, run_scan
+from detlab.harness import ResultCache, fit_exponent, parse_sizes, run_scan
 from detlab.parallel import resolve_threads
 from detlab.scalars import FieldSpec
 
 
-def parse_sizes(text):
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(lo, hi + 1, step))
-    return [int(v) for v in text.split(",")]
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", default="4:8:2", help="sizes to scan (lo:hi[:step] or comma list)")
+    ap.add_argument("--sizes", default="4:8:2", type=parse_sizes,
+                    help="sizes to scan (lo:hi[:step] or comma list)")
     ap.add_argument("--n", type=int, default=3, help="matrix dimension")
-    ap.add_argument("--engine", default="rowblock", choices=("rowblock", "brute"))
+    ap.add_argument("--engine", default="rowblock", choices=tuple(COUNT_ENGINES))
     ap.add_argument("--with-random", type=int, default=None, metavar="SEED",
                     help="also probe a seeded random family")
     ap.add_argument("--threads", type=int, default=None)
@@ -44,7 +37,7 @@ def main():
     ap.add_argument("--cache", default=None, help="JSONL result cache")
     args = ap.parse_args()
 
-    sizes = parse_sizes(args.sizes)
+    sizes = args.sizes
     threads = resolve_threads(args.threads)
     cache = ResultCache(args.cache) if args.cache else None
     field = FieldSpec.rationals()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from detlab.detcount import count_rank, det_spectrum, dsup
+from detlab.detcount import SPECTRUM_ENGINES, count_rank, det_spectrum, dsup
 from detlab.families import FamilySpec, generate
 from detlab.parallel import resolve_threads
 from detlab.scalars import FieldSpec, format_scalar, read_ground_set_file
@@ -30,15 +30,15 @@ def main():
     ap.add_argument("--step", default="1")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n", type=int, default=3)
-    ap.add_argument("--field", default="rational")
-    ap.add_argument("--engine", default="rowblock", choices=("rowblock", "brute"))
+    ap.add_argument("--field", default="rational", type=FieldSpec.parse, help="rational or fp:<p>")
+    ap.add_argument("--engine", default="rowblock", choices=tuple(SPECTRUM_ENGINES))
     ap.add_argument("--top", type=int, default=8, help="how many heaviest classes to print")
     ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--budget", type=int, default=None)
     ap.add_argument("--ranks", action="store_true", help="also print the exact rank profile")
     args = ap.parse_args()
 
-    field = FieldSpec.rationals() if args.field == "rational" else FieldSpec.prime(int(args.field[3:]))
+    field = args.field
     if args.set_path:
         X = read_ground_set_file(args.set_path, field)
     else:

@@ -13,13 +13,7 @@ import sys
 from contextlib import contextmanager
 
 from .errors import BudgetExceededError, PreconditionError
-from .detcount import (
-    count_det_brute,
-    count_det_conv_n2,
-    count_det_rowblock,
-    count_rank,
-    det_spectrum,
-)
+from .detcount import COUNT_ENGINES, SPECTRUM_ENGINES, count_rank, det_spectrum
 from .energy import (
     count_bilinear,
     count_bilinear_brute,
@@ -37,6 +31,7 @@ from .harness import (
     DMODES,
     ResultCache,
     fit_exponent,
+    parse_sizes,
     read_jsonl,
     run_scan,
     write_csv,
@@ -62,18 +57,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-
-def _parse_field(text: str) -> FieldSpec:
-    if text == "rational":
-        return FieldSpec.rationals()
-    if text.startswith("fp:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise PreconditionError(f"bad prime in field flag {text!r}") from None
-        return FieldSpec.prime(p)
-    raise PreconditionError(f"field must be 'rational' or 'fp:<p>', got {text!r}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -148,18 +131,11 @@ def _parse_matrix(text: str, field: FieldSpec) -> Matrix:
 
 
 def _cmd_count(args) -> None:
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     X = _resolve_set(args, field)
     d = parse_scalar(args.d, field)
     threads = resolve_threads(args.threads)
-    if args.engine == "brute":
-        cnt = count_det_brute(X, args.n, d, budget=args.budget, threads=threads)
-    elif args.engine == "rowblock":
-        cnt = count_det_rowblock(X, args.n, d, budget=args.budget, threads=threads)
-    else:
-        if args.n != 2:
-            raise PreconditionError("conv engine is the n = 2 path")
-        cnt = count_det_conv_n2(X, d)
+    cnt = COUNT_ENGINES[args.engine](X, args.n, d, budget=args.budget, threads=threads)
     _emit(
         args,
         {
@@ -175,7 +151,7 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     X = _resolve_set(args, field)
     threads = resolve_threads(args.threads)
     spec = det_spectrum(X, args.n, args.engine, budget=args.budget, threads=threads)
@@ -196,7 +172,7 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_rank(args) -> None:
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     X = _resolve_set(args, field)
     cnt = count_rank(X, args.m, args.n, args.r, budget=args.budget)
     _emit(
@@ -214,7 +190,7 @@ def _cmd_rank(args) -> None:
 
 
 def _cmd_energy(args) -> None:
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     X = _resolve_set(args, field)
     threads = resolve_threads(args.threads)
     kind = args.kind
@@ -243,7 +219,7 @@ def _cmd_energy(args) -> None:
 
 
 def _cmd_incidence(args) -> None:
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     X = _resolve_set(args, field)
     threads = resolve_threads(args.threads)
     kind = args.kind
@@ -286,28 +262,11 @@ def _cmd_incidence(args) -> None:
     _emit(args, out)
 
 
-def _parse_sizes(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise PreconditionError(f"bad sizes range {text!r}")
-        if step < 1 or hi < lo:
-            raise PreconditionError(f"bad sizes range {text!r}")
-        return list(range(lo, hi + 1, step))
-    return [int(v) for v in text.split(",")]
-
-
 def _cmd_scan(args) -> None:
-    field = _parse_field(args.field)
+    field = FieldSpec.parse(args.field)
     if args.family is None:
         raise PreconditionError("scan needs --family")
-    sizes = _parse_sizes(args.sizes)
-    if not sizes:
-        raise PreconditionError("no sizes to scan")
+    sizes = parse_sizes(args.sizes)
     template = _family_from_args(args, sizes[0])
     cache = ResultCache(args.cache) if args.cache else None
     threads = resolve_threads(args.threads)
@@ -349,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--d", required=True, help="target determinant")
-    p.add_argument("--engine", choices=("brute", "rowblock", "conv"), default="rowblock")
+    p.add_argument("--engine", choices=tuple(COUNT_ENGINES), default="rowblock")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("spectrum", help="full determinant distribution")
     _add_set_source(p)
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--engine", choices=("brute", "rowblock"), default="rowblock")
+    p.add_argument("--engine", choices=tuple(SPECTRUM_ENGINES), default="rowblock")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("rank", help="m x n matrices over X of exact rank r")
@@ -393,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmode", choices=DMODES, default="zero")
     p.add_argument("--d", default=None, help="determinant for fixed d-mode")
-    p.add_argument("--engine", choices=("brute", "rowblock", "conv"), default="rowblock")
+    p.add_argument("--engine", choices=tuple(COUNT_ENGINES), default="rowblock")
     p.add_argument("--cache", default=None, help="JSONL result cache path")
     p.set_defaults(func=_cmd_scan)
 

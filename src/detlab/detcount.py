@@ -6,14 +6,17 @@ master oracle), and a first-row cofactor engine that enumerates the bottom
 (n-1) x n block once, aggregates multiplicities of the signed cofactor vector,
 and solves a pivot entry of the first row per distinct vector.
 
-Parallel runs split the outer enumeration into contiguous index ranges and
-merge worker-local tables by key-wise addition, so totals are identical for
-any worker count.
+Each enumeration is one walk over itertools.product whose leading coordinate
+(the top-left entry) is restricted to a shard of the ground set; the serial
+path is the same walk over the whole set. Parallel runs hand contiguous shards
+to workers and merge their tables by key-wise addition, so totals are
+identical for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,93 +113,37 @@ class DecompositionCounts:
 # brute-force enumeration (master oracle)
 
 
-def _brute_count_worker(elems, n, target, start, stop):
-    B = len(elems)
-    nn = n * n
-    count = 0
-    for idx in range(start, stop):
-        x = idx
-        ent = []
-        for _ in range(nn):
-            x, r = divmod(x, B)
-            ent.append(elems[r])
-        rows = tuple(tuple(ent[i * n : (i + 1) * n]) for i in range(n))
-        if _det_rows(rows) == target:
-            count += 1
-    return count
-
-
-def _brute_count_serial(elems, n, target) -> int:
-    count = 0
-    if n == 1:
-        return sum(1 for a in elems if a == target)
+def _brute_walk(elems, n, start, stop) -> Counter:
+    """Determinant histogram of the n x n matrices whose top-left entry is one
+    of elems[start:stop]."""
+    lead = elems[start:stop]
     if n == 2:
-        for a, b, c, d in itertools.product(elems, repeat=4):
-            if a * d - b * c == target:
-                count += 1
-        return count
-    if n == 3:
-        for x1, x2, x3, y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=9):
-            v = x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1) + x3 * (y1 * z2 - y2 * z1)
-            if v == target:
-                count += 1
-        return count
-    for rows in itertools.product(itertools.product(elems, repeat=n), repeat=n):
-        if _det_rows(rows) == target:
-            count += 1
-    return count
+        dets = (a * d - b * c for a, b, c, d in itertools.product(lead, elems, elems, elems))
+    elif n == 3:
+        dets = (
+            x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1) + x3 * (y1 * z2 - y2 * z1)
+            for x1, x2, x3, y1, y2, y3, z1, z2, z3 in itertools.product(lead, *[elems] * 8)
+        )
+    else:
+        rows = list(itertools.product(elems, repeat=n))
+        tops = itertools.product(lead, *[elems] * (n - 1))
+        dets = map(_det_rows, itertools.product(tops, *[rows] * (n - 1)))
+    return Counter(dets)
+
+
+def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, what: str) -> dict:
+    if n < 1:
+        raise PreconditionError("dimension must be >= 1")
+    B = len(X)
+    total = B ** (n * n)
+    check_budget(total, budget, what)
+    return merge_tables(run_chunked(_brute_walk, (_fast_elements(X), n), B, total, threads))
 
 
 def count_det_brute(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
     """Number of n x n matrices over X with determinant d, by full enumeration."""
-    if n < 1:
-        raise PreconditionError("dimension must be >= 1")
-    total = len(X) ** (n * n)
-    check_budget(total, budget, "count_det_brute")
-    elems = _fast_elements(X)
-    target = _fast_value(X, d)
-    if threads <= 1:
-        return _brute_count_serial(elems, n, target)
-    parts = run_chunked(_brute_count_worker, (elems, n, target), total, threads)
-    return sum(parts)
-
-
-def _brute_spectrum_worker(elems, n, start, stop):
-    B = len(elems)
-    nn = n * n
-    hist: dict = {}
-    for idx in range(start, stop):
-        x = idx
-        ent = []
-        for _ in range(nn):
-            x, r = divmod(x, B)
-            ent.append(elems[r])
-        rows = tuple(tuple(ent[i * n : (i + 1) * n]) for i in range(n))
-        v = _det_rows(rows)
-        hist[v] = hist.get(v, 0) + 1
-    return hist
-
-
-def _brute_spectrum_serial(elems, n) -> dict:
-    hist: dict = {}
-    if n == 1:
-        for a in elems:
-            hist[a] = hist.get(a, 0) + 1
-        return hist
-    if n == 2:
-        for a, b, c, d in itertools.product(elems, repeat=4):
-            v = a * d - b * c
-            hist[v] = hist.get(v, 0) + 1
-        return hist
-    if n == 3:
-        for x1, x2, x3, y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=9):
-            v = x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1) + x3 * (y1 * z2 - y2 * z1)
-            hist[v] = hist.get(v, 0) + 1
-        return hist
-    for rows in itertools.product(itertools.product(elems, repeat=n), repeat=n):
-        v = _det_rows(rows)
-        hist[v] = hist.get(v, 0) + 1
-    return hist
+    hist = _brute_histogram(X, n, budget, threads, "count_det_brute")
+    return hist.get(_fast_value(X, d), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,70 +162,31 @@ def _cofactor_vector(block, n):
     return tuple(out)
 
 
-def _minor_map_worker(elems, n, start, stop):
-    B = len(elems)
-    length = n * (n - 1)
-    table: dict = {}
-    zero = 0
-    for idx in range(start, stop):
-        x = idx
-        ent = []
-        for _ in range(length):
-            x, r = divmod(x, B)
-            ent.append(elems[r])
-        if n == 2:
-            y1, y2 = ent
-            m = (y2, -y1)
-        elif n == 3:
-            y1, y2, y3, z1, z2, z3 = ent
-            m = (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
-        else:
-            block = tuple(tuple(ent[i * n : (i + 1) * n]) for i in range(n - 1))
-            m = _cofactor_vector(block, n)
-        if any(m):
-            table[m] = table.get(m, 0) + 1
-        else:
-            zero += 1
-    return table, zero
-
-
-def _minor_map_serial(elems, n):
-    table: dict = {}
-    zero = 0
+def _minor_walk(elems, n, start, stop):
+    """Cofactor-vector multiplicities of the bottom blocks whose top-left entry
+    is one of elems[start:stop]; the all-zero vector is counted apart."""
+    lead = elems[start:stop]
     if n == 2:
-        for y1, y2 in itertools.product(elems, repeat=2):
-            m = (y2, -y1)
-            if y1 or y2:
-                table[m] = table.get(m, 0) + 1
-            else:
-                zero += 1
-        return table, zero
-    if n == 3:
-        for y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=6):
-            m = (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
-            if m[0] or m[1] or m[2]:
-                table[m] = table.get(m, 0) + 1
-            else:
-                zero += 1
-        return table, zero
-    for block in itertools.product(itertools.product(elems, repeat=n), repeat=n - 1):
-        m = _cofactor_vector(block, n)
-        if any(m):
-            table[m] = table.get(m, 0) + 1
-        else:
-            zero += 1
-    return table, zero
+        vectors = ((y2, -y1) for y1, y2 in itertools.product(lead, elems))
+    elif n == 3:
+        vectors = (
+            (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
+            for y1, y2, y3, z1, z2, z3 in itertools.product(lead, *[elems] * 5)
+        )
+    else:
+        rows = list(itertools.product(elems, repeat=n))
+        tops = itertools.product(lead, *[elems] * (n - 1))
+        vectors = (_cofactor_vector(block, n) for block in itertools.product(tops, *[rows] * (n - 2)))
+    table = Counter(vectors)
+    z = elems[0] - elems[0]  # zero in the elements' own type: int, Fraction or Mod
+    return table, table.pop((z,) * n, 0)
 
 
 def _minor_table(X: GroundSet, n: int, threads: int):
     elems = _fast_elements(X)
-    total = len(elems) ** (n * (n - 1))
-    if threads <= 1:
-        return _minor_map_serial(elems, n)
-    parts = run_chunked(_minor_map_worker, (elems, n), total, threads)
-    table = merge_tables([p[0] for p in parts])
-    zero = sum(p[1] for p in parts)
-    return table, zero
+    B = len(elems)
+    parts = run_chunked(_minor_walk, (elems, n), B, B ** (n * (n - 1)), threads)
+    return merge_tables([p[0] for p in parts]), sum(p[1] for p in parts)
 
 
 def minor_multiplicity_map(
@@ -295,16 +203,28 @@ def minor_multiplicity_map(
 # first-row cofactor engine
 
 
+def _rowblock_table(
+    X: GroundSet, n: int, budget: int | None, threads: int, what: str, solve_steps: int
+):
+    """Cofactor table for a rowblock engine. The budget is checked on the
+    table build before it runs, then on the build plus `solve_steps` for each
+    distinct vector once the distinct count is known."""
+    if n < 2:
+        raise PreconditionError("rowblock engine needs dimension >= 2")
+    blocks = len(X) ** (n * (n - 1))
+    check_budget(blocks, budget, what)
+    table, zero = _minor_table(X, n, threads)
+    check_budget(blocks + len(table) * solve_steps, budget, what)
+    return table, zero
+
+
 def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, via cofactor-vector multiplicities and a
     pivot solve for one first-row entry per distinct vector."""
-    if n < 2:
-        raise PreconditionError("rowblock engine needs dimension >= 2")
     B = len(X)
-    check_budget(B ** (n * (n - 1)), budget, "count_det_rowblock")
-    table, zero = _minor_table(X, n, threads)
+    table, zero = _rowblock_table(X, n, budget, threads, "count_det_rowblock", B ** (n - 1))
     elems = _fast_elements(X)
     members = frozenset(elems)
     target = _fast_value(X, d)
@@ -354,54 +274,62 @@ def count_det_conv_n2(X: GroundSet, d) -> int:
     return sum(c * get(t - target, 0) for t, c in prod.items())
 
 
+def _count_conv(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
+    if n != 2:
+        raise PreconditionError("conv engine is the n = 2 product-correlation path")
+    return count_det_conv_n2(X, d)
+
+
+# Count engines by name, each called as f(X, n, d, *, budget, threads).
+COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock, "conv": _count_conv}
+
+
 # ---------------------------------------------------------------------------
 # spectra
+
+
+def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
+    return _brute_histogram(X, n, budget, threads, "det_spectrum[brute]")
+
+
+def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
+    B = len(X)
+    table, zero = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
+    elems = _fast_elements(X)
+    hist: dict = {}
+    if n == 3:
+        for (m1, m2, m3), mu in table.items():
+            for r1 in elems:
+                t1 = r1 * m1
+                for r2 in elems:
+                    t12 = t1 + r2 * m2
+                    for r3 in elems:
+                        v = t12 + r3 * m3
+                        hist[v] = hist.get(v, 0) + mu
+    else:
+        for m, mu in table.items():
+            for row in itertools.product(elems, repeat=n):
+                acc = row[0] * m[0]
+                for j in range(1, n):
+                    acc = acc + row[j] * m[j]
+                hist[acc] = hist.get(acc, 0) + mu
+    if zero:
+        zk = X.field.zero()
+        hist[zk] = hist.get(zk, 0) + zero * B**n
+    return hist
+
+
+# Spectrum engines by name, each called as f(X, n, *, budget, threads).
+SPECTRUM_ENGINES = {"brute": _spectrum_brute, "rowblock": _spectrum_rowblock}
 
 
 def det_spectrum(
     X: GroundSet, n: int, engine: str = "brute", *, budget: int | None = None, threads: int = 1
 ) -> SpectrumHistogram:
     """Full determinant distribution d -> D_n(X, d)."""
-    if n < 1:
-        raise PreconditionError("dimension must be >= 1")
-    B = len(X)
-    if engine == "brute":
-        check_budget(B ** (n * n), budget, "det_spectrum[brute]")
-        elems = _fast_elements(X)
-        if threads <= 1:
-            hist = _brute_spectrum_serial(elems, n)
-        else:
-            hist = merge_tables(
-                run_chunked(_brute_spectrum_worker, (elems, n), B ** (n * n), threads)
-            )
-    elif engine == "rowblock":
-        if n < 2:
-            raise PreconditionError("rowblock engine needs dimension >= 2")
-        check_budget(B ** (n * (n - 1)), budget, "det_spectrum[rowblock]")
-        table, zero = _minor_table(X, n, threads)
-        elems = _fast_elements(X)
-        hist = {}
-        if n == 3:
-            for (m1, m2, m3), mu in table.items():
-                for r1 in elems:
-                    t1 = r1 * m1
-                    for r2 in elems:
-                        t12 = t1 + r2 * m2
-                        for r3 in elems:
-                            v = t12 + r3 * m3
-                            hist[v] = hist.get(v, 0) + mu
-        else:
-            for m, mu in table.items():
-                for row in itertools.product(elems, repeat=n):
-                    acc = row[0] * m[0]
-                    for j in range(1, n):
-                        acc = acc + row[j] * m[j]
-                    hist[acc] = hist.get(acc, 0) + mu
-        if zero:
-            zk = X.field.zero()
-            hist[zk] = hist.get(zk, 0) + zero * B**n
-    else:
+    if engine not in SPECTRUM_ENGINES:
         raise PreconditionError(f"unknown spectrum engine {engine!r}")
+    hist = SPECTRUM_ENGINES[engine](X, n, budget=budget, threads=threads)
     canonical = {X.field.coerce(k): v for k, v in hist.items()}
     return SpectrumHistogram(n, X, engine, canonical)
 

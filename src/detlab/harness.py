@@ -18,19 +18,17 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, PreconditionError
-from .detcount import count_det_brute, count_det_conv_n2, count_det_rowblock, det_spectrum, dsup
+from .detcount import COUNT_ENGINES, SPECTRUM_ENGINES, dsup
 from .families import FamilySpec, generate
 from .scalars import FieldSpec, format_scalar
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 DMODE_FIXED = "fixed"
 DMODE_ZERO = "zero"
 DMODE_SUP_NONZERO = "sup_nonzero"
 DMODE_SUP_ALL = "sup_all"
 DMODES = (DMODE_FIXED, DMODE_ZERO, DMODE_SUP_NONZERO, DMODE_SUP_ALL)
-
-ENGINES = ("brute", "rowblock", "conv")
 
 CSV_HEADER = [
     "family",
@@ -109,6 +107,23 @@ class ScanRow:
         ]
 
 
+def parse_sizes(text: str) -> list[int]:
+    """Scan sizes from a comma list (4,6,8) or an inclusive range lo:hi[:step]."""
+    sep = ":" if ":" in text else ","
+    try:
+        parts = [int(v) for v in text.split(sep)]
+    except ValueError:
+        raise PreconditionError(f"bad sizes {text!r}") from None
+    if sep == ",":
+        return parts
+    if len(parts) not in (2, 3):
+        raise PreconditionError(f"bad sizes range {text!r}")
+    lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
+    if step < 1 or hi < lo:
+        raise PreconditionError(f"bad sizes range {text!r}")
+    return list(range(lo, hi + 1, step))
+
+
 def scan_key(
     family: str,
     params: dict,
@@ -118,8 +133,11 @@ def scan_key(
     dmode: str,
     d: str | None,
     engine: str,
+    field: str,
     version: str = ARTIFACT_VERSION,
 ) -> str:
+    """Content digest of every input that determines a scan row; `field` is
+    the field label ("rational" or "fp:<p>")."""
     payload = json.dumps(
         {
             "family": family,
@@ -130,6 +148,7 @@ def scan_key(
             "dmode": dmode,
             "d": d,
             "engine": engine,
+            "field": field,
             "version": version,
         },
         sort_keys=True,
@@ -178,28 +197,19 @@ class ResultCache:
         self._load()[key] = row
 
 
-def _validate_engine(engine: str, n: int, dmode: str) -> None:
-    if engine not in ENGINES:
+def _validate_engine(engine: str, dmode: str) -> None:
+    if engine not in COUNT_ENGINES:
         raise PreconditionError(f"unknown engine {engine!r}")
-    if engine == "conv":
-        if n != 2:
-            raise PreconditionError("conv engine is the n = 2 product-correlation path")
-        if dmode in (DMODE_SUP_NONZERO, DMODE_SUP_ALL):
-            raise PreconditionError("sup modes need a spectrum engine (brute or rowblock)")
-    if engine == "rowblock" and n < 2:
-        raise PreconditionError("rowblock engine needs dimension >= 2")
+    if dmode in (DMODE_SUP_NONZERO, DMODE_SUP_ALL) and engine not in SPECTRUM_ENGINES:
+        raise PreconditionError(
+            f"sup modes need a spectrum engine ({', '.join(SPECTRUM_ENGINES)})"
+        )
 
 
 def _compute(X, n, dmode, d, engine, threads, budget):
-    field = X.field
     if dmode in (DMODE_FIXED, DMODE_ZERO):
-        target = field.coerce(0 if dmode == DMODE_ZERO else d)
-        if engine == "brute":
-            cnt = count_det_brute(X, n, target, budget=budget, threads=threads)
-        elif engine == "rowblock":
-            cnt = count_det_rowblock(X, n, target, budget=budget, threads=threads)
-        else:
-            cnt = count_det_conv_n2(X, target)
+        target = X.field.coerce(0 if dmode == DMODE_ZERO else d)
+        cnt = COUNT_ENGINES[engine](X, n, target, budget=budget, threads=threads)
         return cnt, format_scalar(target)
     exclude = dmode == DMODE_SUP_NONZERO
     dval, cnt = dsup(X, n, exclude, engine=engine, budget=budget, threads=threads)
@@ -228,7 +238,7 @@ def run_scan(
         raise PreconditionError(f"unknown d-mode {dmode!r}")
     if dmode == DMODE_FIXED and d is None:
         raise PreconditionError("fixed d-mode needs a determinant value")
-    _validate_engine(engine, n, dmode)
+    _validate_engine(engine, dmode)
     if dmode == DMODE_ZERO:
         d_text = format_scalar(field.coerce(0))
     elif d is not None:
@@ -239,7 +249,7 @@ def run_scan(
     for size in sizes:
         spec = replace(template, size=size)
         params = spec.params_dict()
-        key = scan_key(spec.kind, params, spec.seed, size, n, dmode, d_text, engine)
+        key = scan_key(spec.kind, params, spec.seed, size, n, dmode, d_text, engine, field.label())
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:

@@ -1,8 +1,10 @@
-"""Deterministic chunked fan-out for enumeration loops.
+"""Deterministic sharded fan-out for enumeration loops.
 
-Workers receive contiguous index ranges and return partial tallies; callers
-merge with key-wise addition, so results never depend on scheduling. Small
-jobs stay in-process regardless of the requested worker count.
+A walk enumerates itertools.product with its leading coordinate restricted to
+a shard [start, stop) of the ground set and returns a partial tally; the
+serial path is the same walk over the whole range. Callers merge partials
+with key-wise addition, so results never depend on scheduling. Small jobs
+stay in-process regardless of the requested worker count.
 """
 
 from __future__ import annotations
@@ -40,21 +42,22 @@ def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def run_chunked(worker, args: tuple, total: int, threads: int) -> list:
-    """Run worker(*args, start, stop) over contiguous chunks; partials in chunk order."""
-    if total <= 0:
-        return []
+def run_chunked(walk, args: tuple, lead: int, total: int, threads: int) -> list:
+    """Run walk(*args, start, stop) over contiguous shards of range(lead), the
+    leading coordinate's values; partials in shard order. The pool is used only
+    when the full enumeration size `total` is large enough to pay for it."""
     if threads <= 1 or total < _MIN_PARALLEL_ITEMS:
-        return [worker(*args, 0, total)]
-    ranges = split_ranges(total, threads)
+        return [walk(*args, 0, lead)]
+    ranges = split_ranges(lead, threads)
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(worker, *args, start, stop) for start, stop in ranges]
+        futures = [pool.submit(walk, *args, start, stop) for start, stop in ranges]
         return [f.result() for f in futures]
 
 
 def merge_tables(partials: list) -> dict:
-    merged: dict = {}
-    for part in partials:
+    """Key-wise sum of partial tables, accumulated into the first partial."""
+    merged = partials[0]
+    for part in partials[1:]:
         for k, v in part.items():
             merged[k] = merged.get(k, 0) + v
     return merged

@@ -170,6 +170,19 @@ class FieldSpec:
     def prime(cls, p: int) -> "FieldSpec":
         return cls(MODE_PRIME, p)
 
+    @classmethod
+    def parse(cls, text: str) -> "FieldSpec":
+        """Inverse of `label`: 'rational' or 'fp:<p>'."""
+        if text == MODE_RATIONAL:
+            return cls.rationals()
+        if text.startswith("fp:"):
+            try:
+                p = int(text[3:])
+            except ValueError:
+                raise PreconditionError(f"bad prime in field {text!r}") from None
+            return cls.prime(p)
+        raise PreconditionError(f"field must be 'rational' or 'fp:<p>', got {text!r}")
+
     @property
     def is_rational(self) -> bool:
         return self.mode == MODE_RATIONAL

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +183,23 @@ def test_threads_resolution(monkeypatch):
     assert resolve_threads(2) == 2  # flag wins
     monkeypatch.setenv("DETLAB_THREADS", "junk")
     assert resolve_threads(None) >= 1
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,flag,value",
+    [
+        ("growth_probe.py", "--sizes", "1:2:3:4"),
+        ("growth_probe.py", "--sizes", "8:4"),
+        ("spectrum_report.py", "--field", "rationals"),
+    ],
+)
+def test_scripts_reject_bad_input(script, flag, value):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), flag, value],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"argument {flag}" in proc.stderr and "Traceback" not in proc.stderr

@@ -197,6 +197,15 @@ def test_budget_refusal():
         det_spectrum(X, 3, "brute", budget=1000)
 
 
+def test_budget_covers_solve_phase():
+    # 4^6 = 4096 blocks fit the budget, but the pivot solves behind them do not
+    X = make_ground_set(range(1, 5), QQ)
+    with pytest.raises(BudgetExceededError):
+        count_det_rowblock(X, 3, 0, budget=4096)
+    with pytest.raises(BudgetExceededError):
+        det_spectrum(X, 3, "rowblock", budget=4096)
+
+
 def test_parallel_counts_match_serial(monkeypatch):
     monkeypatch.setattr(parallel, "_MIN_PARALLEL_ITEMS", 1)
     X = make_ground_set([0, 1, 2], QQ)
@@ -206,6 +215,18 @@ def test_parallel_counts_match_serial(monkeypatch):
     assert sb.entries == det_spectrum(X, 2, "brute", threads=1).entries
     Xp = make_ground_set([1, 2, 4], F7)
     assert count_det_rowblock(Xp, 2, 3, threads=3) == count_det_rowblock(Xp, 2, 3)
+    # n = 3 walks over Q and F_7, with shards uneven (|X| = 3, two workers)
+    # and with fewer leading values than workers (|X| = 2, four workers)
+    for field in (QQ, F7):
+        for vals, threads in (([-1, 2, 3], 2), ([1, 3], 4)):
+            Y = make_ground_set(vals, field)
+            assert count_det_brute(Y, 3, 1, threads=threads) == count_det_brute(Y, 3, 1)
+            for engine in ("brute", "rowblock"):
+                spec = det_spectrum(Y, 3, engine, threads=threads)
+                assert spec.entries == det_spectrum(Y, 3, engine).entries
+            mm = minor_multiplicity_map(Y, 3, threads=threads)
+            serial = minor_multiplicity_map(Y, 3)
+            assert (mm.entries, mm.zero_count) == (serial.entries, serial.zero_count)
 
 
 def test_fractional_d_over_integer_set():

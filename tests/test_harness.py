@@ -6,7 +6,7 @@ import pytest
 
 import detlab.parallel as parallel
 from detlab.errors import PreconditionError
-from detlab.detcount import count_det_brute
+from detlab.detcount import COUNT_ENGINES, count_det_brute
 from detlab.families import FamilySpec
 from detlab.harness import (
     ARTIFACT_VERSION,
@@ -14,13 +14,14 @@ from detlab.harness import (
     ResultCache,
     ScanRow,
     fit_exponent,
+    parse_sizes,
     read_jsonl,
     run_scan,
     scan_key,
     write_csv,
     write_jsonl,
 )
-from detlab.scalars import make_ground_set
+from detlab.scalars import FieldSpec, make_ground_set
 
 from conftest import QQ, F7
 
@@ -104,7 +105,7 @@ def test_scan_budget_hit_rows_continue():
 
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
-    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv")
+    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational")
     assert cache.get(key) is None
     row = make_row()
     cache.put(key, row)
@@ -118,19 +119,26 @@ def test_cache_warm_scan_identical_and_no_recompute(tmp_path, monkeypatch):
     spec = FamilySpec("gp", 4, ratio=2)
     first = run_scan(spec, [2, 3, 4], QQ, 2, "zero", "conv", cache=cache)
 
-    import detlab.harness as harness
-
     def boom(*a, **k):
         raise AssertionError("engine ran despite warm cache")
 
-    monkeypatch.setattr(harness, "count_det_conv_n2", boom)
+    monkeypatch.setitem(COUNT_ENGINES, "conv", boom)
     second = run_scan(spec, [2, 3, 4], QQ, 2, "zero", "conv", cache=cache)
     assert second == first  # elapsed times included: rows come back verbatim
 
 
+def test_cache_key_separates_fields(tmp_path):
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    spec = FamilySpec("interval", 3)
+    F5 = FieldSpec.prime(5)
+    for n, q_count, fp_count in ((2, 15, 21), (3, 3975, 5787)):
+        assert run_scan(spec, [3], QQ, n, "zero", "rowblock", cache=cache)[0].count == q_count
+        assert run_scan(spec, [3], F5, n, "zero", "rowblock", cache=cache)[0].count == fp_count
+
+
 def test_cache_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
-    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv")
+    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational")
     good = json.dumps({"key": key, "version": ARTIFACT_VERSION, "row": make_row().to_json_dict()})
     path.write_text("{not json\n" + good + "\n[]\n", encoding="utf-8")
     cache = ResultCache(path)
@@ -140,9 +148,21 @@ def test_cache_skips_corrupt_lines(tmp_path):
 
 
 def test_cache_key_includes_version():
-    a = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", version="1")
-    b = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", version="2")
+    a = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational", version="1")
+    b = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational", version="2")
     assert a != b
+
+
+def test_parse_sizes():
+    assert parse_sizes("4,6,8") == [4, 6, 8]
+    assert parse_sizes("2:4") == [2, 3, 4]
+    assert parse_sizes("4:10:3") == [4, 7, 10]
+
+
+@pytest.mark.parametrize("text", ["1:2:3:4", "8:4", "4:8:0", "4,x", ""])
+def test_parse_sizes_rejects(text):
+    with pytest.raises(PreconditionError):
+        parse_sizes(text)
 
 
 def test_fit_exact_power_law():

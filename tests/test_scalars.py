@@ -193,6 +193,14 @@ def test_field_spec_validation():
         FieldSpec("galois")
 
 
+def test_field_spec_parse():
+    for field in (QQ, F7):
+        assert FieldSpec.parse(field.label()) == field
+    for text in ("rationals", "fp:x", "fp:6", "F7"):
+        with pytest.raises(PreconditionError):
+            FieldSpec.parse(text)
+
+
 @pytest.mark.parametrize(
     "n,expected",
     [(2, True), (3, True), (4, False), (97, True), (91, False), (7919, True), (1, False)],
