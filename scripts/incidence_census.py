@@ -3,7 +3,8 @@
 weighted plane family of <m, x> = d over the X^3 grid, slice with the
 admissible r, and report the class tallies, the per-plane cell bound, the
 dyadic multiplicity pyramid, and the cross-checks tying everything back to
-the exact determinant count and the twelve-variable energy.
+the exact determinant count and the twelve-variable energy. Exits 1 when the
+weighted incidence count and the rowblock count disagree.
 
 Example:
     python scripts/incidence_census.py --family interval --size 3 --d 1
@@ -65,6 +66,8 @@ def main():
     via = mp.det_count_via_incidences(budget=args.budget)
     print(f"weighted incidences reproduce the determinant count: {via} vs {det_count} "
           f"({'exact match' if via == det_count else 'MISMATCH'})")
+    if via != det_count:
+        return 1
 
     estar = energy_Estar_mu(X, budget=args.budget, threads=threads)
     pyramid = dyadic_pyramid(X, budget=args.budget, threads=threads)

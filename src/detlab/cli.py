@@ -2,7 +2,8 @@
 
 All output is machine-readable (JSON or JSON Lines; CSV mirror for scans),
 with counts and scalars rendered as decimal strings. Exit codes: 0 success,
-2 precondition violation, 3 budget exceeded, 4 I/O error.
+2 precondition violation, 3 budget exceeded, 4 I/O error, 5 internal
+invariant failure (a cross-check inside a computation failed).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -378,6 +380,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except AssertionError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

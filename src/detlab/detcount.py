@@ -11,6 +11,16 @@ Each enumeration is one walk over itertools.product whose leading coordinate
 path is the same walk over the whole set. Parallel runs hand contiguous shards
 to workers and merge their tables by key-wise addition, so totals are
 identical for any worker count.
+
+Every pivot solve in the package goes through one linear-form kernel:
+`_form_sums` lists start + <c, r> over r in X^k, and `_count_form` counts
+#{r in X^k : <c, r> = t} by solving one pivot coordinate exactly per choice
+of the others. Its callers are the rowblock count and spectrum here,
+`energy.count_bilinear`, `MinorPlanes.det_count_via_incidences` and the
+curve half of `incidence.curve_incidences_n3`. The oracles those routes are
+checked against never use it: `count_det_brute`, `_spectrum_brute`,
+`energy.count_bilinear_brute`, `incidence.incidences_brute`, the
+`energy_*_brute` counts and the direct half of `curve_incidences_n3`.
 """
 
 from __future__ import annotations
@@ -44,13 +54,32 @@ def _fast_value(X: GroundSet, v):
     return v
 
 
-def _solve(num, den):
-    """Exact num/den, or None when the quotient falls outside the integers
-    while both operands are integers (then it cannot lie in an integer set)."""
-    if type(num) is int and type(den) is int:
-        q, r = divmod(num, den)
-        return q if not r else None
-    return num / den
+# ---------------------------------------------------------------------------
+# linear-form kernel: #{r in X^k : <coeffs, r> = target}
+
+
+def _form_sums(coeffs, elems, start) -> list:
+    """start + <coeffs, r> for every r in elems^k, built coordinate by
+    coordinate (the last coordinate varies fastest)."""
+    sums = [start]
+    for c in coeffs:
+        terms = [c * e for e in elems]
+        sums = [s + t for s in sums for t in terms]
+    return sums
+
+
+def _count_form(coeffs, target, elems) -> int:
+    """#{r in elems^k : <coeffs, r> = target}. The first nonzero coordinate is
+    the pivot p, solved exactly for each choice of the others: with
+    s = target - (the other terms), r_p = s / c_p lies in X exactly when s
+    lies in c_p * X, so membership needs no division and is exact for int,
+    Fraction and Mod alike. An all-zero `coeffs` gives |X|^k or 0."""
+    piv = next((j for j, c in enumerate(coeffs) if c), None)
+    if piv is None:
+        return 0 if target else len(elems) ** len(coeffs)
+    scaled = {coeffs[piv] * e for e in elems}
+    others = [-c for j, c in enumerate(coeffs) if j != piv]
+    return sum(map(scaled.__contains__, _form_sums(others, elems, target)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,50 +255,20 @@ def count_det_rowblock(
     B = len(X)
     table, zero = _rowblock_table(X, n, budget, threads, "count_det_rowblock", B ** (n - 1))
     elems = _fast_elements(X)
-    members = frozenset(elems)
     target = _fast_value(X, d)
     total = zero * B**n if not target else 0
-    positions = range(n)
-    for m, mu in table.items():
-        piv = next(j for j in positions if m[j])
-        mj = m[piv]
-        hits = 0
-        if n == 2:
-            mo = m[1 - piv]
-            for r in elems:
-                q = _solve(target - mo * r, mj)
-                if q is not None and q in members:
-                    hits += 1
-        elif n == 3:
-            o1, o2 = (j for j in positions if j != piv)
-            m1, m2 = m[o1], m[o2]
-            for r1 in elems:
-                t1 = target - m1 * r1
-                for r2 in elems:
-                    q = _solve(t1 - m2 * r2, mj)
-                    if q is not None and q in members:
-                        hits += 1
-        else:
-            others = [j for j in positions if j != piv]
-            for combo in itertools.product(elems, repeat=n - 1):
-                acc = target
-                for j, r in zip(others, combo):
-                    acc = acc - m[j] * r
-                q = _solve(acc, mj)
-                if q is not None and q in members:
-                    hits += 1
-        total += mu * hits
-    return total
+    return total + sum(mu * _count_form(m, target, elems) for m, mu in table.items())
+
+
+def _pair_products(elems) -> Counter:
+    """P(t) = #{(u, v) in elems^2 : u*v = t}."""
+    return Counter(u * v for u, v in itertools.product(elems, repeat=2))
 
 
 def count_det_conv_n2(X: GroundSet, d) -> int:
     """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d)."""
-    elems = _fast_elements(X)
     target = _fast_value(X, d)
-    prod: dict = {}
-    for u, v in itertools.product(elems, repeat=2):
-        t = u * v
-        prod[t] = prod.get(t, 0) + 1
+    prod = _pair_products(_fast_elements(X))
     get = prod.get
     return sum(c * get(t - target, 0) for t, c in prod.items())
 
@@ -296,26 +295,18 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     B = len(X)
     table, zero = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
     elems = _fast_elements(X)
+    start = elems[0] - elems[0]
+    # <m, r> over r in X^n has one distribution for all permutations of m
+    classes = Counter()
+    for m, mu in table.items():
+        classes[tuple(sorted(m))] += mu
     hist: dict = {}
-    if n == 3:
-        for (m1, m2, m3), mu in table.items():
-            for r1 in elems:
-                t1 = r1 * m1
-                for r2 in elems:
-                    t12 = t1 + r2 * m2
-                    for r3 in elems:
-                        v = t12 + r3 * m3
-                        hist[v] = hist.get(v, 0) + mu
-    else:
-        for m, mu in table.items():
-            for row in itertools.product(elems, repeat=n):
-                acc = row[0] * m[0]
-                for j in range(1, n):
-                    acc = acc + row[j] * m[j]
-                hist[acc] = hist.get(acc, 0) + mu
+    get = hist.get
+    for m, mu in classes.items():
+        for v in _form_sums(m, elems, start):
+            hist[v] = get(v, 0) + mu
     if zero:
-        zk = X.field.zero()
-        hist[zk] = hist.get(zk, 0) + zero * B**n
+        hist[start] = get(start, 0) + zero * B**n
     return hist
 
 

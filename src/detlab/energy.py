@@ -10,10 +10,11 @@ values pairwise and never share the table machinery.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _fast_elements, _fast_value, _minor_table, _solve
+from .detcount import _count_form, _fast_elements, _fast_value, _minor_table, _pair_products
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -37,12 +38,7 @@ class ValueDistribution:
 
 def product_distribution(U: GroundSet) -> ValueDistribution:
     """P(t) = #{(u, v) in U^2 : u*v = t}; mass is |U|^2."""
-    elems = _fast_elements(U)
-    table: dict = {}
-    for u, v in itertools.product(elems, repeat=2):
-        t = u * v
-        table[t] = table.get(t, 0) + 1
-    return ValueDistribution(table, "pair-product")
+    return ValueDistribution(_pair_products(_fast_elements(U)), "pair-product")
 
 
 def r_distribution(U: GroundSet) -> ValueDistribution:
@@ -126,8 +122,9 @@ def _prepared_matrix(M: Matrix, B: GroundSet):
 def count_bilinear(
     M: Matrix, B: GroundSet, C: GroundSet, omega, *, budget: int | None = None
 ) -> int:
-    """#{(b, c) in B^k x C^k : <M b, c> = omega}, pivoting on the last nonzero
-    coordinate of M*b; omega = 0 falls outside the counted regime and is rejected."""
+    """#{(b, c) in B^k x C^k : <M b, c> = omega}: the vectors M*b are tallied
+    with multiplicity, and each distinct one is solved by the linear-form
+    kernel over C^k; omega = 0 falls outside the counted regime and is rejected."""
     omega_s = B.field.coerce(omega)
     if not omega_s:
         raise PreconditionError("omega must be nonzero")
@@ -136,29 +133,13 @@ def count_bilinear(
     check_budget(len(B) ** k * len(C) ** (k - 1), budget, "count_bilinear")
     belems = _fast_elements(B)
     celems = _fast_elements(C)
-    cmembers = frozenset(celems)
     w = _fast_value(B, omega)
-    total = 0
-    for b in itertools.product(belems, repeat=k):
-        v = []
-        for row in rows:
-            acc = row[0] * b[0]
-            for j in range(1, k):
-                acc = acc + row[j] * b[j]
-            v.append(acc)
-        piv = next((j for j in range(k - 1, -1, -1) if v[j]), None)
-        if piv is None:
-            continue
-        vp = v[piv]
-        others = [j for j in range(k) if j != piv]
-        for prefix in itertools.product(celems, repeat=k - 1):
-            acc = w
-            for j, c in zip(others, prefix):
-                acc = acc - v[j] * c
-            q = _solve(acc, vp)
-            if q is not None and q in cmembers:
-                total += 1
-    return total
+    z = belems[0] - belems[0]
+    vectors = Counter(
+        tuple(sum((a * x for a, x in zip(row, b)), z) for row in rows)
+        for b in itertools.product(belems, repeat=k)
+    )
+    return sum(mu * _count_form(v, w, celems) for v, mu in vectors.items())
 
 
 def count_bilinear_brute(

@@ -78,6 +78,15 @@ class FamilySpec:
             out["path"] = self.path
         return out
 
+    def key_params(self) -> dict:
+        """params_dict plus, for an explicit file, the sha256 of its bytes, so
+        a cache key changes whenever the generated set can."""
+        out = self.params_dict()
+        if self.kind == KIND_EXPLICIT:
+            with open(self.path, "rb") as fh:
+                out["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        return out
+
     def label(self) -> str:
         params = ";".join(f"{k}={v}" for k, v in sorted(self.params_dict().items()))
         return f"{self.kind}[{params}]" if params else self.kind

@@ -249,7 +249,9 @@ def run_scan(
     for size in sizes:
         spec = replace(template, size=size)
         params = spec.params_dict()
-        key = scan_key(spec.kind, params, spec.seed, size, n, dmode, d_text, engine, field.label())
+        key = scan_key(
+            spec.kind, spec.key_params(), spec.seed, size, n, dmode, d_text, engine, field.label()
+        )
         if cache is not None:
             hit = cache.get(key)
             if hit is not None:

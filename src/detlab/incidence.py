@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, check_budget
-from .detcount import _fast_elements, _fast_value, _minor_table, _solve, count_det_brute
+from .detcount import _count_form, _fast_elements, _fast_value, _minor_table
 from .matrices import _rank_rows
 from .scalars import GroundSet, Scalar
 
@@ -305,21 +305,18 @@ class MinorPlanes:
 
     def det_count_via_incidences(self, *, budget: int | None = None) -> int:
         """Weighted incidence total over the X^3 grid, plus the degenerate
-        bucket when d = 0; reproduces the determinant count D_3(X, d)."""
-        P = cube_grid(self.base_set, 3)
-        check_budget(P.npoints * max(len(self.family), 1), budget, "minor-plane incidences")
-        axes = P._fast_axes()
+        bucket when d = 0; reproduces the determinant count D_3(X, d). The
+        points of each plane are counted by the linear-form kernel, which
+        solves one coordinate per choice of the other two."""
+        B = len(self.base_set)
+        check_budget(B**2 * max(len(self.family), 1), budget, "minor-plane incidences")
+        elems = _fast_elements(self.base_set)
         total = 0
         for (coeffs, offset), w in zip(self.family, self.weights):
             a = [_fast_value(self.base_set, c) for c in coeffs]
-            b = _fast_value(self.base_set, offset)
-            cnt = 0
-            for p1, p2, p3 in itertools.product(*axes):
-                if a[0] * p1 + a[1] * p2 + a[2] * p3 == b:
-                    cnt += 1
-            total += w * cnt
+            total += w * _count_form(a, _fast_value(self.base_set, offset), elems)
         if not self.d:
-            total += self.zero_multiplicity * len(self.base_set) ** 3
+            total += self.zero_multiplicity * B**3
         return total
 
 
@@ -344,8 +341,9 @@ def planes_from_minors(
 
 def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of u1*(v2-w2) - u2*(v1-w1) + v1*w2 - v2*w1 = 0 over U^6,
-    counted both by direct enumeration and as point/quadratic-curve incidences
-    (pivot-solving one coordinate per curve); the two tallies must agree."""
+    counted both by direct enumeration and as point/quadratic-curve incidences:
+    for each fixed (a, b, c, t) the linear-form kernel counts the (r, q) with
+    (t-c)*r + (b-a)*q = t*b - a*c. The two tallies must agree."""
     B = len(U)
     check_budget(B**6, budget, "curve_incidences_n3")
     elems = _fast_elements(U)
@@ -353,18 +351,10 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     for u1, u2, v1, v2, w1, w2 in itertools.product(elems, repeat=6):
         if not (u1 * (v2 - w2) - u2 * (v1 - w1) + v1 * w2 - v2 * w1):
             direct += 1
-    members = frozenset(elems)
-    via_curves = 0
-    for a, b, c in itertools.product(elems, repeat=3):
-        den = a - b
-        if not den:
-            via_curves += (2 * B - 1) * B
-            continue
-        for r in elems:
-            for t in elems:
-                q = _solve(r * (t - c) + a * c - t * b, den)
-                if q is not None and q in members:
-                    via_curves += 1
+    via_curves = sum(
+        _count_form((t - c, b - a), t * b - a * c, elems)
+        for a, b, c, t in itertools.product(elems, repeat=4)
+    )
     if direct != via_curves:
         raise AssertionError(
             f"curve double count disagrees: direct {direct}, curves {via_curves}"

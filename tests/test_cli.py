@@ -1,10 +1,12 @@
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from detlab import cli
 from detlab.cli import main
 from detlab.parallel import resolve_threads
 
@@ -175,6 +177,21 @@ def test_exit_code_io(capsys, tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize(
+    "callee,kind",
+    [("curve_incidences_n3", "curves"), ("cells_hit", "classify")],
+)
+def test_exit_code_internal_invariant(capsys, monkeypatch, callee, kind):
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, callee, broken)
+    rc = main(["incidence", "--kind", kind, "--family", "interval", "--size", "2", "--d", "1"])
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert err.startswith("error: ") and err.count("\n") == 1 and "invariant broken" in err
+
+
 def test_threads_resolution(monkeypatch):
     monkeypatch.delenv("DETLAB_THREADS", raising=False)
     assert resolve_threads(3) == 3
@@ -203,3 +220,14 @@ def test_scripts_reject_bad_input(script, flag, value):
     )
     assert proc.returncode == 2
     assert f"argument {flag}" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_incidence_census_exits_1_on_mismatch(monkeypatch, capsys):
+    import detlab.detcount
+
+    monkeypatch.setattr(detlab.detcount, "count_det_rowblock", lambda *a, **k: -1)
+    monkeypatch.setattr(sys, "argv", ["incidence_census.py", "--size", "2", "--d", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "incidence_census.py"), run_name="__main__")
+    assert exc.value.code == 1
+    assert "MISMATCH" in capsys.readouterr().out

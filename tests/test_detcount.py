@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ import hypothesis.strategies as st
 import detlab.parallel as parallel
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.detcount import (
+    _count_form,
+    _fast_elements,
+    _fast_value,
     count_decomposition,
     count_det_brute,
     count_det_conv_n2,
@@ -233,3 +237,46 @@ def test_fractional_d_over_integer_set():
     assert count_det_brute(X12, 2, Fraction(1, 2)) == 0
     assert count_det_rowblock(X12, 2, Fraction(1, 2)) == 0
     assert count_det_conv_n2(X12, Fraction(1, 2)) == 0
+
+
+@st.composite
+def _linear_forms(draw):
+    """(X, coeffs, target) over an int, Fraction or F_7 set; coefficients may be
+    zero, fractional over Q, and the target is often one the form attains."""
+    kind = draw(st.sampled_from(["int", "fraction", "f7"]))
+    if kind == "f7":
+        X = make_ground_set(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)), F7)
+        values = st.integers(0, 6)
+    else:
+        ints = st.integers(-4, 4)
+        if kind == "int":
+            X = make_ground_set(draw(st.lists(ints, min_size=1, max_size=4, unique=True)), QQ)
+        else:
+            fracs = st.fractions(-3, 3, max_denominator=3)
+            X = make_ground_set(draw(st.lists(fracs, min_size=1, max_size=4, unique=True)), QQ)
+        values = st.one_of(ints, st.fractions(-3, 3, max_denominator=3))
+    k = draw(st.integers(1, 3))
+    coeffs = [X.field.coerce(c) for c in draw(st.lists(values, min_size=k, max_size=k))]
+    if draw(st.booleans()):
+        r = draw(st.lists(st.sampled_from(X.elements), min_size=k, max_size=k))
+        target = sum((c * x for c, x in zip(coeffs, r)), X.field.zero())
+    else:
+        target = X.field.coerce(draw(values))
+    return X, coeffs, target
+
+
+@settings(max_examples=300)
+@given(_linear_forms())
+def test_count_form_matches_enumeration(case):
+    X, coeffs, target = case
+    zero = X.field.zero()
+    direct = sum(
+        1
+        for r in itertools.product(X.elements, repeat=len(coeffs))
+        if sum((c * x for c, x in zip(coeffs, r)), zero) == target
+    )
+    fast = [_fast_value(X, c) for c in coeffs]
+    assert _count_form(fast, _fast_value(X, target), _fast_elements(X)) == direct
+    zeros = [zero] * len(coeffs)
+    assert _count_form(zeros, zero, _fast_elements(X)) == len(X) ** len(coeffs)
+    assert _count_form(zeros, X.field.one(), _fast_elements(X)) == 0

@@ -156,20 +156,25 @@ def test_bilinear_asymmetric_sets_and_k3():
     from detlab.matrices import det
 
     rng = random.Random(11)
-    B = gs([1, 2])
-    C = gs([-1, 1, 3])
-    for k in (2, 3):
-        for _ in range(8):
-            while True:
-                M = Matrix.from_rows(
-                    [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], QQ
-                )
-                if det(M):
-                    break
-            for omega in sorted(_attained_inner_products(M, B, C)):
-                if not omega:
-                    continue
-                assert count_bilinear(M, B, C, omega) == count_bilinear_brute(M, B, C, omega)
+    # integer sets, then fractional ones, where the pivot solve must stay exact
+    set_pairs = [
+        (gs([1, 2]), gs([-1, 1, 3])),
+        (gs([Fraction(1, 2), Fraction(3, 2)]), gs([Fraction(-1, 3), 1])),
+        (gs([-1, 2]), gs([Fraction(1, 2), 1])),
+    ]
+    for B, C in set_pairs:
+        for k in (2, 3):
+            for _ in range(8):
+                while True:
+                    M = Matrix.from_rows(
+                        [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], QQ
+                    )
+                    if det(M):
+                        break
+                for omega in sorted(_attained_inner_products(M, B, C)):
+                    if not omega:
+                        continue
+                    assert count_bilinear(M, B, C, omega) == count_bilinear_brute(M, B, C, omega)
 
 
 def test_bilinear_prime_field():

@@ -136,6 +136,18 @@ def test_cache_key_separates_fields(tmp_path):
         assert run_scan(spec, [3], F5, n, "zero", "rowblock", cache=cache)[0].count == fp_count
 
 
+def test_cache_key_follows_explicit_file_contents(tmp_path):
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    path = tmp_path / "set.txt"
+    spec = FamilySpec("explicit", 3, path=str(path))
+    path.write_text("1\n2\n3\n")
+    first = run_scan(spec, [3], QQ, 2, "zero", "conv", cache=cache)[0]
+    path.write_text("2\n4\n8\n")
+    second = run_scan(spec, [3], QQ, 2, "zero", "conv", cache=cache)[0]
+    assert first.params == second.params == {"path": str(path)}
+    assert second.count == count_det_brute(make_ground_set([2, 4, 8], QQ), 2, 0) != first.count
+
+
 def test_cache_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
     key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational")

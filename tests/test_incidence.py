@@ -295,6 +295,16 @@ def test_incidence_budget():
         curve_incidences_n3(X, budget=1000)
 
 
+def test_minor_plane_incidences_budget_is_the_solve_count():
+    # the kernel does |X|^2 steps per plane, one per choice of two coordinates
+    X = make_ground_set(range(1, 5), QQ)
+    mp = planes_from_minors(X, 0)
+    steps = 16 * len(mp.family)
+    assert mp.det_count_via_incidences(budget=steps) == count_det_brute(X, 3, 0)
+    with pytest.raises(BudgetExceededError):
+        mp.det_count_via_incidences(budget=steps - 1)
+
+
 def test_prime_field_brute_only():
     Xp = make_ground_set([1, 2, 3], F7)
     grid = cube_grid(Xp, 2)
