@@ -4,7 +4,8 @@ Counts are plain Python ints (arbitrary precision). Two independent routes are
 always available: full enumeration with a definition-level determinant (the
 master oracle), and a first-row cofactor engine that enumerates the bottom
 (n-1) x n block once, aggregates multiplicities of the signed cofactor vector,
-and solves a pivot entry of the first row per distinct vector.
+merges vectors that are permutations of each other into one sorted-key class,
+and solves a pivot entry of the first row per class.
 
 Each enumeration is one walk over itertools.product whose leading coordinate
 (the top-left entry) is restricted to a shard of the ground set; the serial
@@ -18,9 +19,10 @@ Every pivot solve in the package goes through one linear-form kernel:
 of the others. Its callers are the rowblock count and spectrum here,
 `energy.count_bilinear`, `MinorPlanes.det_count_via_incidences` and the
 curve half of `incidence.curve_incidences_n3`. The oracles those routes are
-checked against never use it: `count_det_brute`, `_spectrum_brute`,
-`energy.count_bilinear_brute`, `incidence.incidences_brute`, the
-`energy_*_brute` counts and the direct half of `curve_incidences_n3`.
+checked against use neither the kernel nor the sorted-key table:
+`count_det_brute`, `_spectrum_brute`, `energy.count_bilinear_brute`,
+`incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
+of `curve_incidences_n3`.
 """
 
 from __future__ import annotations
@@ -28,30 +30,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError, check_budget
 from .matrices import Matrix, _det_rows, _rank_rows
 from .parallel import merge_tables, run_chunked
-from .scalars import MODE_RATIONAL, GroundSet, Scalar
-
-
-# ---------------------------------------------------------------------------
-# fast element views
-
-
-def _fast_elements(X: GroundSet) -> list:
-    """Plain ints when the set is integer-valued rational; same arithmetic, faster."""
-    if X.field.mode == MODE_RATIONAL and all(e.denominator == 1 for e in X.elements):
-        return [e.numerator for e in X.elements]
-    return list(X.elements)
-
-
-def _fast_value(X: GroundSet, v):
-    v = X.field.coerce(v)
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
-    return v
+from .scalars import GroundSet, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +149,13 @@ def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, wha
     B = len(X)
     total = B ** (n * n)
     check_budget(total, budget, what)
-    return merge_tables(run_chunked(_brute_walk, (_fast_elements(X), n), B, total, threads))
+    return merge_tables(run_chunked(_brute_walk, (X.elements, n), B, total, threads))
 
 
 def count_det_brute(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
     """Number of n x n matrices over X with determinant d, by full enumeration."""
     hist = _brute_histogram(X, n, budget, threads, "count_det_brute")
-    return hist.get(_fast_value(X, d), 0)
+    return hist.get(X.field.coerce(d), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +195,8 @@ def _minor_walk(elems, n, start, stop):
 
 
 def _minor_table(X: GroundSet, n: int, threads: int):
-    elems = _fast_elements(X)
-    B = len(elems)
-    parts = run_chunked(_minor_walk, (elems, n), B, B ** (n * (n - 1)), threads)
+    B = len(X)
+    parts = run_chunked(_minor_walk, (X.elements, n), B, B ** (n * (n - 1)), threads)
     return merge_tables([p[0] for p in parts]), sum(p[1] for p in parts)
 
 
@@ -235,29 +217,33 @@ def minor_multiplicity_map(
 def _rowblock_table(
     X: GroundSet, n: int, budget: int | None, threads: int, what: str, solve_steps: int
 ):
-    """Cofactor table for a rowblock engine. The budget is checked on the
-    table build before it runs, then on the build plus `solve_steps` for each
-    distinct vector once the distinct count is known."""
+    """Cofactor table for a rowblock engine, merged into sorted-key classes:
+    the distribution of <m, r> over r in X^n does not change when the
+    coordinates of m are permuted, so each class is solved once. The budget
+    is checked on the table build before it runs, then on the build plus
+    `solve_steps` per class once the class count is known."""
     if n < 2:
         raise PreconditionError("rowblock engine needs dimension >= 2")
     blocks = len(X) ** (n * (n - 1))
     check_budget(blocks, budget, what)
     table, zero = _minor_table(X, n, threads)
-    check_budget(blocks + len(table) * solve_steps, budget, what)
-    return table, zero
+    classes = Counter()
+    for m, mu in table.items():
+        classes[tuple(sorted(m))] += mu
+    check_budget(blocks + len(classes) * solve_steps, budget, what)
+    return classes, zero
 
 
 def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, via cofactor-vector multiplicities and a
-    pivot solve for one first-row entry per distinct vector."""
+    pivot solve for one first-row entry per sorted-key class."""
     B = len(X)
-    table, zero = _rowblock_table(X, n, budget, threads, "count_det_rowblock", B ** (n - 1))
-    elems = _fast_elements(X)
-    target = _fast_value(X, d)
+    classes, zero = _rowblock_table(X, n, budget, threads, "count_det_rowblock", B ** (n - 1))
+    target = X.field.coerce(d)
     total = zero * B**n if not target else 0
-    return total + sum(mu * _count_form(m, target, elems) for m, mu in table.items())
+    return total + sum(mu * _count_form(m, target, X.elements) for m, mu in classes.items())
 
 
 def _pair_products(elems) -> Counter:
@@ -267,8 +253,8 @@ def _pair_products(elems) -> Counter:
 
 def count_det_conv_n2(X: GroundSet, d) -> int:
     """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d)."""
-    target = _fast_value(X, d)
-    prod = _pair_products(_fast_elements(X))
+    target = X.field.coerce(d)
+    prod = _pair_products(X.elements)
     get = prod.get
     return sum(c * get(t - target, 0) for t, c in prod.items())
 
@@ -293,17 +279,12 @@ def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
     B = len(X)
-    table, zero = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
-    elems = _fast_elements(X)
-    start = elems[0] - elems[0]
-    # <m, r> over r in X^n has one distribution for all permutations of m
-    classes = Counter()
-    for m, mu in table.items():
-        classes[tuple(sorted(m))] += mu
+    classes, zero = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
+    start = X.field.zero()
     hist: dict = {}
     get = hist.get
     for m, mu in classes.items():
-        for v in _form_sums(m, elems, start):
+        for v in _form_sums(m, X.elements, start):
             hist[v] = get(v, 0) + mu
     if zero:
         hist[start] = get(start, 0) + zero * B**n
@@ -372,9 +353,8 @@ def count_rank(X: GroundSet, m: int, n: int, r: int, *, budget: int | None = Non
     if not (0 <= r <= m <= n):
         raise PreconditionError("need 0 <= r <= m <= n")
     check_budget(len(X) ** (m * n), budget, "count_rank")
-    elems = _fast_elements(X)
     count = 0
-    for rows in itertools.product(itertools.product(elems, repeat=n), repeat=m):
+    for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=m):
         if _rank_rows(rows) == r:
             count += 1
     return count
@@ -388,10 +368,9 @@ def count_decomposition(
     if n < 2:
         raise PreconditionError("decomposition needs dimension >= 2")
     check_budget(len(X) ** (n * n), budget, "count_decomposition")
-    elems = _fast_elements(X)
-    target = _fast_value(X, d)
+    target = X.field.coerce(d)
     x_zero = y_sing = y_reg = 0
-    for rows in itertools.product(itertools.product(elems, repeat=n), repeat=n):
+    for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=n):
         if _det_rows(rows) != target:
             continue
         corner = rows[-1][-1]

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_form, _fast_elements, _fast_value, _minor_table, _pair_products
+from .detcount import _count_form, _minor_table, _pair_products
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -38,7 +38,7 @@ class ValueDistribution:
 
 def product_distribution(U: GroundSet) -> ValueDistribution:
     """P(t) = #{(u, v) in U^2 : u*v = t}; mass is |U|^2."""
-    return ValueDistribution(_pair_products(_fast_elements(U)), "pair-product")
+    return ValueDistribution(_pair_products(U.elements), "pair-product")
 
 
 def r_distribution(U: GroundSet) -> ValueDistribution:
@@ -59,16 +59,14 @@ def energy_T(U: GroundSet) -> int:
 
 def energy_T_brute(U: GroundSet, *, budget: int | None = None) -> int:
     check_budget(len(U) ** 8, budget, "energy_T_brute")
-    elems = _fast_elements(U)
-    vals = [u1 * v1 + u2 * v2 for u1, u2, v1, v2 in itertools.product(elems, repeat=4)]
+    vals = [u1 * v1 + u2 * v2 for u1, u2, v1, v2 in itertools.product(U.elements, repeat=4)]
     return sum(1 for a in vals for b in vals if a == b)
 
 
 def energy_N(U: GroundSet) -> int:
     """Solutions of v1*(u1 - w1) = v2*(u2 - w2) over U^6, as sum of Q(t)^2."""
-    elems = _fast_elements(U)
     table: dict = {}
-    for v, u, w in itertools.product(elems, repeat=3):
+    for v, u, w in itertools.product(U.elements, repeat=3):
         t = v * (u - w)
         table[t] = table.get(t, 0) + 1
     return sum(c * c for c in table.values())
@@ -76,8 +74,7 @@ def energy_N(U: GroundSet) -> int:
 
 def energy_N_brute(U: GroundSet, *, budget: int | None = None) -> int:
     check_budget(len(U) ** 6, budget, "energy_N_brute")
-    elems = _fast_elements(U)
-    vals = [v * (u - w) for v, u, w in itertools.product(elems, repeat=3)]
+    vals = [v * (u - w) for v, u, w in itertools.product(U.elements, repeat=3)]
     return sum(1 for a in vals for b in vals if a == b)
 
 
@@ -88,9 +85,8 @@ def energy_S(U: GroundSet) -> int:
 
 def cross_term_distribution(U: GroundSet) -> ValueDistribution:
     """Q2(t) = #{(u1, u3, v1, v3) in U^4 : u1*v3 - u3*v1 = t}; mass |U|^4."""
-    elems = _fast_elements(U)
     table: dict = {}
-    for u1, u3, v1, v3 in itertools.product(elems, repeat=4):
+    for u1, u3, v1, v3 in itertools.product(U.elements, repeat=4):
         t = u1 * v3 - u3 * v1
         table[t] = table.get(t, 0) + 1
     return ValueDistribution(table, "two-by-two-cross")
@@ -98,8 +94,7 @@ def cross_term_distribution(U: GroundSet) -> ValueDistribution:
 
 def energy_S_brute(U: GroundSet, *, budget: int | None = None) -> int:
     check_budget(len(U) ** 8, budget, "energy_S_brute")
-    elems = _fast_elements(U)
-    vals = [u1 * v3 - u3 * v1 for u1, u3, v1, v3 in itertools.product(elems, repeat=4)]
+    vals = [u1 * v3 - u3 * v1 for u1, u3, v1, v3 in itertools.product(U.elements, repeat=4)]
     return sum(1 for a in vals for b in vals if a == b)
 
 
@@ -114,9 +109,7 @@ def _prepared_matrix(M: Matrix, B: GroundSet):
         raise PreconditionError("matrix and sets must share one field")
     if not det(M):
         raise PreconditionError("matrix must be nonsingular")
-    return [
-        tuple(_fast_value(B, e) for e in M.row_tuple(i)) for i in range(M.rows)
-    ]
+    return M.to_rows()
 
 
 def count_bilinear(
@@ -131,15 +124,12 @@ def count_bilinear(
     k = M.rows
     rows = _prepared_matrix(M, B)
     check_budget(len(B) ** k * len(C) ** (k - 1), budget, "count_bilinear")
-    belems = _fast_elements(B)
-    celems = _fast_elements(C)
-    w = _fast_value(B, omega)
-    z = belems[0] - belems[0]
+    z = B.field.zero()
     vectors = Counter(
         tuple(sum((a * x for a, x in zip(row, b)), z) for row in rows)
-        for b in itertools.product(belems, repeat=k)
+        for b in itertools.product(B.elements, repeat=k)
     )
-    return sum(mu * _count_form(v, w, celems) for v, mu in vectors.items())
+    return sum(mu * _count_form(v, omega_s, C.elements) for v, mu in vectors.items())
 
 
 def count_bilinear_brute(
@@ -152,22 +142,19 @@ def count_bilinear_brute(
     k = M.rows
     rows = _prepared_matrix(M, B)
     check_budget((len(B) * len(C)) ** k, budget, "count_bilinear_brute")
-    belems = _fast_elements(B)
-    celems = _fast_elements(C)
-    w = _fast_value(B, omega)
     total = 0
-    for b in itertools.product(belems, repeat=k):
+    for b in itertools.product(B.elements, repeat=k):
         v = []
         for row in rows:
             acc = row[0] * b[0]
             for j in range(1, k):
                 acc = acc + row[j] * b[j]
             v.append(acc)
-        for c in itertools.product(celems, repeat=k):
+        for c in itertools.product(C.elements, repeat=k):
             acc = v[0] * c[0]
             for j in range(1, k):
                 acc = acc + v[j] * c[j]
-            if acc == w:
+            if acc == omega_s:
                 total += 1
     return total
 
@@ -188,10 +175,9 @@ def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1
 def energy_Estar_brute(X: GroundSet, *, budget: int | None = None) -> int:
     """Literal 12-tuple check of the three bilinear equations, pair by pair."""
     check_budget(len(X) ** 12, budget, "energy_Estar_brute")
-    elems = _fast_elements(X)
     triples = [
         (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
-        for y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=6)
+        for y1, y2, y3, z1, z2, z3 in itertools.product(X.elements, repeat=6)
     ]
     return sum(1 for a in triples for b in triples if a == b)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_form, _fast_elements, _fast_value, _minor_table
+from .detcount import _count_form, _minor_table
 from .matrices import _rank_rows
 from .scalars import GroundSet, Scalar
 
@@ -56,16 +56,8 @@ class PointGrid:
     def min_size(self) -> int:
         return min(self.sizes)
 
-    @property
-    def descending_order(self) -> tuple:
-        """Axis indices ordered by decreasing cardinality (recorded, not applied)."""
-        return tuple(sorted(range(self.k), key=lambda i: (-len(self.axes[i]), i)))
-
     def points(self):
         return itertools.product(*(ax.elements for ax in self.axes))
-
-    def _fast_axes(self) -> list:
-        return [_fast_elements(ax) for ax in self.axes]
 
 
 def cube_grid(X: GroundSet, k: int) -> PointGrid:
@@ -79,7 +71,7 @@ def normalize_plane(coeffs, offset, field) -> tuple:
     lead = next((c for c in cs if c), None)
     if lead is None:
         raise PreconditionError("hyperplane coefficient vector is zero")
-    return tuple(c / lead for c in cs), off / lead
+    return tuple(field.div(c, lead) for c in cs), field.div(off, lead)
 
 
 @dataclass(frozen=True)
@@ -116,18 +108,35 @@ def incidences_brute(P: PointGrid, planes: HyperplaneFamily, *, budget: int | No
     if planes.k != P.k:
         raise PreconditionError("hyperplane dimension differs from grid dimension")
     check_budget(P.npoints * len(planes), budget, "incidences_brute")
-    axes = P._fast_axes()
+    field = P.field
     total = 0
     for coeffs, offset in planes:
-        a = [_fast_value(P.axes[0], c) for c in coeffs]
-        b = _fast_value(P.axes[0], offset)
-        for point in itertools.product(*axes):
+        a = [field.coerce(c) for c in coeffs]
+        b = field.coerce(offset)
+        for point in P.points():
             acc = a[0] * point[0]
             for j in range(1, P.k):
                 acc = acc + a[j] * point[j]
             if acc == b:
                 total += 1
     return total
+
+
+def _points_on_plane(P: PointGrid, plane) -> list:
+    """The grid points p with <a, p> = b, in grid order. Shared by
+    classify_incidences and nondegeneracy_ratio; incidences_brute, the
+    oracle for the class tallies, keeps its own loop."""
+    field = P.field
+    a = [field.coerce(c) for c in plane[0]]
+    b = field.coerce(plane[1])
+    on_plane = []
+    for point in P.points():
+        acc = a[0] * point[0]
+        for j in range(1, P.k):
+            acc = acc + a[j] * point[j]
+        if acc == b:
+            on_plane.append(point)
+    return on_plane
 
 
 def _int_root(x: int, m: int) -> int:
@@ -226,16 +235,10 @@ def classify_incidences(
     D = cell_decompose(P, r)
     k = P.k
     i1 = i2 = i3 = 0
-    for coeffs, offset in planes:
-        a = [_fast_value(P.axes[0], c) for c in coeffs]
-        b = _fast_value(P.axes[0], offset)
+    for plane in planes:
         by_cell: dict = {}
-        for point in itertools.product(*P._fast_axes()):
-            acc = a[0] * point[0]
-            for j in range(1, k):
-                acc = acc + a[j] * point[j]
-            if acc == b:
-                by_cell.setdefault(D.cell_of(point), []).append(point)
+        for point in _points_on_plane(P, plane):
+            by_cell.setdefault(D.cell_of(point), []).append(point)
         for pts in by_cell.values():
             if len(pts) <= k - 1:
                 i1 += len(pts)
@@ -310,11 +313,10 @@ class MinorPlanes:
         solves one coordinate per choice of the other two."""
         B = len(self.base_set)
         check_budget(B**2 * max(len(self.family), 1), budget, "minor-plane incidences")
-        elems = _fast_elements(self.base_set)
+        elems = self.base_set.elements
         total = 0
         for (coeffs, offset), w in zip(self.family, self.weights):
-            a = [_fast_value(self.base_set, c) for c in coeffs]
-            total += w * _count_form(a, _fast_value(self.base_set, offset), elems)
+            total += w * _count_form(coeffs, offset, elems)
         if not self.d:
             total += self.zero_multiplicity * B**3
         return total
@@ -346,7 +348,7 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     (t-c)*r + (b-a)*q = t*b - a*c. The two tallies must agree."""
     B = len(U)
     check_budget(B**6, budget, "curve_incidences_n3")
-    elems = _fast_elements(U)
+    elems = U.elements
     direct = 0
     for u1, u2, v1, v2, w1, w2 in itertools.product(elems, repeat=6):
         if not (u1 * (v2 - w2) - u2 * (v1 - w1) + v1 * w2 - v2 * w1):
@@ -369,16 +371,7 @@ def nondegeneracy_ratio(P: PointGrid, plane) -> Fraction | None:
     k = P.k
     if k > 3:
         return None
-    field = P.field
-    coeffs = [field.coerce(c) for c in plane[0]]
-    offset = field.coerce(plane[1])
-    on_plane = []
-    for point in P.points():
-        acc = field.zero()
-        for c, x in zip(coeffs, point):
-            acc = acc + c * x
-        if acc == offset:
-            on_plane.append(point)
+    on_plane = _points_on_plane(P, plane)
     m = len(on_plane)
     if m == 0:
         return None
@@ -391,7 +384,7 @@ def nondegeneracy_ratio(P: PointGrid, plane) -> Fraction | None:
             direction = tuple(q[t] - p[t] for t in range(3))
             lead_idx = next(t for t in range(3) if direction[t])
             lead = direction[lead_idx]
-            direction = tuple(x / lead for x in direction)
+            direction = tuple(P.field.div(x, lead) for x in direction)
             shift = p[lead_idx]
             base = tuple(p[t] - shift * direction[t] for t in range(3))
             key = (direction, base)

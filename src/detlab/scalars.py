@@ -4,9 +4,14 @@ All counting downstream relies on two facts established here: arithmetic is
 bit-exact (no floats anywhere), and equal scalars have identical canonical
 byte encodings, so they can serve as dictionary keys across runs.
 
-Integer-valued rationals may be represented either by `int` or by
-`Fraction`; equality, hashing, ordering and `encode_scalar` agree on the two
-representations, which lets hot loops work on plain machine integers.
+A rational is an `int` when it is integral and a `Fraction` otherwise:
+`FieldSpec.coerce`, `parse_scalar`, `zero()` and `one()` keep that invariant,
+so ground-set elements, `Matrix.from_rows` entries and normalized plane
+coefficients are plain machine integers whenever they can be, and hot loops
+need no separate integer view. Arithmetic on them may still yield an integral
+`Fraction`; equality, hashing, ordering and `encode_scalar` agree on it and
+the `int`. Two ints must never meet `/`, which yields a float:
+`FieldSpec.div` is the exact quotient of two field scalars.
 """
 
 from __future__ import annotations
@@ -188,10 +193,14 @@ class FieldSpec:
         return self.mode == MODE_RATIONAL
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.is_rational else Mod(0, self.modulus)
+        return 0 if self.is_rational else Mod(0, self.modulus)
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.is_rational else Mod(1, self.modulus)
+        return 1 if self.is_rational else Mod(1, self.modulus)
+
+    def div(self, a: Scalar, b: Scalar) -> Scalar:
+        """Exact quotient a / b of two scalars of this field."""
+        return self.coerce(Fraction(a, b)) if self.is_rational else a / b
 
     def coerce(self, value) -> Scalar:
         """Canonical field element from an int, Fraction, Mod, or text."""
@@ -201,9 +210,9 @@ class FieldSpec:
             if isinstance(value, bool):
                 raise PreconditionError("bool is not a scalar")
             if isinstance(value, int):
-                return Fraction(value)
-            if isinstance(value, Fraction):
                 return value
+            if isinstance(value, Fraction):
+                return value.numerator if value.denominator == 1 else value
         else:
             if isinstance(value, Mod):
                 if value.modulus != self.modulus:
@@ -231,10 +240,10 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     den = m.group(2)
     if field.is_rational:
         if den is None:
-            return Fraction(num)
+            return num
         if int(den) == 0:
             raise PreconditionError(f"zero denominator in {text!r}")
-        return Fraction(num, int(den))
+        return field.coerce(Fraction(num, int(den)))
     if den is not None:
         raise PreconditionError("prime-field scalars are plain integers")
     return Mod(num, field.modulus)

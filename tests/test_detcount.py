@@ -10,8 +10,6 @@ import detlab.parallel as parallel
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.detcount import (
     _count_form,
-    _fast_elements,
-    _fast_value,
     count_decomposition,
     count_det_brute,
     count_det_conv_n2,
@@ -210,6 +208,20 @@ def test_budget_covers_solve_phase():
         det_spectrum(X, 3, "rowblock", budget=4096)
 
 
+def test_rowblock_budget_is_charged_per_sorted_key_class():
+    # interval 4, n = 3: 4^6 = 4096 blocks and 447 sorted-key classes, each
+    # solved in 4^2 steps by the count and 4^3 by the spectrum
+    X = make_ground_set(range(1, 5), QQ)
+    count = count_det_rowblock(X, 3, 0, budget=11_248)
+    spec = det_spectrum(X, 3, "rowblock", budget=32_704)
+    assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
+    assert spec.entries == det_spectrum(X, 3, "rowblock").entries
+    with pytest.raises(BudgetExceededError):
+        count_det_rowblock(X, 3, 0, budget=11_247)
+    with pytest.raises(BudgetExceededError):
+        det_spectrum(X, 3, "rowblock", budget=32_703)
+
+
 def test_parallel_counts_match_serial(monkeypatch):
     monkeypatch.setattr(parallel, "_MIN_PARALLEL_ITEMS", 1)
     X = make_ground_set([0, 1, 2], QQ)
@@ -275,8 +287,7 @@ def test_count_form_matches_enumeration(case):
         for r in itertools.product(X.elements, repeat=len(coeffs))
         if sum((c * x for c, x in zip(coeffs, r)), zero) == target
     )
-    fast = [_fast_value(X, c) for c in coeffs]
-    assert _count_form(fast, _fast_value(X, target), _fast_elements(X)) == direct
+    assert _count_form(coeffs, target, X.elements) == direct
     zeros = [zero] * len(coeffs)
-    assert _count_form(zeros, zero, _fast_elements(X)) == len(X) ** len(coeffs)
-    assert _count_form(zeros, X.field.one(), _fast_elements(X)) == 0
+    assert _count_form(zeros, zero, X.elements) == len(X) ** len(coeffs)
+    assert _count_form(zeros, X.field.one(), X.elements) == 0

@@ -272,6 +272,16 @@ def test_nondegeneracy_ratio():
     # six points on the plane; the heaviest line carries three of them
     assert nondegeneracy_ratio(grid3, plane3) == Fraction(1, 2)
     assert nondegeneracy_ratio(grid, normalize_plane((1, 1), 99, QQ)) is None
+    # over F_7 the same points lie on the plane, and Mod has no __radd__
+    Y012 = make_ground_set([0, 1, 2], F7)
+    assert nondegeneracy_ratio(cube_grid(Y012, 2), normalize_plane((1, 1), 2, F7)) == Fraction(1, 3)
+    assert nondegeneracy_ratio(cube_grid(Y012, 3), normalize_plane((1, 1, 1), 2, F7)) == Fraction(1, 2)
+    # the six permutations of (1, 2, 4) sum to 0 mod 7; mod 7, three of them
+    # share a line, over Q (sum 7) no three do
+    Y124 = make_ground_set([1, 2, 4], F7)
+    assert nondegeneracy_ratio(cube_grid(Y124, 3), normalize_plane((1, 1, 1), 0, F7)) == Fraction(1, 2)
+    X124 = make_ground_set([1, 2, 4], QQ)
+    assert nondegeneracy_ratio(cube_grid(X124, 3), normalize_plane((1, 1, 1), 7, QQ)) == Fraction(1, 3)
 
 
 def test_grid_validation_and_order():
@@ -280,7 +290,6 @@ def test_grid_validation_and_order():
     with pytest.raises(PreconditionError):
         PointGrid((X01, make_ground_set([1], F7)))
     grid = PointGrid((X01, X012, make_ground_set([5], QQ)))
-    assert grid.descending_order == (1, 0, 2)
     assert grid.min_size == 1
     assert grid.npoints == 6
 

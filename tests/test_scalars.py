@@ -100,6 +100,22 @@ def test_encoding_agrees_between_int_and_fraction():
     assert encode_scalar(0) == encode_scalar(Fraction(0))
 
 
+def test_integral_rationals_are_ints():
+    for v in (QQ.coerce(Fraction(4, 2)), parse_scalar("6/3", QQ), QQ.zero(), QQ.one()):
+        assert type(v) is int
+    X = make_ground_set([Fraction(1, 2), Fraction(2)], QQ)
+    assert X.elements == (Fraction(1, 2), 2)
+    assert [type(e) for e in X.elements] == [Fraction, int]
+
+
+def test_field_div_is_exact():
+    q = QQ.div(1, 3)
+    assert q == Fraction(1, 3) and not isinstance(q, float)
+    assert type(QQ.div(6, 3)) is int
+    assert QQ.div(Fraction(1, 2), Fraction(1, 4)) == 2
+    assert F7.div(Mod(3, 7), Mod(5, 7)) == Mod(2, 7)  # 5 * 2 = 3 mod 7
+
+
 def test_encoding_separates_sign_and_parts():
     assert encode_scalar(Fraction(1, 2)) != encode_scalar(Fraction(2, 1))
     assert encode_scalar(Fraction(1)) != encode_scalar(Fraction(-1))
