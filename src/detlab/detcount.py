@@ -13,14 +13,27 @@ path is the same walk over the whole set. Parallel runs hand contiguous shards
 to workers and merge their tables by key-wise addition, so totals are
 identical for any worker count.
 
+The cofactor table is walked in plain ints: `_int_table` lifts X once with
+`scalars.int_lift` (L*X over Q, residues over F_p, where each distinct key is
+then reduced mod p and keys that vanish mod p join the zero bucket). The
+rowblock count maps its target into the lifted problem (L^n d, or the
+residue of d) and solves in ints; the rowblock spectrum builds an int
+histogram and lowers each distinct value to a field scalar at the end. The
+rowblock engines never lower their table; `_minor_table` lowers it for the
+other callers (`minor_multiplicity_map`, `incidence.planes_from_minors`,
+`energy.energy_Estar_mu`, `energy.dyadic_pyramid`), except for an integral
+rational set, whose int table is already canonical and is returned as walked.
+
 Every pivot solve in the package goes through one linear-form kernel:
 `_form_sums` lists start + <c, r> over r in X^k, and `_count_form` counts
 #{r in X^k : <c, r> = t} by solving one pivot coordinate exactly per choice
-of the others. Its callers are the rowblock count and spectrum here,
+of the others. Its callers are the rowblock count and spectrum here, on the
+lifted ints (with the modulus over F_p), and, on field scalars,
 `energy.count_bilinear`, `MinorPlanes.det_count_via_incidences` and the
 curve half of `incidence.curve_incidences_n3`. The oracles those routes are
-checked against use neither the kernel nor the sorted-key table:
-`count_det_brute`, `_spectrum_brute`, `energy.count_bilinear_brute`,
+checked against use neither the kernel, the sorted-key table nor the lift:
+`count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
+`count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
 of `curve_incidences_n3`.
 """
@@ -34,7 +47,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError, check_budget
 from .matrices import Matrix, _det_rows, _rank_rows
 from .parallel import merge_tables, run_chunked
-from .scalars import GroundSet, Scalar
+from .scalars import GroundSet, Scalar, int_lift
 
 
 # ---------------------------------------------------------------------------
@@ -51,18 +64,24 @@ def _form_sums(coeffs, elems, start) -> list:
     return sums
 
 
-def _count_form(coeffs, target, elems) -> int:
+def _count_form(coeffs, target, elems, modulus: int | None = None) -> int:
     """#{r in elems^k : <coeffs, r> = target}. The first nonzero coordinate is
     the pivot p, solved exactly for each choice of the others: with
     s = target - (the other terms), r_p = s / c_p lies in X exactly when s
     lies in c_p * X, so membership needs no division and is exact for int,
-    Fraction and Mod alike. An all-zero `coeffs` gives |X|^k or 0."""
+    Fraction and Mod alike. With a `modulus`, coeffs, target and elems are
+    residues and each sum is reduced once; the pivot is invertible mod a
+    prime, so membership stays exact. An all-zero `coeffs` gives |X|^k or 0."""
     piv = next((j for j, c in enumerate(coeffs) if c), None)
     if piv is None:
         return 0 if target else len(elems) ** len(coeffs)
     scaled = {coeffs[piv] * e for e in elems}
     others = [-c for j, c in enumerate(coeffs) if j != piv]
-    return sum(map(scaled.__contains__, _form_sums(others, elems, target)))
+    sums = _form_sums(others, elems, target)
+    if modulus:
+        scaled = {s % modulus for s in scaled}
+        sums = [s % modulus for s in sums]
+    return sum(map(scaled.__contains__, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +194,9 @@ def _cofactor_vector(block, n):
 
 
 def _minor_walk(elems, n, start, stop):
-    """Cofactor-vector multiplicities of the bottom blocks whose top-left entry
-    is one of elems[start:stop]; the all-zero vector is counted apart."""
+    """Cofactor-vector multiplicities of the bottom blocks over the int
+    elements whose top-left entry is one of elems[start:stop]; the all-zero
+    vector is counted apart."""
     lead = elems[start:stop]
     if n == 2:
         vectors = ((y2, -y1) for y1, y2 in itertools.product(lead, elems))
@@ -190,14 +210,37 @@ def _minor_walk(elems, n, start, stop):
         tops = itertools.product(lead, *[elems] * (n - 1))
         vectors = (_cofactor_vector(block, n) for block in itertools.product(tops, *[rows] * (n - 2)))
     table = Counter(vectors)
-    z = elems[0] - elems[0]  # zero in the elements' own type: int, Fraction or Mod
-    return table, table.pop((z,) * n, 0)
+    return table, table.pop((0,) * n, 0)
+
+
+def _int_table(X: GroundSet, n: int, threads: int):
+    """Cofactor table of the lifted set: int keys, reduced mod p over F_p
+    once per distinct key (a vector that vanishes mod p joins the zero
+    bucket), the zero count, and the lift."""
+    lift = int_lift(X)
+    B = len(X)
+    parts = run_chunked(_minor_walk, (lift.elements, n), B, B ** (n * (n - 1)), threads)
+    table, zero = merge_tables([p[0] for p in parts]), sum(p[1] for p in parts)
+    if lift.modulus:
+        residue = lift.modulus.__rmod__
+        reduced: dict = {}
+        get = reduced.get
+        for m, mu in table.items():
+            key = tuple(map(residue, m))
+            reduced[key] = get(key, 0) + mu
+        zero += reduced.pop((0,) * n, 0)
+        table = reduced
+    return table, zero, lift
 
 
 def _minor_table(X: GroundSet, n: int, threads: int):
-    B = len(X)
-    parts = run_chunked(_minor_walk, (X.elements, n), B, B ** (n * (n - 1)), threads)
-    return merge_tables([p[0] for p in parts]), sum(p[1] for p in parts)
+    """Cofactor table keyed by canonical field scalars; an integral rational
+    set's int table is returned as walked."""
+    table, zero, lift = _int_table(X, n, threads)
+    if lift.is_identity:
+        return table, zero
+    lower = lift.lower
+    return {tuple(lower(c, n - 1) for c in m): mu for m, mu in table.items()}, zero
 
 
 def minor_multiplicity_map(
@@ -217,33 +260,38 @@ def minor_multiplicity_map(
 def _rowblock_table(
     X: GroundSet, n: int, budget: int | None, threads: int, what: str, solve_steps: int
 ):
-    """Cofactor table for a rowblock engine, merged into sorted-key classes:
-    the distribution of <m, r> over r in X^n does not change when the
-    coordinates of m are permuted, so each class is solved once. The budget
-    is checked on the table build before it runs, then on the build plus
-    `solve_steps` per class once the class count is known."""
+    """Int cofactor table of the lifted set for a rowblock engine, merged into
+    sorted-key classes: the distribution of <m, r> over r in X^n does not
+    change when the coordinates of m are permuted, so each class is solved
+    once. The budget is checked on the table build before it runs, then on
+    the build plus `solve_steps` per class once the class count is known."""
     if n < 2:
         raise PreconditionError("rowblock engine needs dimension >= 2")
     blocks = len(X) ** (n * (n - 1))
     check_budget(blocks, budget, what)
-    table, zero = _minor_table(X, n, threads)
+    table, zero, lift = _int_table(X, n, threads)
     classes = Counter()
     for m, mu in table.items():
         classes[tuple(sorted(m))] += mu
     check_budget(blocks + len(classes) * solve_steps, budget, what)
-    return classes, zero
+    return classes, zero, lift
 
 
 def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, via cofactor-vector multiplicities and a
-    pivot solve for one first-row entry per sorted-key class."""
+    pivot solve for one first-row entry per sorted-key class, all in ints."""
     B = len(X)
-    classes, zero = _rowblock_table(X, n, budget, threads, "count_det_rowblock", B ** (n - 1))
-    target = X.field.coerce(d)
+    classes, zero, lift = _rowblock_table(
+        X, n, budget, threads, "count_det_rowblock", B ** (n - 1)
+    )
+    target = lift.target(d, n)
+    if target is None:
+        return 0
     total = zero * B**n if not target else 0
-    return total + sum(mu * _count_form(m, target, X.elements) for m, mu in classes.items())
+    elems, p = lift.elements, lift.modulus
+    return total + sum(mu * _count_form(m, target, elems, p) for m, mu in classes.items())
 
 
 def _pair_products(elems) -> Counter:
@@ -274,24 +322,31 @@ COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock, "conv
 
 
 def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
-    return _brute_histogram(X, n, budget, threads, "det_spectrum[brute]")
+    hist = _brute_histogram(X, n, budget, threads, "det_spectrum[brute]")
+    return {X.field.coerce(k): v for k, v in hist.items()}
 
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
+    """Int histogram of <m, r> over the lifted set, lowered to field scalars
+    once per distinct value (over F_p several ints share one residue)."""
     B = len(X)
-    classes, zero = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
-    start = X.field.zero()
+    classes, zero, lift = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
     hist: dict = {}
     get = hist.get
     for m, mu in classes.items():
-        for v in _form_sums(m, X.elements, start):
+        for v in _form_sums(m, lift.elements, 0):
             hist[v] = get(v, 0) + mu
     if zero:
-        hist[start] = get(start, 0) + zero * B**n
-    return hist
+        hist[0] = get(0, 0) + zero * B**n
+    out: dict = {}
+    for k, v in hist.items():
+        d = lift.lower(k, n)
+        out[d] = out.get(d, 0) + v
+    return out
 
 
-# Spectrum engines by name, each called as f(X, n, *, budget, threads).
+# Spectrum engines by name, each called as f(X, n, *, budget, threads) and
+# returning canonical field-scalar keys.
 SPECTRUM_ENGINES = {"brute": _spectrum_brute, "rowblock": _spectrum_rowblock}
 
 
@@ -302,8 +357,7 @@ def det_spectrum(
     if engine not in SPECTRUM_ENGINES:
         raise PreconditionError(f"unknown spectrum engine {engine!r}")
     hist = SPECTRUM_ENGINES[engine](X, n, budget=budget, threads=threads)
-    canonical = {X.field.coerce(k): v for k, v in hist.items()}
-    return SpectrumHistogram(n, X, engine, canonical)
+    return SpectrumHistogram(n, X, engine, hist)
 
 
 def dsup(

@@ -102,10 +102,10 @@ def energy_S_brute(U: GroundSet, *, budget: int | None = None) -> int:
 # inner-product equation <M b, c> = omega
 
 
-def _prepared_matrix(M: Matrix, B: GroundSet):
+def _prepared_matrix(M: Matrix, B: GroundSet, C: GroundSet):
     if not M.is_square or M.rows < 2:
         raise PreconditionError("need a square matrix of dimension >= 2")
-    if M.field != B.field:
+    if not M.field == B.field == C.field:
         raise PreconditionError("matrix and sets must share one field")
     if not det(M):
         raise PreconditionError("matrix must be nonsingular")
@@ -122,7 +122,7 @@ def count_bilinear(
     if not omega_s:
         raise PreconditionError("omega must be nonzero")
     k = M.rows
-    rows = _prepared_matrix(M, B)
+    rows = _prepared_matrix(M, B, C)
     check_budget(len(B) ** k * len(C) ** (k - 1), budget, "count_bilinear")
     z = B.field.zero()
     vectors = Counter(
@@ -140,7 +140,7 @@ def count_bilinear_brute(
     if not omega_s:
         raise PreconditionError("omega must be nonzero")
     k = M.rows
-    rows = _prepared_matrix(M, B)
+    rows = _prepared_matrix(M, B, C)
     check_budget((len(B) * len(C)) ** k, budget, "count_bilinear_brute")
     total = 0
     for b in itertools.product(B.elements, repeat=k):

@@ -12,10 +12,19 @@ need no separate integer view. Arithmetic on them may still yield an integral
 `Fraction`; equality, hashing, ordering and `encode_scalar` agree on it and
 the `int`. Two ints must never meet `/`, which yields a float:
 `FieldSpec.div` is the exact quotient of two field scalars.
+
+`int_lift` is the one place a ground set becomes plain ints for the counting
+kernel. Over Q it scales X by L, the lcm of its denominators, which the
+covariance D_n(LX, L^n d) = D_n(X, d) allows; over F_p it takes the residues,
+with L = 1, and sums are reduced mod p by the kernel. An integral rational
+set lifts to itself (the same elements tuple, L = 1). `IntLift.target` maps
+a field scalar to the lifted problem and `IntLift.lower` maps an int result
+back to a canonical field scalar.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -316,6 +325,50 @@ def make_ground_set(values: Iterable, field: FieldSpec) -> GroundSet:
     if not seen:
         raise PreconditionError("empty ground set")
     return GroundSet(field, tuple(sorted(seen)))
+
+
+@dataclass(frozen=True)
+class IntLift:
+    """A ground set as plain ints: `elements` is L*X over Q (strictly
+    increasing, since L > 0) or the residues over F_p, where `modulus` is p."""
+
+    field: FieldSpec
+    elements: tuple
+    scale: int
+    modulus: int | None
+
+    @property
+    def is_identity(self) -> bool:
+        """True for an integral rational set: the ints are the field scalars."""
+        return self.modulus is None and self.scale == 1
+
+    def target(self, value, power: int) -> int | None:
+        """Image of the field scalar `value` in the lifted problem of degree
+        `power`: value * L^power over Q, None when that is not an integer (no
+        lifted sum can reach it); the residue over F_p."""
+        value = self.field.coerce(value)
+        if self.modulus is not None:
+            return value.residue
+        q = Fraction(value) * self.scale**power
+        return q.numerator if q.denominator == 1 else None
+
+    def lower(self, k: int, power: int) -> Scalar:
+        """Canonical field scalar of a lifted int of degree `power`: k / L^power
+        over Q, the residue class of k over F_p."""
+        if self.modulus is not None:
+            return Mod(k, self.modulus)
+        den = self.scale**power
+        return k if den == 1 else self.field.coerce(Fraction(k, den))
+
+
+def int_lift(X: GroundSet) -> IntLift:
+    """Plain-int form of X for the counting kernel (see the module docstring)."""
+    if not X.field.is_rational:
+        return IntLift(X.field, tuple(e.residue for e in X), 1, X.field.modulus)
+    L = math.lcm(*(e.denominator for e in X))
+    if L == 1:
+        return IntLift(X.field, X.elements, 1, None)
+    return IntLift(X.field, tuple(int(e * L) for e in X), L, None)
 
 
 def scale_set(X: GroundSet, c) -> GroundSet:

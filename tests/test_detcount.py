@@ -1,14 +1,16 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import detlab.parallel as parallel
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.detcount import (
+    _cofactor_vector,
     _count_form,
     count_decomposition,
     count_det_brute,
@@ -21,7 +23,7 @@ from detlab.detcount import (
     minor_multiplicity_map,
 )
 from detlab.matrices import det
-from detlab.scalars import make_ground_set, negate_set, scale_set
+from detlab.scalars import FieldSpec, make_ground_set, negate_set, scale_set
 
 from conftest import QQ, F7, int_ground_sets, fraction_ground_sets
 
@@ -80,21 +82,50 @@ def test_spectrum_engines_agree_and_mass(X, n):
     assert sb.total_mass() == len(X) ** (n * n)
 
 
-@given(fraction_ground_sets(max_size=3))
-def test_spectrum_engines_agree_fractional(X):
-    sb = det_spectrum(X, 2, "brute")
-    sr = det_spectrum(X, 2, "rowblock")
-    assert sb.entries == sr.entries
-    for d in sb.entries:
-        assert count_det_conv_n2(X, d) == sb.entries[d]
+def _assert_rowblock_matches_brute(X, n, extra_targets=()):
+    """Rowblock spectrum and count at every attained d (and at the extra
+    targets) against the brute spectrum; returns the brute spectrum."""
+    sb = det_spectrum(X, n, "brute")
+    assert det_spectrum(X, n, "rowblock").entries == sb.entries
+    assert sb.total_mass() == len(X) ** (n * n)
+    for d in (*sb.entries, *extra_targets):
+        assert count_det_rowblock(X, n, d) == sb.get(d)
+    return sb
 
 
-def test_spectrum_prime_field():
-    Xp = make_ground_set([0, 1, 3], F7)
-    sb = det_spectrum(Xp, 2, "brute")
-    sr = det_spectrum(Xp, 2, "rowblock")
-    assert sb.entries == sr.entries
-    assert sb.total_mass() == 3**4
+HALVES = make_ground_set([Fraction(1, 2), 1, Fraction(3, 2)], QQ)
+
+
+@given(fraction_ground_sets(max_size=3), st.sampled_from([2, 3]))
+@example(HALVES, 2)
+@example(HALVES, 3)
+@settings(max_examples=30)
+def test_spectrum_engines_agree_fractional(X, n):
+    # the rowblock engines count over the lifted set L*X in plain ints; over
+    # the halves (L = 2) d = 1/3 lifts to 4/3 or 8/3, which no int sum reaches
+    sb = _assert_rowblock_matches_brute(X, n, [Fraction(1, 3), Fraction(-5, 7)])
+    if n == 2:
+        for d in sb.entries:
+            assert count_det_conv_n2(X, d) == sb.entries[d]
+
+
+# a set of residues mod 2, 3, 5 or 7
+_prime_field_sets = st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.lists(st.integers(0, p - 1), min_size=1, max_size=3, unique=True).map(
+        lambda vals: make_ground_set(vals, FieldSpec.prime(p))
+    )
+)
+
+
+@given(_prime_field_sets, st.sampled_from([2, 3]))
+@example(make_ground_set([0, 1, 3], F7), 2)
+@example(make_ground_set([1, 2], FieldSpec.prime(3)), 3)
+@example(make_ground_set([1, 2, 4], FieldSpec.prime(5)), 3)
+@settings(max_examples=30)
+def test_spectrum_prime_field(X, n):
+    # {1, 2} over F_3 and {1, 2, 4} over F_5 have integer cofactors such as
+    # 2*2 - 1*1 = 3 and 4*4 - 1*1 = 15 that vanish mod p
+    _assert_rowblock_matches_brute(X, n)
 
 
 def test_spectrum_witness():
@@ -162,10 +193,26 @@ def test_decomposition_sums_to_brute(X, d):
 
 
 def test_minor_map_mass():
-    for X in (X12, make_ground_set([0, 1, 2], QQ), make_ground_set([1, 3], F7)):
+    sets = (
+        X12,
+        make_ground_set([0, 1, 2], QQ),
+        make_ground_set([1, 3], F7),
+        make_ground_set([Fraction(1, 2), Fraction(2, 3), 2], QQ),
+        make_ground_set([1, 2, 4], FieldSpec.prime(5)),
+    )
+    for X in sets:
         for n in (2, 3):
             mm = minor_multiplicity_map(X, n)
             assert mm.total_mass() == len(X) ** (n * (n - 1))
+            rows = list(itertools.product(X.elements, repeat=n))
+            direct = Counter(
+                _cofactor_vector(block, n) for block in itertools.product(rows, repeat=n - 1)
+            )
+            zero = direct.pop((X.field.zero(),) * n, 0)
+            assert (mm.entries, mm.zero_count) == (direct, zero)
+            # keys are canonical field scalars: an int whenever integral
+            for m in mm.entries:
+                assert all(type(c) is type(X.field.coerce(c)) for c in m)
 
 
 def test_scaling_covariance():
@@ -288,6 +335,11 @@ def test_count_form_matches_enumeration(case):
         if sum((c * x for c, x in zip(coeffs, r)), zero) == target
     )
     assert _count_form(coeffs, target, X.elements) == direct
+    if not X.field.is_rational:
+        # the same form on residues, each sum reduced mod 7
+        residues = [c.residue for c in coeffs]
+        lifted = [e.residue for e in X]
+        assert _count_form(residues, target.residue, lifted, 7) == direct
     zeros = [zero] * len(coeffs)
     assert _count_form(zeros, zero, X.elements) == len(X) ** len(coeffs)
     assert _count_form(zeros, X.field.one(), X.elements) == 0

@@ -140,6 +140,17 @@ def test_bilinear_rejects_degenerate_inputs():
         count_bilinear_brute(I2, U12, U12, 0)
 
 
+def test_bilinear_rejects_mixed_fields():
+    # B over Q with C over F_7 used to fail inside the arithmetic (TypeError)
+    I2 = identity(2, QQ)
+    Cp = make_ground_set([1, 2], F7)
+    for count in (count_bilinear, count_bilinear_brute):
+        with pytest.raises(PreconditionError):
+            count(I2, U12, Cp, 1)
+        with pytest.raises(PreconditionError):
+            count(identity(2, F7), make_ground_set([1, 2], F7), U12, 1)
+
+
 def _attained_inner_products(M, B, C):
     import itertools
 

@@ -12,6 +12,7 @@ from detlab.scalars import (
     encode_ground_set,
     encode_scalar,
     format_scalar,
+    int_lift,
     is_prime,
     make_ground_set,
     negate_set,
@@ -114,6 +115,28 @@ def test_field_div_is_exact():
     assert type(QQ.div(6, 3)) is int
     assert QQ.div(Fraction(1, 2), Fraction(1, 4)) == 2
     assert F7.div(Mod(3, 7), Mod(5, 7)) == Mod(2, 7)  # 5 * 2 = 3 mod 7
+
+
+def test_int_lift():
+    # an integral set lifts to itself: the same tuple, scale 1
+    X = make_ground_set([-2, 1, 5], QQ)
+    lift = int_lift(X)
+    assert lift.elements is X.elements and lift.scale == 1 and lift.is_identity
+    assert lift.target(Fraction(4, 2), 3) == 2 and lift.lower(-7, 2) == -7
+    # over Q the scale is the lcm of the denominators, and order is kept
+    H = make_ground_set([Fraction(-1, 2), Fraction(2, 3), 1], QQ)
+    lift = int_lift(H)
+    assert (lift.elements, lift.scale, lift.modulus) == ((-3, 4, 6), 6, None)
+    assert not lift.is_identity
+    assert lift.target(Fraction(1, 36), 2) == 1 and lift.target(Fraction(1, 7), 2) is None
+    assert lift.lower(36, 2) == 1 and type(lift.lower(36, 2)) is int
+    assert lift.lower(3, 2) == Fraction(1, 12)
+    # over F_p the residues, scale 1, and results lower to residue classes
+    P = make_ground_set([1, 3, 6], F7)
+    lift = int_lift(P)
+    assert (lift.elements, lift.scale, lift.modulus) == ((1, 3, 6), 1, 7)
+    assert not lift.is_identity
+    assert lift.target(10, 3) == 3 and lift.lower(-1, 3) == Mod(6, 7)
 
 
 def test_encoding_separates_sign_and_parts():
