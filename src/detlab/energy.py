@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_form, _minor_table, _pair_products
+from .detcount import _count_form, _int_table, _pair_products
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -168,7 +168,7 @@ def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1
     triples over X^12, computed as the sum of squared triple multiplicities
     (the all-zero triple included)."""
     check_budget(len(X) ** 6, budget, "energy_Estar_mu")
-    table, zero = _minor_table(X, 3, threads)
+    table, zero, _ = _int_table(X, 3, threads)
     return sum(mu * mu for mu in table.values()) + zero * zero
 
 
@@ -200,7 +200,7 @@ class DyadicPyramid:
 
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:
     check_budget(len(X) ** 6, budget, "dyadic_pyramid")
-    table, zero = _minor_table(X, 3, threads)
+    table, zero, _ = _int_table(X, 3, threads)
     mults = list(table.values())
     if zero:
         mults.append(zero)

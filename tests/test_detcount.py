@@ -96,17 +96,25 @@ def _assert_rowblock_matches_brute(X, n, extra_targets=()):
 HALVES = make_ground_set([Fraction(1, 2), 1, Fraction(3, 2)], QQ)
 
 
-@given(fraction_ground_sets(max_size=3), st.sampled_from([2, 3]))
-@example(HALVES, 2)
-@example(HALVES, 3)
-@settings(max_examples=30)
-def test_spectrum_engines_agree_fractional(X, n):
-    # the rowblock engines count over the lifted set L*X in plain ints; over
-    # the halves (L = 2) d = 1/3 lifts to 4/3 or 8/3, which no int sum reaches
-    sb = _assert_rowblock_matches_brute(X, n, [Fraction(1, 3), Fraction(-5, 7)])
-    if n == 2:
-        for d in sb.entries:
-            assert count_det_conv_n2(X, d) == sb.entries[d]
+# the rowblock engines count over the lifted set L*X in plain ints; over the
+# halves (L = 2) d = 1/3 lifts to 4/3 or 8/3, which no int sum reaches
+FRACTIONAL_TARGETS = (Fraction(1, 3), Fraction(-5, 7))
+
+
+@given(fraction_ground_sets(max_size=3))
+@example(HALVES)
+def test_spectrum_engines_agree_fractional(X):
+    sb = _assert_rowblock_matches_brute(X, 2, FRACTIONAL_TARGETS)
+    for d in sb.entries:
+        assert count_det_conv_n2(X, d) == sb.entries[d]
+
+
+@given(fraction_ground_sets(max_size=3))
+@example(HALVES)
+@settings(max_examples=20)
+def test_spectrum_engines_agree_fractional_n3(X):
+    # the brute spectrum enumerates up to 3^9 matrices here, so fewer examples
+    _assert_rowblock_matches_brute(X, 3, FRACTIONAL_TARGETS)
 
 
 # a set of residues mod 2, 3, 5 or 7
