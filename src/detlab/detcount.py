@@ -18,12 +18,12 @@ The cofactor table is walked in plain ints: `_int_table` lifts X once with
 then reduced mod p and keys that vanish mod p join the zero bucket). The
 rowblock count maps its target into the lifted problem (L^n d, or the
 residue of d) and solves in ints; the rowblock spectrum builds an int
-histogram (of residues over F_p) and lowers each distinct value to a field
-scalar at the end. The rowblock engines and `energy.energy_Estar_mu` and
-`energy.dyadic_pyramid`, which read only multiplicities (the lift is
-injective on keys), use the int table as is; `_minor_table` lowers its keys
-for `minor_multiplicity_map` and `incidence.planes_from_minors`, except for
-an integral rational set, whose int table is already canonical.
+histogram and lowers each distinct value to a field scalar at the end. The
+rowblock engines, `energy.energy_Estar_mu` and `energy.dyadic_pyramid` use
+the int table as is (the energies read only multiplicities, which the lift
+keeps: it is injective on keys); `_minor_table` lowers its keys for
+`minor_multiplicity_map` and `incidence.planes_from_minors`, except for an
+integral rational set, whose int table is already canonical.
 
 Every pivot solve in the package goes through one linear-form kernel:
 `_form_sums` lists start + <c, r> over r in X^k, and `_count_form` counts
@@ -328,22 +328,26 @@ def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -
 
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
-    """Int histogram of <m, r> over the lifted set (each sum reduced mod p
-    over F_p), lowered to field scalars once per distinct value."""
+    """Int histogram of <m, r> over the lifted set, lowered to field scalars
+    once per distinct int; over F_p the ints that share a residue merge here,
+    which is cheaper than reducing every sum mod p (at |X| = 6 over F_101,
+    reducing each sum made the spectrum about 30% slower)."""
     B = len(X)
     classes, zero, lift = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
-    p = lift.modulus
     hist: dict = {}
     get = hist.get
     for m, mu in classes.items():
-        sums = _form_sums(m, lift.elements, 0)
-        for v in [s % p for s in sums] if p else sums:
+        for v in _form_sums(m, lift.elements, 0):
             hist[v] = get(v, 0) + mu
     if zero:
         hist[0] = get(0, 0) + zero * B**n
     if lift.is_identity:
         return hist
-    return {lift.lower(k, n): v for k, v in hist.items()}
+    out: dict = {}
+    for k, v in hist.items():
+        d = lift.lower(k, n)
+        out[d] = out.get(d, 0) + v
+    return out
 
 
 # Spectrum engines by name, each called as f(X, n, *, budget, threads) and
