@@ -29,7 +29,6 @@ from detlab.incidence import (
     nondegeneracy_ratio,
     planes_from_minors,
 )
-from detlab.parallel import resolve_threads
 from detlab.scalars import FieldSpec, format_scalar, parse_scalar, read_ground_set_file
 
 
@@ -42,7 +41,6 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--d", default="1", help="determinant value indexing the plane family")
     ap.add_argument("--r", type=int, default=None, help="override the slicing parameter")
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args()
 
@@ -55,22 +53,21 @@ def main():
         )
         X = generate(FamilySpec(args.family, args.size, **kw), field)
     d = parse_scalar(args.d, field)
-    threads = resolve_threads(args.threads)
 
     print(f"set: {{{', '.join(format_scalar(e) for e in X)}}}, d = {format_scalar(d)}")
-    mp = planes_from_minors(X, d, budget=args.budget, threads=threads)
+    mp = planes_from_minors(X, d, budget=args.budget)
     print(f"cofactor planes: {len(mp.family)} distinct, zero-triple multiplicity {mp.zero_multiplicity}, "
           f"total weight {mp.total_weight()} (= X^6 = {len(X) ** 6})")
 
-    det_count = count_det_rowblock(X, 3, d, budget=args.budget, threads=threads)
+    det_count = count_det_rowblock(X, 3, d, budget=args.budget)
     via = mp.det_count_via_incidences(budget=args.budget)
     print(f"weighted incidences reproduce the determinant count: {via} vs {det_count} "
           f"({'exact match' if via == det_count else 'MISMATCH'})")
     if via != det_count:
         return 1
 
-    estar = energy_Estar_mu(X, budget=args.budget, threads=threads)
-    pyramid = dyadic_pyramid(X, budget=args.budget, threads=threads)
+    estar = energy_Estar_mu(X, budget=args.budget)
+    pyramid = dyadic_pyramid(X, budget=args.budget)
     print(f"\ntwelve-variable energy: {estar}")
     print("dyadic multiplicity pyramid (w, class size, w^2 * size <= energy):")
     for w, cnt in pyramid.classes:

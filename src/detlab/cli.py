@@ -61,9 +61,10 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--field", default="rational", help="rational or fp:<p>")
-    p.add_argument("--threads", type=int, default=None, help="worker count (DETLAB_THREADS honored)")
+    if threads:
+        p.add_argument("--threads", type=int, default=None, help="brute-engine workers (DETLAB_THREADS honored)")
     p.add_argument("--budget", type=int, default=None, help="enumeration budget in elementary steps")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="scan report format")
@@ -194,7 +195,6 @@ def _cmd_rank(args) -> None:
 def _cmd_energy(args) -> None:
     field = FieldSpec.parse(args.field)
     X = _resolve_set(args, field)
-    threads = resolve_threads(args.threads)
     kind = args.kind
     out = {"op": "energy", "kind": kind, "field": field.label(), "X": len(X)}
     if kind == "bilinear":
@@ -210,7 +210,7 @@ def _cmd_energy(args) -> None:
         if args.engine == "brute":
             cnt = energy_Estar_brute(X, budget=args.budget)
         else:
-            cnt = energy_Estar_mu(X, budget=args.budget, threads=threads)
+            cnt = energy_Estar_mu(X, budget=args.budget)
     else:
         table = {"N": (energy_N, energy_N_brute), "T": (energy_T, energy_T_brute), "S": (energy_S, energy_S_brute)}
         fast, brute = table[kind]
@@ -223,7 +223,6 @@ def _cmd_energy(args) -> None:
 def _cmd_incidence(args) -> None:
     field = FieldSpec.parse(args.field)
     X = _resolve_set(args, field)
-    threads = resolve_threads(args.threads)
     kind = args.kind
     out = {"op": "incidence", "kind": kind, "field": field.label(), "X": len(X)}
     if kind == "curves":
@@ -233,7 +232,7 @@ def _cmd_incidence(args) -> None:
     if args.d is None:
         raise PreconditionError(f"incidence kind {kind!r} needs --d for the plane family")
     d = parse_scalar(args.d, field)
-    mp = planes_from_minors(X, d, budget=args.budget, threads=threads)
+    mp = planes_from_minors(X, d, budget=args.budget)
     out["d"] = format_scalar(d)
     out["planes"] = len(mp.family)
     out["zero_multiplicity"] = str(mp.zero_multiplicity)
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="matrices over X with a prescribed determinant")
     _add_set_source(p)
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--d", required=True, help="target determinant")
     p.add_argument("--engine", choices=tuple(COUNT_ENGINES), default="rowblock")
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="full determinant distribution")
     _add_set_source(p)
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--engine", choices=tuple(SPECTRUM_ENGINES), default="rowblock")
     p.set_defaults(func=_cmd_spectrum)
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="family scan across sizes")
     _add_set_source(p)
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--sizes", required=True, help="comma list (4,6,8) or range lo:hi[:step]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmode", choices=DMODES, default="zero")

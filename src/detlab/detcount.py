@@ -7,11 +7,12 @@ master oracle), and a first-row cofactor engine that enumerates the bottom
 merges vectors that are permutations of each other into one sorted-key class,
 and solves a pivot entry of the first row per class.
 
-Each enumeration is one walk over itertools.product whose leading coordinate
-(the top-left entry) is restricted to a shard of the ground set; the serial
-path is the same walk over the whole set. Parallel runs hand contiguous shards
-to workers and merge their tables by key-wise addition, so totals are
-identical for any worker count.
+Each enumeration is one walk over itertools.product. Only the brute oracle
+shards its walk: `_brute_walk` restricts the leading coordinate (the
+top-left entry) to a shard of the ground set, workers take contiguous shards
+and their histograms merge by key-wise addition, so totals are identical for
+any worker count. The cofactor table is walked in one process at any worker
+count: shipping each worker's table back cost more than the walk it saved.
 
 The cofactor table is walked in plain ints: `_int_table` lifts X once with
 `scalars.int_lift` (L*X over Q, residues over F_p, where each distinct key is
@@ -194,34 +195,25 @@ def _cofactor_vector(block, n):
     return tuple(out)
 
 
-def _minor_walk(elems, n, start, stop):
-    """Cofactor-vector multiplicities of the bottom blocks over the int
-    elements whose top-left entry is one of elems[start:stop]; the all-zero
-    vector is counted apart."""
-    lead = elems[start:stop]
+def _int_table(X: GroundSet, n: int):
+    """Cofactor table of the lifted set, walked over every bottom block in
+    one process: int keys, reduced mod p over F_p once per distinct key (a
+    vector that vanishes mod p joins the zero bucket), the zero count, and
+    the lift."""
+    lift = int_lift(X)
+    elems = lift.elements
     if n == 2:
-        vectors = ((y2, -y1) for y1, y2 in itertools.product(lead, elems))
+        vectors = ((y2, -y1) for y1, y2 in itertools.product(elems, repeat=2))
     elif n == 3:
         vectors = (
             (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
-            for y1, y2, y3, z1, z2, z3 in itertools.product(lead, *[elems] * 5)
+            for y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=6)
         )
     else:
         rows = list(itertools.product(elems, repeat=n))
-        tops = itertools.product(lead, *[elems] * (n - 1))
-        vectors = (_cofactor_vector(block, n) for block in itertools.product(tops, *[rows] * (n - 2)))
+        vectors = (_cofactor_vector(block, n) for block in itertools.product(rows, repeat=n - 1))
     table = Counter(vectors)
-    return table, table.pop((0,) * n, 0)
-
-
-def _int_table(X: GroundSet, n: int, threads: int):
-    """Cofactor table of the lifted set: int keys, reduced mod p over F_p
-    once per distinct key (a vector that vanishes mod p joins the zero
-    bucket), the zero count, and the lift."""
-    lift = int_lift(X)
-    B = len(X)
-    parts = run_chunked(_minor_walk, (lift.elements, n), B, B ** (n * (n - 1)), threads)
-    table, zero = merge_tables([p[0] for p in parts]), sum(p[1] for p in parts)
+    zero = table.pop((0,) * n, 0)
     if lift.modulus:
         residue = lift.modulus.__rmod__
         reduced: dict = {}
@@ -234,10 +226,10 @@ def _int_table(X: GroundSet, n: int, threads: int):
     return table, zero, lift
 
 
-def _minor_table(X: GroundSet, n: int, threads: int):
+def _minor_table(X: GroundSet, n: int):
     """Cofactor table keyed by canonical field scalars; an integral rational
     set's int table is returned as walked."""
-    table, zero, lift = _int_table(X, n, threads)
+    table, zero, lift = _int_table(X, n)
     if lift.is_identity:
         return table, zero
     lower = lift.lower
@@ -247,10 +239,11 @@ def _minor_table(X: GroundSet, n: int, threads: int):
 def minor_multiplicity_map(
     X: GroundSet, n: int, *, budget: int | None = None, threads: int = 1
 ) -> MinorMultiplicityMap:
+    """Cofactor table of X, walked in-process; `threads` is accepted and unused."""
     if n < 2:
         raise PreconditionError("cofactor vectors need dimension >= 2")
     check_budget(len(X) ** (n * (n - 1)), budget, "minor_multiplicity_map")
-    table, zero = _minor_table(X, n, threads)
+    table, zero = _minor_table(X, n)
     return MinorMultiplicityMap(n, X, table, zero)
 
 
@@ -258,9 +251,7 @@ def minor_multiplicity_map(
 # first-row cofactor engine
 
 
-def _rowblock_table(
-    X: GroundSet, n: int, budget: int | None, threads: int, what: str, solve_steps: int
-):
+def _rowblock_table(X: GroundSet, n: int, budget: int | None, what: str, solve_steps: int):
     """Int cofactor table of the lifted set for a rowblock engine, merged into
     sorted-key classes: the distribution of <m, r> over r in X^n does not
     change when the coordinates of m are permuted, so each class is solved
@@ -270,7 +261,7 @@ def _rowblock_table(
         raise PreconditionError("rowblock engine needs dimension >= 2")
     blocks = len(X) ** (n * (n - 1))
     check_budget(blocks, budget, what)
-    table, zero, lift = _int_table(X, n, threads)
+    table, zero, lift = _int_table(X, n)
     classes = Counter()
     for m, mu in table.items():
         classes[tuple(sorted(m))] += mu
@@ -282,11 +273,10 @@ def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, via cofactor-vector multiplicities and a
-    pivot solve for one first-row entry per sorted-key class, all in ints."""
+    pivot solve for one first-row entry per sorted-key class, all in ints.
+    The table is walked in-process; `threads` is the registry's signature."""
     B = len(X)
-    classes, zero, lift = _rowblock_table(
-        X, n, budget, threads, "count_det_rowblock", B ** (n - 1)
-    )
+    classes, zero, lift = _rowblock_table(X, n, budget, "count_det_rowblock", B ** (n - 1))
     target = lift.target(d, n)
     if target is None:
         return 0
@@ -311,6 +301,7 @@ def count_det_conv_n2(X: GroundSet, d) -> int:
 def _count_conv(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
     if n != 2:
         raise PreconditionError("conv engine is the n = 2 product-correlation path")
+    check_budget(len(X) ** 2, budget, "count_det_conv_n2")
     return count_det_conv_n2(X, d)
 
 
@@ -333,7 +324,7 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     which is cheaper than reducing every sum mod p (at |X| = 6 over F_101,
     reducing each sum made the spectrum about 30% slower)."""
     B = len(X)
-    classes, zero, lift = _rowblock_table(X, n, budget, threads, "det_spectrum[rowblock]", B**n)
+    classes, zero, lift = _rowblock_table(X, n, budget, "det_spectrum[rowblock]", B**n)
     hist: dict = {}
     get = hist.get
     for m, mu in classes.items():

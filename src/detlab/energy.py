@@ -166,9 +166,10 @@ def count_bilinear_brute(
 def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> int:
     """Solution count of the simultaneous equality of the two signed cofactor
     triples over X^12, computed as the sum of squared triple multiplicities
-    (the all-zero triple included)."""
+    (the all-zero triple included). The table is walked in-process;
+    `threads` is accepted and unused."""
     check_budget(len(X) ** 6, budget, "energy_Estar_mu")
-    table, zero, _ = _int_table(X, 3, threads)
+    table, zero, _ = _int_table(X, 3)
     return sum(mu * mu for mu in table.values()) + zero * zero
 
 
@@ -199,8 +200,9 @@ class DyadicPyramid:
 
 
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:
+    """Dyadic census of the cofactor table (walked in-process; `threads` is unused)."""
     check_budget(len(X) ** 6, budget, "dyadic_pyramid")
-    table, zero, _ = _int_table(X, 3, threads)
+    table, zero, _ = _int_table(X, 3)
     mults = list(table.values())
     if zero:
         mults.append(zero)

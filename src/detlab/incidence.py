@@ -328,10 +328,11 @@ def planes_from_minors(
     """The plane family <m, x> = d indexed by distinct cofactor triples m != 0,
     weighted by triple multiplicity; the zero triple is reported separately.
     For d != 0 distinct triples give distinct planes; for d = 0 projectively
-    equal triples merge and their weights add."""
+    equal triples merge and their weights add. The table is walked
+    in-process; `threads` is accepted and unused."""
     check_budget(len(X) ** 6, budget, "planes_from_minors")
     d_s = X.field.coerce(d)
-    table, zero = _minor_table(X, 3, threads)
+    table, zero = _minor_table(X, 3)
     field = X.field
     merged: dict = {}
     for m, mu in table.items():

@@ -1,10 +1,10 @@
-"""Deterministic sharded fan-out for enumeration loops.
+"""Deterministic sharded fan-out for the brute-force oracle's enumeration.
 
-A walk enumerates itertools.product with its leading coordinate restricted to
-a shard [start, stop) of the ground set and returns a partial tally; the
-serial path is the same walk over the whole range. Callers merge partials
-with key-wise addition, so results never depend on scheduling. Small jobs
-stay in-process regardless of the requested worker count.
+Its one caller, `detcount._brute_histogram`, walks itertools.product with
+the leading coordinate restricted to a shard [start, stop) of the ground set;
+the serial path is the same walk over the whole range. Partials merge by
+key-wise addition, so results never depend on scheduling. Small jobs stay
+in-process whatever the worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +12,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-_MIN_PARALLEL_ITEMS = 1 << 14
+# Brute histogram, 1 vs 2 workers on a 2-core host (medians of 7-9 runs): n = 3
+# at 3^9 = 19,683 items 8 vs 25 ms, n = 2 at 20^4 = 160,000 items 35 vs 49 ms,
+# n = 3 at 4^9 = 262,144 items 115 vs 91 ms; two workers pay from about 2^18.
+_MIN_PARALLEL_ITEMS = 1 << 18
 
 
 def resolve_threads(flag: int | None = None) -> int:
@@ -30,27 +33,16 @@ def resolve_threads(flag: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step, extra = divmod(total, parts)
-    ranges = []
-    start = 0
-    for i in range(parts):
-        stop = start + step + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
 def run_chunked(walk, args: tuple, lead: int, total: int, threads: int) -> list:
     """Run walk(*args, start, stop) over contiguous shards of range(lead), the
     leading coordinate's values; partials in shard order. The pool is used only
     when the full enumeration size `total` is large enough to pay for it."""
     if threads <= 1 or total < _MIN_PARALLEL_ITEMS:
         return [walk(*args, 0, lead)]
-    ranges = split_ranges(lead, threads)
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        futures = [pool.submit(walk, *args, start, stop) for start, stop in ranges]
+    parts = min(threads, lead)
+    cuts = [lead * i // parts for i in range(parts + 1)]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        futures = [pool.submit(walk, *args, start, stop) for start, stop in zip(cuts, cuts[1:])]
         return [f.result() for f in futures]
 
 

@@ -170,6 +170,22 @@ def test_exit_code_budget(capsys):
     assert rc == 3
 
 
+def test_conv_engine_charges_pair_table(capsys):
+    argv = ["count", "--family", "interval", "--size", "40", "--n", "2", "--d", "1", "--engine", "conv"]
+    assert run_cli(capsys, *argv, "--budget", "1")[0] == 3
+    assert run_cli(capsys, *argv, "--budget", str(40**2 - 1))[0] == 3
+    assert run_json(capsys, *argv, "--budget", str(40**2))["count"] == "1878"
+
+
+def test_threads_only_where_brute_can_use_it():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    with_threads = {
+        name for name, p in sub.choices.items()
+        if any("--threads" in a.option_strings for a in p._actions)
+    }
+    assert with_threads == {"count", "spectrum", "scan"}
+
+
 def test_exit_code_io(capsys, tmp_path):
     rc, _ = run_cli(capsys, "count", "--set", str(tmp_path / "missing.txt"), "--n", "2", "--d", "0")
     assert rc == 4

@@ -300,6 +300,29 @@ def test_parallel_counts_match_serial(monkeypatch):
             assert (mm.entries, mm.zero_count) == (serial.entries, serial.zero_count)
 
 
+def test_cofactor_table_never_starts_a_pool(monkeypatch):
+    from detlab.energy import dyadic_pyramid, energy_Estar_mu
+    from detlab.incidence import planes_from_minors
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    X = make_ground_set([-1, 2, 3], QQ)
+    calls = [
+        lambda t: count_det_rowblock(X, 3, 1, threads=t),
+        lambda t: det_spectrum(X, 3, "rowblock", threads=t),
+        lambda t: dsup(X, 3, True, threads=t),
+        lambda t: minor_multiplicity_map(X, 3, threads=t),
+        lambda t: planes_from_minors(X, 1, threads=t),
+        lambda t: energy_Estar_mu(X, threads=t),
+        lambda t: dyadic_pyramid(X, threads=t),
+    ]
+    serial = [call(1) for call in calls]
+    monkeypatch.setattr(parallel, "_MIN_PARALLEL_ITEMS", 1)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    assert [call(4) for call in calls] == serial
+
+
 def test_fractional_d_over_integer_set():
     assert count_det_brute(X12, 2, Fraction(1, 2)) == 0
     assert count_det_rowblock(X12, 2, Fraction(1, 2)) == 0

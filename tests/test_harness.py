@@ -103,6 +103,12 @@ def test_scan_budget_hit_rows_continue():
     assert rows[1].count is None and rows[1].budget_hit
 
 
+def test_scan_conv_budget_hit():
+    rows = run_scan(FamilySpec("interval", 2), [4, 5], QQ, 2, "zero", "conv", budget=16)
+    assert rows[0].count == 32 and not rows[0].budget_hit
+    assert rows[1].count is None and rows[1].budget_hit
+
+
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
     key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational")
