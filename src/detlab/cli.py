@@ -214,7 +214,7 @@ def _cmd_energy(args) -> None:
     else:
         table = {"N": (energy_N, energy_N_brute), "T": (energy_T, energy_T_brute), "S": (energy_S, energy_S_brute)}
         fast, brute = table[kind]
-        cnt = brute(X, budget=args.budget) if args.engine == "brute" else fast(X)
+        cnt = (brute if args.engine == "brute" else fast)(X, budget=args.budget)
     out["engine"] = args.engine
     out["count"] = str(cnt)
     _emit(args, out)

@@ -20,20 +20,23 @@ then reduced mod p and keys that vanish mod p join the zero bucket). The
 rowblock count maps its target into the lifted problem (L^n d, or the
 residue of d) and solves in ints; the rowblock spectrum builds an int
 histogram and lowers each distinct value to a field scalar at the end. The
-rowblock engines, `energy.energy_Estar_mu` and `energy.dyadic_pyramid` use
-the int table as is (the energies read only multiplicities, which the lift
-keeps: it is injective on keys); `_minor_table` lowers its keys for
-`minor_multiplicity_map` and `incidence.planes_from_minors`, except for an
-integral rational set, whose int table is already canonical.
+rowblock engines, `energy.energy_Estar_mu`, `energy.dyadic_pyramid` and
+`incidence.planes_from_minors` use the int table as is (the energies read
+only multiplicities, which the lift keeps: it is injective on keys; the
+planes are keyed on the lifted triples); only `minor_multiplicity_map`
+lowers its keys to field scalars, except for an integral rational set, whose
+int table is already canonical. The `conv` engine lifts X the same way and
+correlates int pair products against L^2 d (or the residue of d).
 
 Every pivot solve in the package goes through one linear-form kernel:
 `_form_sums` lists start + <c, r> over r in X^k, and `_count_form` counts
 #{r in X^k : <c, r> = t} by solving one pivot coordinate exactly per choice
-of the others. Its callers are the rowblock count and spectrum here, on the
-lifted ints (with the modulus over F_p), and, on field scalars,
-`energy.count_bilinear`, `MinorPlanes.det_count_via_incidences` and the
-curve half of `incidence.curve_incidences_n3`. The oracles those routes are
-checked against use neither the kernel, the sorted-key table nor the lift:
+of the others. Its callers are the rowblock count and spectrum here,
+`MinorPlanes.det_count_via_incidences` and the curve half of
+`incidence.curve_incidences_n3`, all on lifted ints (with the modulus over
+F_p); its only field-scalar caller is `energy.count_bilinear`. The oracles
+those routes are checked against use neither the kernel, the sorted-key
+table nor the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
@@ -226,24 +229,18 @@ def _int_table(X: GroundSet, n: int):
     return table, zero, lift
 
 
-def _minor_table(X: GroundSet, n: int):
-    """Cofactor table keyed by canonical field scalars; an integral rational
-    set's int table is returned as walked."""
-    table, zero, lift = _int_table(X, n)
-    if lift.is_identity:
-        return table, zero
-    lower = lift.lower
-    return {tuple(lower(c, n - 1) for c in m): mu for m, mu in table.items()}, zero
-
-
 def minor_multiplicity_map(
     X: GroundSet, n: int, *, budget: int | None = None, threads: int = 1
 ) -> MinorMultiplicityMap:
-    """Cofactor table of X, walked in-process; `threads` is accepted and unused."""
+    """Cofactor table of X keyed by canonical field scalars: the int table,
+    lowered once per distinct key (an integral rational set's table is kept
+    as walked). Walked in-process; `threads` is accepted and unused."""
     if n < 2:
         raise PreconditionError("cofactor vectors need dimension >= 2")
     check_budget(len(X) ** (n * (n - 1)), budget, "minor_multiplicity_map")
-    table, zero = _minor_table(X, n)
+    table, zero, lift = _int_table(X, n)
+    if not lift.is_identity:
+        table = {tuple(lift.lower(c, n - 1) for c in m): mu for m, mu in table.items()}
     return MinorMultiplicityMap(n, X, table, zero)
 
 
@@ -291,11 +288,19 @@ def _pair_products(elems) -> Counter:
 
 
 def count_det_conv_n2(X: GroundSet, d) -> int:
-    """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d)."""
-    target = X.field.coerce(d)
-    prod = _pair_products(X.elements)
-    get = prod.get
-    return sum(c * get(t - target, 0) for t, c in prod.items())
+    """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d),
+    in ints over the lifted set (target L^2 d, 0 when that is not an integer;
+    over F_p the pair products are reduced mod p once)."""
+    lift = int_lift(X)
+    target = lift.target(d, 2)
+    if target is None:
+        return 0
+    p = lift.modulus
+    if p:
+        prod = Counter(u * v % p for u, v in itertools.product(lift.elements, repeat=2))
+        return sum(c * prod.get((t - target) % p, 0) for t, c in prod.items())
+    prod = _pair_products(lift.elements)
+    return sum(c * prod.get(t - target, 0) for t, c in prod.items())
 
 
 def _count_conv(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:

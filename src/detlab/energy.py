@@ -41,20 +41,29 @@ def product_distribution(U: GroundSet) -> ValueDistribution:
     return ValueDistribution(_pair_products(U.elements), "pair-product")
 
 
-def r_distribution(U: GroundSet) -> ValueDistribution:
-    """R(t) = #{u1*v1 + u2*v2 = t}; the sum-convolution of P with itself."""
-    P = product_distribution(U).entries
+def _self_convolution(P: dict) -> dict:
+    """t -> sum over t1 + t2 = t of P(t1) * P(t2)."""
     table: dict = {}
     for t1, c1 in P.items():
         for t2, c2 in P.items():
             s = t1 + t2
             table[s] = table.get(s, 0) + c1 * c2
-    return ValueDistribution(table, "paired-product-sum")
+    return table
 
 
-def energy_T(U: GroundSet) -> int:
-    """Solutions of v1*u1 + v2*u2 = x1*y1 + x2*y2 over U^8, as sum of R(t)^2."""
-    return sum(c * c for c in r_distribution(U).entries.values())
+def r_distribution(U: GroundSet) -> ValueDistribution:
+    """R(t) = #{u1*v1 + u2*v2 = t}; the sum-convolution of P with itself."""
+    return ValueDistribution(_self_convolution(_pair_products(U.elements)), "paired-product-sum")
+
+
+def energy_T(U: GroundSet, *, budget: int | None = None) -> int:
+    """Solutions of v1*u1 + v2*u2 = x1*y1 + x2*y2 over U^8, as sum of R(t)^2.
+    The budget is charged |U|^2 for the pair-product table P, then
+    |U|^2 + |P|^2 for its self-convolution once |P| is known."""
+    check_budget(len(U) ** 2, budget, "energy_T")
+    P = _pair_products(U.elements)
+    check_budget(len(U) ** 2 + len(P) ** 2, budget, "energy_T")
+    return sum(c * c for c in _self_convolution(P).values())
 
 
 def energy_T_brute(U: GroundSet, *, budget: int | None = None) -> int:
@@ -63,8 +72,10 @@ def energy_T_brute(U: GroundSet, *, budget: int | None = None) -> int:
     return sum(1 for a in vals for b in vals if a == b)
 
 
-def energy_N(U: GroundSet) -> int:
-    """Solutions of v1*(u1 - w1) = v2*(u2 - w2) over U^6, as sum of Q(t)^2."""
+def energy_N(U: GroundSet, *, budget: int | None = None) -> int:
+    """Solutions of v1*(u1 - w1) = v2*(u2 - w2) over U^6, as sum of Q(t)^2;
+    charged |U|^3 steps."""
+    check_budget(len(U) ** 3, budget, "energy_N")
     table: dict = {}
     for v, u, w in itertools.product(U.elements, repeat=3):
         t = v * (u - w)
@@ -78,8 +89,10 @@ def energy_N_brute(U: GroundSet, *, budget: int | None = None) -> int:
     return sum(1 for a in vals for b in vals if a == b)
 
 
-def energy_S(U: GroundSet) -> int:
-    """Solutions of u1*v3 - u3*v1 = y1*z3 - y3*z1 over U^8, as sum of Q2(t)^2."""
+def energy_S(U: GroundSet, *, budget: int | None = None) -> int:
+    """Solutions of u1*v3 - u3*v1 = y1*z3 - y3*z1 over U^8, as sum of Q2(t)^2;
+    charged |U|^4 steps."""
+    check_budget(len(U) ** 4, budget, "energy_S")
     return sum(c * c for c in cross_term_distribution(U).entries.values())
 
 

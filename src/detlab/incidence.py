@@ -5,19 +5,26 @@ Cuts are placed at exact rational midpoints between consecutive axis elements,
 so every grid point is interior to an open cell. Cell decomposition needs an
 ordered scalar line and is therefore refused in prime-field mode, where only
 brute incidence counting applies.
+
+A normalized plane <a, x> = b is plain ints in both fields: the coprime
+integer vector (a, b) with a positive lead over Q, the residues with lead one
+over F_p. The linear-form kernel runs on the lifted ground set
+(`scalars.int_lift`); the oracles `incidences_brute` and the direct half of
+`curve_incidences_n3` keep field arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_form, _minor_table
+from .detcount import _count_form, _int_table
 from .matrices import _rank_rows
-from .scalars import GroundSet, Scalar
+from .scalars import GroundSet, Scalar, int_lift
 
 
 @dataclass(frozen=True)
@@ -65,18 +72,26 @@ def cube_grid(X: GroundSet, k: int) -> PointGrid:
 
 
 def normalize_plane(coeffs, offset, field) -> tuple:
-    """Scale so the first nonzero coefficient is one; rejects the zero vector."""
+    """Plain-int normal form of <a, x> = b; rejects the zero vector. Over Q it
+    is the coprime integer vector (a, b) whose first nonzero a_i is positive;
+    over F_p, the residues scaled so that the first nonzero a_i is one."""
     cs = [field.coerce(c) for c in coeffs]
     off = field.coerce(offset)
     lead = next((c for c in cs if c), None)
     if lead is None:
         raise PreconditionError("hyperplane coefficient vector is zero")
-    return tuple(field.div(c, lead) for c in cs), field.div(off, lead)
+    if not field.is_rational:
+        return tuple(field.div(c, lead).residue for c in cs), field.div(off, lead).residue
+    L = math.lcm(*(v.denominator for v in (*cs, off)))
+    ints = [v.numerator * (L // v.denominator) for v in (*cs, off)]
+    g = math.gcd(*ints) if lead > 0 else -math.gcd(*ints)
+    return tuple(v // g for v in ints[:-1]), ints[-1] // g
 
 
 @dataclass(frozen=True)
 class HyperplaneFamily:
-    """Projectively normalized, duplicate-free hyperplanes <a, x> = b."""
+    """Duplicate-free hyperplanes <a, x> = b, each in the plain-int normal
+    form of `normalize_plane`, so projectively equal planes are one entry."""
 
     k: int
     planes: tuple  # of (coeffs tuple, offset)
@@ -256,16 +271,14 @@ def classify_incidences(
 
 def cells_hit(plane, D: CellDecomposition) -> int:
     """Number of cells whose closed bounding slab meets the plane; always
-    at most k * r^(k-1)."""
-    coeffs, offset = plane
+    at most k * r^(k-1). Cells exist over Q only, where a normalized plane's
+    coefficients are already ints."""
+    a, b = plane
     k = D.grid.k
-    field = D.grid.field
-    a = [field.coerce(c) for c in coeffs]
-    b = field.coerce(offset)
     bounds = [D.axis_bounds(i) for i in range(k)]
     hit = 0
     for cell in D.cell_indices():
-        lo_sum = hi_sum = field.zero()
+        lo_sum = hi_sum = 0
         lo_inf = hi_inf = False
         for i, g in enumerate(cell):
             ai = a[i]
@@ -309,14 +322,16 @@ class MinorPlanes:
     def det_count_via_incidences(self, *, budget: int | None = None) -> int:
         """Weighted incidence total over the X^3 grid, plus the degenerate
         bucket when d = 0; reproduces the determinant count D_3(X, d). The
-        points of each plane are counted by the linear-form kernel, which
-        solves one coordinate per choice of the other two."""
+        points of each plane are counted by the linear-form kernel on the
+        lifted set, which solves one coordinate per choice of the other two:
+        <a, x> = b over X is <a, Lx> = Lb over the lift."""
         B = len(self.base_set)
         check_budget(B**2 * max(len(self.family), 1), budget, "minor-plane incidences")
-        elems = self.base_set.elements
+        lift = int_lift(self.base_set)
         total = 0
         for (coeffs, offset), w in zip(self.family, self.weights):
-            total += w * _count_form(coeffs, offset, elems)
+            if (target := lift.target(offset, 1)) is not None:
+                total += w * _count_form(coeffs, target, lift.elements, lift.modulus)
         if not self.d:
             total += self.zero_multiplicity * B**3
         return total
@@ -328,15 +343,17 @@ def planes_from_minors(
     """The plane family <m, x> = d indexed by distinct cofactor triples m != 0,
     weighted by triple multiplicity; the zero triple is reported separately.
     For d != 0 distinct triples give distinct planes; for d = 0 projectively
-    equal triples merge and their weights add. The table is walked
-    in-process; `threads` is accepted and unused."""
+    equal triples merge and their weights add. Planes are keyed on the
+    lifted int table: over Q a lifted triple is L^2 m, and <m, x> = d is
+    <L^2 m, x> = L^2 d; over F_p the triples are residues. The table is
+    walked in-process; `threads` is accepted and unused."""
     check_budget(len(X) ** 6, budget, "planes_from_minors")
     d_s = X.field.coerce(d)
-    table, zero = _minor_table(X, 3)
-    field = X.field
+    table, zero, lift = _int_table(X, 3)
+    offset = d_s if lift.scale == 1 else d_s * lift.scale**2
     merged: dict = {}
     for m, mu in table.items():
-        key = normalize_plane(m, d_s, field)
+        key = normalize_plane(m, offset, X.field)
         merged[key] = merged.get(key, 0) + mu
     family = HyperplaneFamily(3, tuple(merged))
     return MinorPlanes(X, d_s, family, tuple(merged.values()), zero)
@@ -346,17 +363,19 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of u1*(v2-w2) - u2*(v1-w1) + v1*w2 - v2*w1 = 0 over U^6,
     counted both by direct enumeration and as point/quadratic-curve incidences:
     for each fixed (a, b, c, t) the linear-form kernel counts the (r, q) with
-    (t-c)*r + (b-a)*q = t*b - a*c. The two tallies must agree."""
+    (t-c)*r + (b-a)*q = t*b - a*c, on the lifted set: the equation is
+    homogeneous of degree 2, so scaling U by L keeps its solutions. The two
+    tallies must agree."""
     B = len(U)
     check_budget(B**6, budget, "curve_incidences_n3")
-    elems = U.elements
     direct = 0
-    for u1, u2, v1, v2, w1, w2 in itertools.product(elems, repeat=6):
+    for u1, u2, v1, v2, w1, w2 in itertools.product(U.elements, repeat=6):
         if not (u1 * (v2 - w2) - u2 * (v1 - w1) + v1 * w2 - v2 * w1):
             direct += 1
+    lift = int_lift(U)
     via_curves = sum(
-        _count_form((t - c, b - a), t * b - a * c, elems)
-        for a, b, c, t in itertools.product(elems, repeat=4)
+        _count_form((t - c, b - a), t * b - a * c, lift.elements, lift.modulus)
+        for a, b, c, t in itertools.product(lift.elements, repeat=4)
     )
     if direct != via_curves:
         raise AssertionError(

@@ -6,12 +6,13 @@ byte encodings, so they can serve as dictionary keys across runs.
 
 A rational is an `int` when it is integral and a `Fraction` otherwise:
 `FieldSpec.coerce`, `parse_scalar`, `zero()` and `one()` keep that invariant,
-so ground-set elements, `Matrix.from_rows` entries and normalized plane
-coefficients are plain machine integers whenever they can be, and hot loops
-need no separate integer view. Arithmetic on them may still yield an integral
-`Fraction`; equality, hashing, ordering and `encode_scalar` agree on it and
-the `int`. Two ints must never meet `/`, which yields a float:
-`FieldSpec.div` is the exact quotient of two field scalars.
+so ground-set elements and `Matrix.from_rows` entries are plain machine
+integers whenever they can be (normalized planes always are, see
+`incidence.normalize_plane`), and hot loops need no separate integer view.
+Arithmetic on them may still yield an integral `Fraction`; equality,
+hashing, ordering and `encode_scalar` agree on it and the `int`. Two ints
+must never meet `/`, which yields a float: `FieldSpec.div` is the exact
+quotient of two field scalars.
 
 `int_lift` is the one place a ground set becomes plain ints for the counting
 kernel. Over Q it scales X by L, the lcm of its denominators, which the

@@ -177,6 +177,13 @@ def test_conv_engine_charges_pair_table(capsys):
     assert run_json(capsys, *argv, "--budget", str(40**2))["count"] == "1878"
 
 
+@pytest.mark.parametrize("kind", ["T", "S", "N"])
+def test_fast_energies_honour_budget(capsys, kind):
+    argv = ["energy", "--kind", kind, "--family", "interval", "--size", "12"]
+    assert run_cli(capsys, *argv, "--budget", "1")[0] == 3
+    assert run_cli(capsys, *argv, "--budget", str(12**4))[0] == 0
+
+
 def test_threads_only_where_brute_can_use_it():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     with_threads = {

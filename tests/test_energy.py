@@ -229,6 +229,19 @@ def test_energy_budget():
         energy_T_brute(U, budget=1000)
 
 
+def test_fast_energies_charge_their_tables():
+    # N walks U^3 and S walks U^4; T builds the pair-product table P from
+    # U^2 and then convolves P with itself
+    U = gs(list(range(1, 13)))
+    P = len(product_distribution(U).entries)
+    for fn, steps in ((energy_N, 12**3), (energy_S, 12**4), (energy_T, 12**2 + P * P)):
+        assert fn(U, budget=steps) == fn(U)
+        with pytest.raises(BudgetExceededError):
+            fn(U, budget=steps - 1)
+    with pytest.raises(BudgetExceededError):
+        energy_T(U, budget=12**2 - 1)
+
+
 def test_distribution_provenance_and_order():
     P = product_distribution(U12)
     assert P.provenance == "pair-product"

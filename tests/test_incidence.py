@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from detlab.errors import BudgetExceededError, PreconditionError
-from detlab.detcount import count_det_brute, det_spectrum
+from detlab import incidence
+from detlab.detcount import count_det_brute, det_spectrum, minor_multiplicity_map
 from detlab.energy import energy_Estar_mu
 from detlab.incidence import (
     HyperplaneFamily,
@@ -30,6 +32,9 @@ from conftest import QQ, F7
 X01 = make_ground_set([0, 1], QQ)
 X12 = make_ground_set([1, 2], QQ)
 X012 = make_ground_set([0, 1, 2], QQ)
+HALVES = make_ground_set([Fraction(1, 2), 1, Fraction(3, 2)], QQ)
+MIXED = make_ground_set([Fraction(1, 2), Fraction(2, 3), 2], QQ)
+Y124 = make_ground_set([1, 2, 4], F7)
 
 
 def fam(raw, field=QQ):
@@ -60,6 +65,74 @@ def test_family_normalization_dedup():
     # parallel planes with different offsets stay distinct
     f2 = fam([((1, 1), 1), ((2, 2), 4)])
     assert len(f2) == 2
+
+
+def _assert_int_normal_form(plane, field):
+    """Plain ints; over Q coprime with a positive lead, over F_p residues
+    with lead one."""
+    coeffs, offset = plane
+    assert all(type(v) is int for v in (*coeffs, offset)), plane
+    lead = next(c for c in coeffs if c)
+    if field.is_rational:
+        assert lead > 0 and math.gcd(*coeffs, offset) == 1, plane
+    else:
+        assert lead == 1 and all(0 <= v < field.modulus for v in (*coeffs, offset)), plane
+
+
+def test_family_planes_are_plain_ints():
+    raw = [
+        ((Fraction(-2, 3), Fraction(4, 9), 0), Fraction(1, 3)),
+        ((0, Fraction(-3, 2), 6), -9),
+        ((Fraction(-1, 2), 0, 1), 0),
+        ((6, -4, 0), -3),  # the first plane again, already integral
+    ]
+    f = fam(raw)
+    assert f.planes == (((6, -4, 0), -3), ((0, 1, -4), 6), ((1, 0, -2), 0))
+    fp = fam([((3, 5, 0), 2), ((0, 6, 1), 4), ((6, 3, 0), 4)], F7)
+    assert fp.planes == (((1, 4, 0), 3), ((0, 1, 6), 3))
+    for family, field in ((f, QQ), (fp, F7)):
+        for plane in family:
+            _assert_int_normal_form(plane, field)
+
+
+@pytest.mark.parametrize(
+    "X,targets",
+    [
+        (HALVES, (0, 1, Fraction(-5, 7))),
+        (MIXED, (0, 1, Fraction(1, 3))),
+        (Y124, (0, 1, 3)),
+    ],
+)
+def test_minor_planes_match_lowered_table(X, targets):
+    # keyed on the lifted int table, the planes are those of the lowered
+    # cofactor triples <m, x> = d, with the same weights
+    mm = minor_multiplicity_map(X, 3)
+    for d in targets:
+        mp = planes_from_minors(X, d)
+        expected: dict = {}
+        for m, mu in mm.entries.items():
+            (plane,) = HyperplaneFamily.from_coefficients([(m, d)], X.field).planes
+            expected[plane] = expected.get(plane, 0) + mu
+        assert dict(zip(mp.family.planes, mp.weights)) == expected
+        assert mp.zero_multiplicity == mm.zero_count
+        for plane in mp.family:
+            _assert_int_normal_form(plane, X.field)
+
+
+def test_incidence_kernel_calls_get_plain_ints(monkeypatch):
+    count_form = incidence._count_form
+    moduli = set()
+
+    def checked(coeffs, target, elems, modulus=None):
+        assert all(type(v) is int for v in (*coeffs, target, *elems)), (coeffs, target, elems)
+        moduli.add(modulus)
+        return count_form(coeffs, target, elems, modulus)
+
+    monkeypatch.setattr(incidence, "_count_form", checked)
+    for X, d in ((HALVES, 0), (HALVES, Fraction(3, 4)), (Y124, 3)):
+        assert planes_from_minors(X, d).det_count_via_incidences() == count_det_brute(X, 3, d)
+        curve_incidences_n3(X)
+    assert moduli == {None, 7}
 
 
 def test_family_rejects_zero_vector_and_mixed_dims():
