@@ -5,7 +5,7 @@ always available: full enumeration with a definition-level determinant (the
 master oracle), and a first-row cofactor engine that enumerates the bottom
 (n-1) x n block once, aggregates multiplicities of the signed cofactor vector,
 merges vectors that are permutations of each other into one sorted-key class,
-and solves a pivot entry of the first row per class.
+and counts the first rows per class by a fold over the trie of class keys.
 
 Each enumeration is one walk over itertools.product. Only the brute oracle
 shards its walk: `_brute_walk` restricts the leading coordinate (the
@@ -18,7 +18,7 @@ The cofactor table is walked in plain ints: `_int_table` lifts X once with
 `scalars.int_lift` (L*X over Q, residues over F_p, where each distinct key is
 then reduced mod p and keys that vanish mod p join the zero bucket). The
 rowblock count maps its target into the lifted problem (L^n d, or the
-residue of d) and solves in ints; the rowblock spectrum builds an int
+residue of d) and counts in ints; the rowblock spectrum builds an int
 histogram and lowers each distinct value to a field scalar at the end. The
 rowblock engines, `energy.energy_Estar_mu`, `energy.dyadic_pyramid` and
 `incidence.planes_from_minors` use the int table as is (the energies read
@@ -28,15 +28,20 @@ lowers its keys to field scalars, except for an integral rational set, whose
 int table is already canonical. The `conv` engine lifts X the same way and
 correlates int pair products against L^2 d (or the residue of d).
 
+The rowblock engines group the classes by the prefixes of their sorted
+keys. The distribution of <q, r> over r in X^len(q) for a prefix q is that
+of q[:-1] shifted by q[-1]*y for each y in X (`_shift_add`): the count
+builds it once per distinct proper prefix and does |X| lookups per class;
+the spectrum folds the weighted classes from the leaves up to the root ().
+
 Every pivot solve in the package goes through one linear-form kernel:
-`_form_sums` lists start + <c, r> over r in X^k, and `_count_form` counts
-#{r in X^k : <c, r> = t} by solving one pivot coordinate exactly per choice
-of the others. Its callers are the rowblock count and spectrum here,
+`_count_form` counts #{r in X^k : <c, r> = t} by solving one pivot
+coordinate exactly per choice of the others. Its callers are
 `MinorPlanes.det_count_via_incidences` and the curve half of
-`incidence.curve_incidences_n3`, all on lifted ints (with the modulus over
-F_p); its only field-scalar caller is `energy.count_bilinear`. The oracles
-those routes are checked against use neither the kernel, the sorted-key
-table nor the lift:
+`incidence.curve_incidences_n3`, on lifted ints (with the modulus over
+F_p), and `energy.count_bilinear`, on field scalars. The oracles those
+routes are checked against use neither the kernel, the prefix fold, the
+sorted-key table nor the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
@@ -59,16 +64,6 @@ from .scalars import GroundSet, Scalar, int_lift
 # linear-form kernel: #{r in X^k : <coeffs, r> = target}
 
 
-def _form_sums(coeffs, elems, start) -> list:
-    """start + <coeffs, r> for every r in elems^k, built coordinate by
-    coordinate (the last coordinate varies fastest)."""
-    sums = [start]
-    for c in coeffs:
-        terms = [c * e for e in elems]
-        sums = [s + t for s in sums for t in terms]
-    return sums
-
-
 def _count_form(coeffs, target, elems, modulus: int | None = None) -> int:
     """#{r in elems^k : <coeffs, r> = target}. The first nonzero coordinate is
     the pivot p, solved exactly for each choice of the others: with
@@ -81,8 +76,11 @@ def _count_form(coeffs, target, elems, modulus: int | None = None) -> int:
     if piv is None:
         return 0 if target else len(elems) ** len(coeffs)
     scaled = {coeffs[piv] * e for e in elems}
-    others = [-c for j, c in enumerate(coeffs) if j != piv]
-    sums = _form_sums(others, elems, target)
+    sums = [target]
+    for j, c in enumerate(coeffs):
+        if j != piv:
+            terms = [c * e for e in elems]
+            sums = [s - t for s in sums for t in terms]
     if modulus:
         scaled = {s % modulus for s in scaled}
         sums = [s % modulus for s in sums]
@@ -248,12 +246,12 @@ def minor_multiplicity_map(
 # first-row cofactor engine
 
 
-def _rowblock_table(X: GroundSet, n: int, budget: int | None, what: str, solve_steps: int):
+def _rowblock_table(X: GroundSet, n: int, budget: int | None, what: str):
     """Int cofactor table of the lifted set for a rowblock engine, merged into
     sorted-key classes: the distribution of <m, r> over r in X^n does not
-    change when the coordinates of m are permuted, so each class is solved
-    once. The budget is checked on the table build before it runs, then on
-    the build plus `solve_steps` per class once the class count is known."""
+    change when the coordinates of m are permuted, so each class is handled
+    once. The budget is checked on the table build before it runs; the
+    blocks charged are returned for the engine to add its own steps to."""
     if n < 2:
         raise PreconditionError("rowblock engine needs dimension >= 2")
     blocks = len(X) ** (n * (n - 1))
@@ -262,24 +260,64 @@ def _rowblock_table(X: GroundSet, n: int, budget: int | None, what: str, solve_s
     classes = Counter()
     for m, mu in table.items():
         classes[tuple(sorted(m))] += mu
-    check_budget(blocks + len(classes) * solve_steps, budget, what)
-    return classes, zero, lift
+    return classes, zero, lift, blocks
+
+
+def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dict:
+    """into[v + t] += dist[v] for every v in dist and t in terms, with each
+    sum reduced mod `modulus` when one is given; returns `into`."""
+    get = into.get
+    items = dist.items()
+    for t in terms:
+        for v, c in items:
+            k = v + t
+            if modulus:
+                k %= modulus
+            into[k] = get(k, 0) + c
+    return into
 
 
 def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
-    """Same count as count_det_brute, via cofactor-vector multiplicities and a
-    pivot solve for one first-row entry per sorted-key class, all in ints.
-    The table is walked in-process; `threads` is the registry's signature."""
+    """Same count as count_det_brute, via cofactor-vector multiplicities, all
+    in ints. Classes are grouped by the prefix m[:-1] of their sorted key:
+    the value distribution of <q, r> over r in X^len(q) is built once per
+    distinct prefix q, from its parent q[:-1] by shifting with q[-1]*y for y
+    in X (mod p over F_p), and a class (q, c) then needs |X| lookups of
+    target - c*x. The budget is charged |X| per parent entry for each prefix
+    built, level by level before the level runs, and |X| per class with the
+    last level. The table is walked in-process; `threads` is the registry's
+    signature."""
+    what = "count_det_rowblock"
     B = len(X)
-    classes, zero, lift = _rowblock_table(X, n, budget, "count_det_rowblock", B ** (n - 1))
+    classes, zero, lift, spent = _rowblock_table(X, n, budget, what)
     target = lift.target(d, n)
     if target is None:
         return 0
-    total = zero * B**n if not target else 0
     elems, p = lift.elements, lift.modulus
-    return total + sum(mu * _count_form(m, target, elems, p) for m, mu in classes.items())
+    groups: dict = {}
+    for m, mu in classes.items():
+        groups.setdefault(m[:-1], []).append((m[-1], mu))
+    dists = {(): {0: 1}}
+    for k in range(1, n - 1):
+        prefixes = {q[:k] for q in groups}
+        spent += B * sum(len(dists[q[:-1]]) for q in prefixes)
+        check_budget(spent, budget, what)
+        dists = {q: _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], p) for q in prefixes}
+    # one last-level distribution at a time: holding them all raised the
+    # peak memory of a GP 10 count from 110 to 133 MB
+    spent += B * sum(len(dists[q[:-1]]) for q in groups)
+    check_budget(spent + B * len(classes), budget, what)
+    total = zero * B**n if not target else 0
+    for q, members in groups.items():
+        get = _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], p).get
+        for c, mu in members:
+            keys = [target - c * x for x in elems]
+            if p:
+                keys = [v % p for v in keys]
+            total += mu * sum(get(k, 0) for k in keys)
+    return total
 
 
 def _pair_products(elems) -> Counter:
@@ -324,26 +362,34 @@ def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -
 
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
-    """Int histogram of <m, r> over the lifted set, lowered to field scalars
-    once per distinct int; over F_p the ints that share a residue merge here,
-    which is cheaper than reducing every sum mod p (at |X| = 6 over F_101,
-    reducing each sum made the spectrum about 30% slower)."""
+    """Int histogram of <m, r> over r in X^n, summed over the sorted-key
+    classes m with their multiplicities, by a fold over the trie of class
+    keys. Each class starts as the dict {0: mu}; at every level each node
+    (..., c) shift-adds its dict by c*x for x in X into its parent's dict,
+    until the root () holds the histogram; over F_p every sum is reduced mod
+    p, which keeps each dict within p entries (at |X| = 6 over F_101 the
+    fold without it took 1.7 to 2.8 times as long). Before a level runs, the
+    budget is charged |X| per entry of the dicts it will shift (|X| per
+    class at the leaf level). At the end each int is lowered to its field
+    scalar, one to one: k / L^n over Q, a residue over F_p."""
+    what = "det_spectrum[rowblock]"
     B = len(X)
-    classes, zero, lift = _rowblock_table(X, n, budget, "det_spectrum[rowblock]", B**n)
-    hist: dict = {}
-    get = hist.get
-    for m, mu in classes.items():
-        for v in _form_sums(m, lift.elements, 0):
-            hist[v] = get(v, 0) + mu
+    classes, zero, lift, spent = _rowblock_table(X, n, budget, what)
+    elems, p = lift.elements, lift.modulus
+    nodes = {m: {0: mu} for m, mu in classes.items()}
+    for _ in range(n):
+        spent += B * sum(map(len, nodes.values()))
+        check_budget(spent, budget, what)
+        parents: dict = {}
+        for q, dist in nodes.items():
+            _shift_add(parents.setdefault(q[:-1], {}), dist, [q[-1] * x for x in elems], p)
+        nodes = parents
+    hist = nodes.get((), {})
     if zero:
-        hist[0] = get(0, 0) + zero * B**n
+        hist[0] = hist.get(0, 0) + zero * B**n
     if lift.is_identity:
         return hist
-    out: dict = {}
-    for k, v in hist.items():
-        d = lift.lower(k, n)
-        out[d] = out.get(d, 0) + v
-    return out
+    return {lift.lower(k, n): v for k, v in hist.items()}
 
 
 # Spectrum engines by name, each called as f(X, n, *, budget, threads) and

@@ -74,16 +74,26 @@ def cube_grid(X: GroundSet, k: int) -> PointGrid:
 def normalize_plane(coeffs, offset, field) -> tuple:
     """Plain-int normal form of <a, x> = b; rejects the zero vector. Over Q it
     is the coprime integer vector (a, b) whose first nonzero a_i is positive;
-    over F_p, the residues scaled so that the first nonzero a_i is one."""
-    cs = [field.coerce(c) for c in coeffs]
-    off = field.coerce(offset)
-    lead = next((c for c in cs if c), None)
+    over F_p, the residues scaled so that the first nonzero a_i is one. Plain
+    int coefficients and offset (as `planes_from_minors` passes them) skip the
+    field coercion: over Q they need only the signed gcd, over F_p one inverse
+    of the lead."""
+    p = field.modulus
+    if all(type(v) is int for v in (*coeffs, offset)):
+        ints = [v % p for v in (*coeffs, offset)] if p else [*coeffs, offset]
+    else:
+        vals = [field.coerce(v) for v in (*coeffs, offset)]
+        if p:
+            ints = [v.residue for v in vals]
+        else:
+            L = math.lcm(*(v.denominator for v in vals))
+            ints = [v.numerator * (L // v.denominator) for v in vals]
+    lead = next((c for c in ints[:-1] if c), None)
     if lead is None:
         raise PreconditionError("hyperplane coefficient vector is zero")
-    if not field.is_rational:
-        return tuple(field.div(c, lead).residue for c in cs), field.div(off, lead).residue
-    L = math.lcm(*(v.denominator for v in (*cs, off)))
-    ints = [v.numerator * (L // v.denominator) for v in (*cs, off)]
+    if p:
+        inv = pow(lead, -1, p)
+        return tuple(v * inv % p for v in ints[:-1]), ints[-1] * inv % p
     g = math.gcd(*ints) if lead > 0 else -math.gcd(*ints)
     return tuple(v // g for v in ints[:-1]), ints[-1] // g
 
@@ -350,7 +360,7 @@ def planes_from_minors(
     check_budget(len(X) ** 6, budget, "planes_from_minors")
     d_s = X.field.coerce(d)
     table, zero, lift = _int_table(X, 3)
-    offset = d_s if lift.scale == 1 else d_s * lift.scale**2
+    offset = d_s.residue if lift.modulus else X.field.coerce(d_s * lift.scale**2)
     merged: dict = {}
     for m, mu in table.items():
         key = normalize_plane(m, offset, X.field)

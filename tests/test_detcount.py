@@ -74,12 +74,19 @@ def test_spectrum_exact_for_two_element_set():
     assert det_spectrum(X0, 2, "brute").entries == {Fraction(0): 1}
 
 
+# n = 4 at |X| = 2 (2^16 brute matrices) makes the rowblock fold run a third
+# level of class-key prefixes
 @given(int_ground_sets(max_size=3), st.sampled_from([2, 3]))
+@example(make_ground_set([1, 2], QQ), 4)
+@example(make_ground_set([-1, 3], QQ), 4)
+@example(make_ground_set([0, 2], QQ), 4)
 def test_spectrum_engines_agree_and_mass(X, n):
     sb = det_spectrum(X, n, "brute")
     sr = det_spectrum(X, n, "rowblock")
     assert sb.entries == sr.entries
     assert sb.total_mass() == len(X) ** (n * n)
+    for d in (0, max(sb.entries)):
+        assert count_det_rowblock(X, n, d) == sb.get(d)
 
 
 def _assert_rowblock_matches_brute(X, n, extra_targets=()):
@@ -128,10 +135,12 @@ _prime_field_sets = st.sampled_from([2, 3, 5, 7]).flatmap(
 @example(make_ground_set([0, 1, 3], F7), 2)
 @example(make_ground_set([1, 2], FieldSpec.prime(3)), 3)
 @example(make_ground_set([1, 2, 4], FieldSpec.prime(5)), 3)
+@example(make_ground_set([1, 2], FieldSpec.prime(3)), 4)
 @settings(max_examples=30)
 def test_spectrum_prime_field(X, n):
     # {1, 2} over F_3 and {1, 2, 4} over F_5 have integer cofactors such as
-    # 2*2 - 1*1 = 3 and 4*4 - 1*1 = 15 that vanish mod p
+    # 2*2 - 1*1 = 3 and 4*4 - 1*1 = 15 that vanish mod p; at n = 4 the fold
+    # reduces mod p on three levels of class-key prefixes
     _assert_rowblock_matches_brute(X, n)
 
 
@@ -263,17 +272,21 @@ def test_budget_covers_solve_phase():
 
 
 def test_rowblock_budget_is_charged_per_sorted_key_class():
-    # interval 4, n = 3: 4^6 = 4096 blocks and 447 sorted-key classes, each
-    # solved in 4^2 steps by the count and 4^3 by the spectrum
+    # interval 4, n = 3: 4^6 = 4096 blocks and 447 sorted-key classes with
+    # 152 distinct prefixes (a, b) and 15 distinct (a). The count builds the
+    # 15 distributions of a*x from the root's one entry (4 * 15 steps), the
+    # 152 distributions of a*x + b*y from theirs (2432 steps), then does 4
+    # lookups per class (1788). The spectrum shifts 4 * 447 leaf entries,
+    # then 4 * 1394 entries of the 152 prefix dicts and 4 * 821 of the 15.
     X = make_ground_set(range(1, 5), QQ)
-    count = count_det_rowblock(X, 3, 0, budget=11_248)
-    spec = det_spectrum(X, 3, "rowblock", budget=32_704)
+    count = count_det_rowblock(X, 3, 0, budget=8_376)
+    spec = det_spectrum(X, 3, "rowblock", budget=14_744)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=11_247)
+        count_det_rowblock(X, 3, 0, budget=8_375)
     with pytest.raises(BudgetExceededError):
-        det_spectrum(X, 3, "rowblock", budget=32_703)
+        det_spectrum(X, 3, "rowblock", budget=14_743)
 
 
 def test_parallel_counts_match_serial(monkeypatch):

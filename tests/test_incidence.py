@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from detlab.errors import BudgetExceededError, PreconditionError
@@ -93,6 +93,34 @@ def test_family_planes_are_plain_ints():
     for family, field in ((f, QQ), (fp, F7)):
         for plane in family:
             _assert_int_normal_form(plane, field)
+
+
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+    st.integers(-30, 30),
+    st.sampled_from([QQ, F7]),
+)
+@example([0, -4, 6], 2, QQ)  # a zero, then a negative lead
+@example([7, -3, 5], 12, F7)  # a coefficient that vanishes mod 7, then the lead
+def test_normalize_plane_int_fast_path(coeffs, offset, field):
+    # plain ints take the fast path; the same values as Fractions (over Q) or
+    # Mods (over F_7) take the coercing one, and both give one normal form
+    general = [Fraction(v) if field.is_rational else field.coerce(v) for v in (*coeffs, offset)]
+    p = field.modulus or 0
+    if not any(c % p if p else c for c in coeffs):
+        for args in ((coeffs, offset), (general[:-1], general[-1])):
+            with pytest.raises(PreconditionError):
+                normalize_plane(*args, field)
+        return
+    plane = normalize_plane(coeffs, offset, field)
+    assert plane == normalize_plane(general[:-1], general[-1], field)
+    _assert_int_normal_form(plane, field)
+    # the same plane: proportional to the input
+    raw, out = (*coeffs, offset), (*plane[0], plane[1])
+    j = next(i for i, c in enumerate(coeffs) if (c % p if p else c))
+    for r, o in zip(raw, out):
+        cross = o * raw[j] - r * out[j]
+        assert (cross % p if p else cross) == 0, (raw, out)
 
 
 @pytest.mark.parametrize(
