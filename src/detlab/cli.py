@@ -39,10 +39,7 @@ from .harness import (
     write_jsonl,
 )
 from .incidence import (
-    HyperplaneFamily,
-    MinorPlanes,
     cells_hit,
-    cell_decompose,
     choose_r,
     classify_incidences,
     cube_grid,
@@ -67,13 +64,16 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
         p.add_argument("--threads", type=int, default=None, help="brute-engine workers (DETLAB_THREADS honored)")
     p.add_argument("--budget", type=int, default=None, help="enumeration budget in elementary steps")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="scan report format")
 
 
 def _add_set_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", dest="set_path", default=None, help="ground-set file (one scalar per line)")
-    p.add_argument("--family", choices=("interval", "ap", "gp", "random"), default=None)
     p.add_argument("--size", type=int, default=None, help="family cardinality X")
+    _add_family(p)
+
+
+def _add_family(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=("interval", "ap", "gp", "random"), default=None)
     p.add_argument("--start", default=None, help="AP start")
     p.add_argument("--step", default=None, help="AP step")
     p.add_argument("--ratio", default="2", help="GP ratio (default 2)")
@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_incidence)
 
     p = sub.add_parser("scan", help="family scan across sizes")
-    _add_set_source(p)
+    _add_family(p)
     _add_common(p, threads=True)
+    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="scan report format")
     p.add_argument("--sizes", required=True, help="comma list (4,6,8) or range lo:hi[:step]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmode", choices=DMODES, default="zero")
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("fit", help="log-log exponent fit of a scan report")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--input", required=True, help="JSONL scan report")
     p.set_defaults(func=_cmd_fit)
 

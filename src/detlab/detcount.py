@@ -28,20 +28,18 @@ lowers its keys to field scalars, except for an integral rational set, whose
 int table is already canonical. The `conv` engine lifts X the same way and
 correlates int pair products against L^2 d (or the residue of d).
 
-The rowblock engines group the classes by the prefixes of their sorted
-keys. The distribution of <q, r> over r in X^len(q) for a prefix q is that
-of q[:-1] shifted by q[-1]*y for each y in X (`_shift_add`): the count
-builds it once per distinct proper prefix and does |X| lookups per class;
-the spectrum folds the weighted classes from the leaves up to the root ().
-
-Every pivot solve in the package goes through one linear-form kernel:
-`_count_form` counts #{r in X^k : <c, r> = t} by solving one pivot
-coordinate exactly per choice of the others. Its callers are
-`MinorPlanes.det_count_via_incidences` and the curve half of
-`incidence.curve_incidences_n3`, on lifted ints (with the modulus over
-F_p), and `energy.count_bilinear`, on field scalars. The oracles those
-routes are checked against use neither the kernel, the prefix fold, the
-sorted-key table nor the lift:
+Every linear-form count in the package goes through one kernel:
+`_count_forms` sums w * #{r in X^k : <c, r> = t} over forms (c, t, w). It
+sorts each c, groups the forms by the prefix q = c[:-1], builds the
+distribution of <q, r> over r in X^len(q) once per distinct prefix from that
+of q[:-1] shifted by q[-1]*y for each y in X (`_shift_add`), and does |X|
+lookups per form. Its callers are `count_det_rowblock` (one form per
+sorted-key class, on lifted ints), `MinorPlanes.det_count_via_incidences`
+and the curve half of `incidence.curve_incidences_n3` (lifted ints, with the
+modulus over F_p), and `energy.count_bilinear` (field scalars). The
+rowblock spectrum folds the weighted classes over the same prefix trie, from
+the leaves up to the root (). The oracles those routes are checked against
+use neither the kernel, the prefix fold, the sorted-key table nor the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
@@ -61,30 +59,63 @@ from .scalars import GroundSet, Scalar, int_lift
 
 
 # ---------------------------------------------------------------------------
-# linear-form kernel: #{r in X^k : <coeffs, r> = target}
+# linear-form kernel: sum of w * #{r in X^k : <c, r> = t}
 
 
-def _count_form(coeffs, target, elems, modulus: int | None = None) -> int:
-    """#{r in elems^k : <coeffs, r> = target}. The first nonzero coordinate is
-    the pivot p, solved exactly for each choice of the others: with
-    s = target - (the other terms), r_p = s / c_p lies in X exactly when s
-    lies in c_p * X, so membership needs no division and is exact for int,
-    Fraction and Mod alike. With a `modulus`, coeffs, target and elems are
-    residues and each sum is reduced once; the pivot is invertible mod a
-    prime, so membership stays exact. An all-zero `coeffs` gives |X|^k or 0."""
-    piv = next((j for j, c in enumerate(coeffs) if c), None)
-    if piv is None:
-        return 0 if target else len(elems) ** len(coeffs)
-    scaled = {coeffs[piv] * e for e in elems}
-    sums = [target]
-    for j, c in enumerate(coeffs):
-        if j != piv:
-            terms = [c * e for e in elems]
-            sums = [s - t for s in sums for t in terms]
-    if modulus:
-        scaled = {s % modulus for s in scaled}
-        sums = [s % modulus for s in sums]
-    return sum(map(scaled.__contains__, sums))
+def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dict:
+    """into[v + t] += dist[v] for every v in dist and t in terms, with each
+    sum reduced mod `modulus` when one is given; returns `into`."""
+    get = into.get
+    items = dist.items()
+    for t in terms:
+        for v, c in items:
+            k = v + t
+            if modulus:
+                k %= modulus
+            into[k] = get(k, 0) + c
+    return into
+
+
+def _count_forms(forms, elems, modulus: int | None, budget: int | None, what: str, spent: int = 0) -> int:
+    """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w), all
+    of one length k >= 1. The count does not change when c is permuted, so
+    each c is sorted and the forms are grouped by their prefix q = c[:-1].
+    The value distribution of <q, r> over r in X^len(q) is built from that of
+    q[:-1] by shifting with q[-1]*y for each y in X (`_shift_add`), once per
+    distinct prefix, from the root {t - t: 1} (a zero of the forms' own
+    scalar type: int, Fraction or Mod); a form then needs |X| lookups of
+    t - c[-1]*x. With a `modulus`, every key is reduced mod that prime. The
+    budget is charged on top of `spent`, level by level before the level
+    runs: |X| per parent entry for each prefix built, and |X| per form with
+    the last level. An all-zero c counts |X|^k when t = 0 and 0 otherwise."""
+    B = len(elems)
+    groups: dict = {}
+    for c, t, w in forms:
+        c = sorted(c)
+        groups.setdefault(tuple(c[:-1]), []).append((c[-1], t, w))
+    if not groups:
+        return 0
+    k = len(next(iter(groups))) + 1
+    dists = {(): {t - t: 1}}
+    for j in range(1, k - 1):
+        prefixes = {q[:j] for q in groups}
+        spent += B * sum(len(dists[q[:-1]]) for q in prefixes)
+        check_budget(spent, budget, what)
+        dists = {q: _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus) for q in prefixes}
+    # one last-level distribution at a time: holding them all raised the
+    # peak memory of a GP 10 count from 110 to 133 MB
+    spent += B * sum(len(dists[q[:-1]]) for q in groups if q)
+    check_budget(spent + B * sum(map(len, groups.values())), budget, what)
+    total = 0
+    for q, members in groups.items():
+        dist = _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus) if q else dists[()]
+        get = dist.get
+        for c, t, w in members:
+            keys = [t - c * x for x in elems]
+            if modulus:
+                keys = [v % modulus for v in keys]
+            total += w * sum(get(v, 0) for v in keys)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +227,15 @@ def _cofactor_vector(block, n):
     return tuple(out)
 
 
-def _int_table(X: GroundSet, n: int):
+def _int_table(X: GroundSet, n: int, budget: int | None, what: str):
     """Cofactor table of the lifted set, walked over every bottom block in
     one process: int keys, reduced mod p over F_p once per distinct key (a
     vector that vanishes mod p joins the zero bucket), the zero count, and
-    the lift."""
+    the lift. Needs n >= 2; the |X|^(n(n-1)) blocks are charged to `what`
+    before the walk starts."""
+    if n < 2:
+        raise PreconditionError("cofactor vectors need dimension >= 2")
+    check_budget(len(X) ** (n * (n - 1)), budget, what)
     lift = int_lift(X)
     elems = lift.elements
     if n == 2:
@@ -233,10 +268,7 @@ def minor_multiplicity_map(
     """Cofactor table of X keyed by canonical field scalars: the int table,
     lowered once per distinct key (an integral rational set's table is kept
     as walked). Walked in-process; `threads` is accepted and unused."""
-    if n < 2:
-        raise PreconditionError("cofactor vectors need dimension >= 2")
-    check_budget(len(X) ** (n * (n - 1)), budget, "minor_multiplicity_map")
-    table, zero, lift = _int_table(X, n)
+    table, zero, lift = _int_table(X, n, budget, "minor_multiplicity_map")
     if not lift.is_identity:
         table = {tuple(lift.lower(c, n - 1) for c in m): mu for m, mu in table.items()}
     return MinorMultiplicityMap(n, X, table, zero)
@@ -250,74 +282,31 @@ def _rowblock_table(X: GroundSet, n: int, budget: int | None, what: str):
     """Int cofactor table of the lifted set for a rowblock engine, merged into
     sorted-key classes: the distribution of <m, r> over r in X^n does not
     change when the coordinates of m are permuted, so each class is handled
-    once. The budget is checked on the table build before it runs; the
-    blocks charged are returned for the engine to add its own steps to."""
-    if n < 2:
-        raise PreconditionError("rowblock engine needs dimension >= 2")
-    blocks = len(X) ** (n * (n - 1))
-    check_budget(blocks, budget, what)
-    table, zero, lift = _int_table(X, n)
+    once. The blocks `_int_table` charged are returned for the engine to add
+    its own steps to."""
+    table, zero, lift = _int_table(X, n, budget, what)
     classes = Counter()
     for m, mu in table.items():
         classes[tuple(sorted(m))] += mu
-    return classes, zero, lift, blocks
-
-
-def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dict:
-    """into[v + t] += dist[v] for every v in dist and t in terms, with each
-    sum reduced mod `modulus` when one is given; returns `into`."""
-    get = into.get
-    items = dist.items()
-    for t in terms:
-        for v, c in items:
-            k = v + t
-            if modulus:
-                k %= modulus
-            into[k] = get(k, 0) + c
-    return into
+    return classes, zero, lift, len(X) ** (n * (n - 1))
 
 
 def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, via cofactor-vector multiplicities, all
-    in ints. Classes are grouped by the prefix m[:-1] of their sorted key:
-    the value distribution of <q, r> over r in X^len(q) is built once per
-    distinct prefix q, from its parent q[:-1] by shifting with q[-1]*y for y
-    in X (mod p over F_p), and a class (q, c) then needs |X| lookups of
-    target - c*x. The budget is charged |X| per parent entry for each prefix
-    built, level by level before the level runs, and |X| per class with the
-    last level. The table is walked in-process; `threads` is the registry's
-    signature."""
+    in ints: each sorted-key class m of multiplicity mu is the form
+    (m, target, mu) of the linear-form kernel `_count_forms`, which charges
+    the budget on top of the table's blocks. The table is walked in-process;
+    `threads` is the registry's signature."""
     what = "count_det_rowblock"
-    B = len(X)
     classes, zero, lift, spent = _rowblock_table(X, n, budget, what)
     target = lift.target(d, n)
     if target is None:
         return 0
-    elems, p = lift.elements, lift.modulus
-    groups: dict = {}
-    for m, mu in classes.items():
-        groups.setdefault(m[:-1], []).append((m[-1], mu))
-    dists = {(): {0: 1}}
-    for k in range(1, n - 1):
-        prefixes = {q[:k] for q in groups}
-        spent += B * sum(len(dists[q[:-1]]) for q in prefixes)
-        check_budget(spent, budget, what)
-        dists = {q: _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], p) for q in prefixes}
-    # one last-level distribution at a time: holding them all raised the
-    # peak memory of a GP 10 count from 110 to 133 MB
-    spent += B * sum(len(dists[q[:-1]]) for q in groups)
-    check_budget(spent + B * len(classes), budget, what)
-    total = zero * B**n if not target else 0
-    for q, members in groups.items():
-        get = _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], p).get
-        for c, mu in members:
-            keys = [target - c * x for x in elems]
-            if p:
-                keys = [v % p for v in keys]
-            total += mu * sum(get(k, 0) for k in keys)
-    return total
+    forms = ((m, target, mu) for m, mu in classes.items())
+    total = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent)
+    return total + (zero * len(X) ** n if not target else 0)
 
 
 def _pair_products(elems) -> Counter:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_form, _int_table, _pair_products
+from .detcount import _count_forms, _int_table, _pair_products
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -129,20 +129,24 @@ def count_bilinear(
     M: Matrix, B: GroundSet, C: GroundSet, omega, *, budget: int | None = None
 ) -> int:
     """#{(b, c) in B^k x C^k : <M b, c> = omega}: the vectors M*b are tallied
-    with multiplicity, and each distinct one is solved by the linear-form
-    kernel over C^k; omega = 0 falls outside the counted regime and is rejected."""
+    with multiplicity (|B|^k steps), and each distinct one is a form
+    (M*b, omega, mu) of the linear-form kernel over C^k, which charges its
+    own steps on top; omega = 0 falls outside the counted regime and is
+    rejected."""
     omega_s = B.field.coerce(omega)
     if not omega_s:
         raise PreconditionError("omega must be nonzero")
     k = M.rows
     rows = _prepared_matrix(M, B, C)
-    check_budget(len(B) ** k * len(C) ** (k - 1), budget, "count_bilinear")
+    spent = len(B) ** k
+    check_budget(spent, budget, "count_bilinear")
     z = B.field.zero()
     vectors = Counter(
         tuple(sum((a * x for a, x in zip(row, b)), z) for row in rows)
         for b in itertools.product(B.elements, repeat=k)
     )
-    return sum(mu * _count_form(v, omega_s, C.elements) for v, mu in vectors.items())
+    forms = ((v, omega_s, mu) for v, mu in vectors.items())
+    return _count_forms(forms, C.elements, None, budget, "count_bilinear", spent)
 
 
 def count_bilinear_brute(
@@ -181,8 +185,7 @@ def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1
     triples over X^12, computed as the sum of squared triple multiplicities
     (the all-zero triple included). The table is walked in-process;
     `threads` is accepted and unused."""
-    check_budget(len(X) ** 6, budget, "energy_Estar_mu")
-    table, zero, _ = _int_table(X, 3)
+    table, zero, _ = _int_table(X, 3, budget, "energy_Estar_mu")
     return sum(mu * mu for mu in table.values()) + zero * zero
 
 
@@ -214,8 +217,7 @@ class DyadicPyramid:
 
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:
     """Dyadic census of the cofactor table (walked in-process; `threads` is unused)."""
-    check_budget(len(X) ** 6, budget, "dyadic_pyramid")
-    table, zero, _ = _int_table(X, 3)
+    table, zero, _ = _int_table(X, 3, budget, "dyadic_pyramid")
     mults = list(table.values())
     if zero:
         mults.append(zero)

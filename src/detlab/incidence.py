@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_form, _int_table
+from .detcount import _count_forms, _int_table
 from .matrices import _rank_rows
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -331,19 +331,20 @@ class MinorPlanes:
 
     def det_count_via_incidences(self, *, budget: int | None = None) -> int:
         """Weighted incidence total over the X^3 grid, plus the degenerate
-        bucket when d = 0; reproduces the determinant count D_3(X, d). The
-        points of each plane are counted by the linear-form kernel on the
-        lifted set, which solves one coordinate per choice of the other two:
-        <a, x> = b over X is <a, Lx> = Lb over the lift."""
-        B = len(self.base_set)
-        check_budget(B**2 * max(len(self.family), 1), budget, "minor-plane incidences")
+        bucket when d = 0; reproduces the determinant count D_3(X, d). Each
+        plane <a, x> = b of weight w is the form (a, Lb, w) of the
+        linear-form kernel on the lifted set (<a, x> = b over X is
+        <a, Lx> = Lb over the lift; a plane with Lb not an integer carries no
+        point), which charges the budget its dict updates and lookups."""
         lift = int_lift(self.base_set)
-        total = 0
-        for (coeffs, offset), w in zip(self.family, self.weights):
-            if (target := lift.target(offset, 1)) is not None:
-                total += w * _count_form(coeffs, target, lift.elements, lift.modulus)
+        forms = (
+            (coeffs, target, w)
+            for (coeffs, offset), w in zip(self.family, self.weights)
+            if (target := lift.target(offset, 1)) is not None
+        )
+        total = _count_forms(forms, lift.elements, lift.modulus, budget, "minor-plane incidences")
         if not self.d:
-            total += self.zero_multiplicity * B**3
+            total += self.zero_multiplicity * len(self.base_set) ** 3
         return total
 
 
@@ -357,9 +358,8 @@ def planes_from_minors(
     lifted int table: over Q a lifted triple is L^2 m, and <m, x> = d is
     <L^2 m, x> = L^2 d; over F_p the triples are residues. The table is
     walked in-process; `threads` is accepted and unused."""
-    check_budget(len(X) ** 6, budget, "planes_from_minors")
+    table, zero, lift = _int_table(X, 3, budget, "planes_from_minors")
     d_s = X.field.coerce(d)
-    table, zero, lift = _int_table(X, 3)
     offset = d_s.residue if lift.modulus else X.field.coerce(d_s * lift.scale**2)
     merged: dict = {}
     for m, mu in table.items():
@@ -372,21 +372,24 @@ def planes_from_minors(
 def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of u1*(v2-w2) - u2*(v1-w1) + v1*w2 - v2*w1 = 0 over U^6,
     counted both by direct enumeration and as point/quadratic-curve incidences:
-    for each fixed (a, b, c, t) the linear-form kernel counts the (r, q) with
-    (t-c)*r + (b-a)*q = t*b - a*c, on the lifted set: the equation is
-    homogeneous of degree 2, so scaling U by L keeps its solutions. The two
-    tallies must agree."""
-    B = len(U)
-    check_budget(B**6, budget, "curve_incidences_n3")
+    each fixed (a, b, c, t) is the form ((t-c, b-a), t*b - a*c, 1) of the
+    linear-form kernel, which counts the (r, q) on that curve, on the lifted
+    set: the equation is homogeneous of degree 2, so scaling U by L keeps its
+    solutions. The budget is charged |U|^6 for the direct count, then the
+    kernel's steps. The two tallies must agree."""
+    what = "curve_incidences_n3"
+    spent = len(U) ** 6
+    check_budget(spent, budget, what)
     direct = 0
     for u1, u2, v1, v2, w1, w2 in itertools.product(U.elements, repeat=6):
         if not (u1 * (v2 - w2) - u2 * (v1 - w1) + v1 * w2 - v2 * w1):
             direct += 1
     lift = int_lift(U)
-    via_curves = sum(
-        _count_form((t - c, b - a), t * b - a * c, lift.elements, lift.modulus)
+    forms = (
+        ((t - c, b - a), t * b - a * c, 1)
         for a, b, c, t in itertools.product(lift.elements, repeat=4)
     )
+    via_curves = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent)
     if direct != via_curves:
         raise AssertionError(
             f"curve double count disagrees: direct {direct}, curves {via_curves}"

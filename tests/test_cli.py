@@ -184,13 +184,25 @@ def test_fast_energies_honour_budget(capsys, kind):
     assert run_cli(capsys, *argv, "--budget", str(12**4))[0] == 0
 
 
-def test_threads_only_where_brute_can_use_it():
+def _subcommands_with(flag):
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    with_threads = {
+    return {
         name for name, p in sub.choices.items()
-        if any("--threads" in a.option_strings for a in p._actions)
+        if any(flag in a.option_strings for a in p._actions)
     }
-    assert with_threads == {"count", "spectrum", "scan"}
+
+
+def test_threads_only_where_brute_can_use_it():
+    assert _subcommands_with("--threads") == {"count", "spectrum", "scan"}
+
+
+def test_flags_only_where_read():
+    every = {"count", "spectrum", "rank", "energy", "incidence", "scan", "fit"}
+    assert _subcommands_with("--out") == every
+    assert _subcommands_with("--field") == _subcommands_with("--budget") == every - {"fit"}
+    assert _subcommands_with("--set") == _subcommands_with("--size") == every - {"scan", "fit"}
+    assert _subcommands_with("--family") == every - {"fit"}
+    assert _subcommands_with("--format") == {"scan"}
 
 
 def test_exit_code_io(capsys, tmp_path):

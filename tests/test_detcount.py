@@ -11,7 +11,7 @@ import detlab.parallel as parallel
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.detcount import (
     _cofactor_vector,
-    _count_form,
+    _count_forms,
     count_decomposition,
     count_det_brute,
     count_det_conv_n2,
@@ -343,8 +343,11 @@ def test_fractional_d_over_integer_set():
 
 @st.composite
 def _linear_forms(draw):
-    """(X, coeffs, target) over an int, Fraction or F_7 set; coefficients may be
-    zero, fractional over Q, and the target is often one the form attains."""
+    """(X, forms) over an int, Fraction or F_7 set: a list of forms (c, t, w)
+    of one length k in {1, 2, 3}, whose coefficient vectors come from a small
+    pool (so several forms share a prefix group with different targets) that
+    may hold the all-zero vector; coefficients may be zero or fractional over
+    Q, and a target is often one the form attains."""
     kind = draw(st.sampled_from(["int", "fraction", "f7"]))
     if kind == "f7":
         X = make_ground_set(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)), F7)
@@ -358,31 +361,37 @@ def _linear_forms(draw):
             X = make_ground_set(draw(st.lists(fracs, min_size=1, max_size=4, unique=True)), QQ)
         values = st.one_of(ints, st.fractions(-3, 3, max_denominator=3))
     k = draw(st.integers(1, 3))
-    coeffs = [X.field.coerce(c) for c in draw(st.lists(values, min_size=k, max_size=k))]
-    if draw(st.booleans()):
-        r = draw(st.lists(st.sampled_from(X.elements), min_size=k, max_size=k))
-        target = sum((c * x for c, x in zip(coeffs, r)), X.field.zero())
-    else:
-        target = X.field.coerce(draw(values))
-    return X, coeffs, target
+    vectors = st.lists(values, min_size=k, max_size=k).map(lambda v: [X.field.coerce(c) for c in v])
+    pool = draw(st.lists(st.one_of(vectors, st.just([X.field.zero()] * k)), min_size=1, max_size=3))
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            r = draw(st.lists(st.sampled_from(X.elements), min_size=k, max_size=k))
+            target = sum((c * x for c, x in zip(coeffs, r)), X.field.zero())
+        else:
+            target = X.field.coerce(draw(values))
+        forms.append((coeffs, target, draw(st.integers(1, 5))))
+    return X, forms
 
 
 @settings(max_examples=300)
 @given(_linear_forms())
-def test_count_form_matches_enumeration(case):
-    X, coeffs, target = case
+def test_count_forms_matches_enumeration(case):
+    X, forms = case
     zero = X.field.zero()
     direct = sum(
-        1
+        w
+        for coeffs, target, w in forms
         for r in itertools.product(X.elements, repeat=len(coeffs))
         if sum((c * x for c, x in zip(coeffs, r)), zero) == target
     )
-    assert _count_form(coeffs, target, X.elements) == direct
+    assert _count_forms(forms, X.elements, None, None, "test") == direct
     if not X.field.is_rational:
-        # the same form on residues, each sum reduced mod 7
-        residues = [c.residue for c in coeffs]
-        lifted = [e.residue for e in X]
-        assert _count_form(residues, target.residue, lifted, 7) == direct
-    zeros = [zero] * len(coeffs)
-    assert _count_form(zeros, zero, X.elements) == len(X) ** len(coeffs)
-    assert _count_form(zeros, X.field.one(), X.elements) == 0
+        # the same forms on residues, each key reduced mod 7
+        residues = [([c.residue for c in coeffs], t.residue, w) for coeffs, t, w in forms]
+        assert _count_forms(residues, [e.residue for e in X], 7, None, "test") == direct
+    k = len(forms[0][0])
+    zeros = [zero] * k
+    assert _count_forms([(zeros, zero, 2)], X.elements, None, None, "test") == 2 * len(X) ** k
+    assert _count_forms([(zeros, X.field.one(), 2)], X.elements, None, None, "test") == 0

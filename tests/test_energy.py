@@ -167,7 +167,7 @@ def test_bilinear_asymmetric_sets_and_k3():
     from detlab.matrices import det
 
     rng = random.Random(11)
-    # integer sets, then fractional ones, where the pivot solve must stay exact
+    # integer sets, then fractional ones, where the kernel must stay exact
     set_pairs = [
         (gs([1, 2]), gs([-1, 1, 3])),
         (gs([Fraction(1, 2), Fraction(3, 2)]), gs([Fraction(-1, 3), 1])),
@@ -240,6 +240,17 @@ def test_fast_energies_charge_their_tables():
             fn(U, budget=steps - 1)
     with pytest.raises(BudgetExceededError):
         energy_T(U, budget=12**2 - 1)
+
+
+def test_bilinear_budget_is_tally_plus_kernel():
+    # M = [[1, 2], [0, 1]] over {1, 2, 3}: 3^2 = 9 vectors M*b, all distinct,
+    # whose sorted entries have 3 distinct first entries: 3 * 3 steps for
+    # their distributions and 3 lookups per vector (27)
+    U = gs([1, 2, 3])
+    M = Matrix.from_rows([[1, 2], [0, 1]], QQ)
+    assert count_bilinear(M, U, U, 3, budget=45) == count_bilinear_brute(M, U, U, 3)
+    with pytest.raises(BudgetExceededError):
+        count_bilinear(M, U, U, 3, budget=44)
 
 
 def test_distribution_provenance_and_order():

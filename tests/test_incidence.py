@@ -148,15 +148,17 @@ def test_minor_planes_match_lowered_table(X, targets):
 
 
 def test_incidence_kernel_calls_get_plain_ints(monkeypatch):
-    count_form = incidence._count_form
+    count_forms = incidence._count_forms
     moduli = set()
 
-    def checked(coeffs, target, elems, modulus=None):
-        assert all(type(v) is int for v in (*coeffs, target, *elems)), (coeffs, target, elems)
+    def checked(forms, elems, modulus, *args):
+        forms = list(forms)
+        for coeffs, target, w in forms:
+            assert all(type(v) is int for v in (*coeffs, target, w, *elems)), (coeffs, target, elems)
         moduli.add(modulus)
-        return count_form(coeffs, target, elems, modulus)
+        return count_forms(forms, elems, modulus, *args)
 
-    monkeypatch.setattr(incidence, "_count_form", checked)
+    monkeypatch.setattr(incidence, "_count_forms", checked)
     for X, d in ((HALVES, 0), (HALVES, Fraction(3, 4)), (Y124, 3)):
         assert planes_from_minors(X, d).det_count_via_incidences() == count_det_brute(X, 3, d)
         curve_incidences_n3(X)
@@ -405,14 +407,29 @@ def test_incidence_budget():
         curve_incidences_n3(X, budget=1000)
 
 
-def test_minor_plane_incidences_budget_is_the_solve_count():
-    # the kernel does |X|^2 steps per plane, one per choice of two coordinates
+def test_minor_plane_incidences_budget_is_the_kernel_charge():
+    # interval 4, d = 0: 825 planes, all with target 0, whose sorted
+    # coefficient vectors have 15 distinct (a) and 114 distinct (a, b)
+    # prefixes. The kernel builds the 15 distributions of a*x from the root's
+    # one entry (4 * 15 steps), the 114 of a*x + b*y from theirs (1824
+    # steps), then does 4 lookups per plane (3300).
     X = make_ground_set(range(1, 5), QQ)
     mp = planes_from_minors(X, 0)
-    steps = 16 * len(mp.family)
-    assert mp.det_count_via_incidences(budget=steps) == count_det_brute(X, 3, 0)
+    assert len(mp.family) == 825
+    assert mp.det_count_via_incidences(budget=5_184) == count_det_brute(X, 3, 0)
     with pytest.raises(BudgetExceededError):
-        mp.det_count_via_incidences(budget=steps - 1)
+        mp.det_count_via_incidences(budget=5_183)
+
+
+def test_curve_incidences_budget_is_direct_plus_kernel():
+    # interval 3: 3^6 = 729 direct tuples, then 81 curve forms whose sorted
+    # coefficient pairs (t-c, b-a) have 5 distinct first entries: 3 * 5
+    # steps for their distributions and 3 lookups per form (243).
+    U = make_ground_set([1, 2, 3], QQ)
+    count = curve_incidences_n3(U, budget=987)
+    assert count == curve_incidences_n3(U)
+    with pytest.raises(BudgetExceededError):
+        curve_incidences_n3(U, budget=986)
 
 
 def test_prime_field_brute_only():
