@@ -17,10 +17,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from detlab.cli import resolve_threads
 from detlab.detcount import COUNT_ENGINES
 from detlab.families import FamilySpec
 from detlab.harness import ResultCache, fit_exponent, parse_sizes, run_scan
-from detlab.parallel import resolve_threads
 from detlab.scalars import FieldSpec
 
 

@@ -14,9 +14,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from detlab.cli import resolve_threads
 from detlab.detcount import SPECTRUM_ENGINES, count_rank, det_spectrum, dsup
 from detlab.families import FamilySpec, generate
-from detlab.parallel import resolve_threads
 from detlab.scalars import FieldSpec, format_scalar, read_ground_set_file
 
 

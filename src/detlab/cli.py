@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -48,7 +49,6 @@ from .incidence import (
     planes_from_minors,
 )
 from .matrices import Matrix
-from .parallel import resolve_threads
 from .scalars import FieldSpec, format_scalar, parse_scalar, read_ground_set_file
 
 EXIT_OK = 0
@@ -56,6 +56,21 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
+
+
+def resolve_threads(flag: int | None = None) -> int:
+    """Worker count: explicit flag wins, then DETLAB_THREADS, then CPU count."""
+    if flag is not None and flag >= 1:
+        return flag
+    env = os.environ.get("DETLAB_THREADS")
+    if env:
+        try:
+            val = int(env)
+            if val >= 1:
+                return val
+        except ValueError:
+            pass
+    return os.cpu_count() or 1
 
 
 def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
@@ -331,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_source(p)
     _add_common(p)
     p.add_argument("--kind", choices=("N", "T", "S", "Estar", "bilinear"), required=True)
-    p.add_argument("--engine", choices=("table", "mu", "pivot", "brute"), default="table",
-                   help="table/mu/pivot = fast route, brute = oracle route")
+    p.add_argument("--engine", choices=("table", "brute"), default="table",
+                   help="table = fast route, brute = oracle route")
     p.add_argument("--matrix", default=None, help="bilinear matrix, rows ';'-separated, entries ','-separated")
     p.add_argument("--omega", default=None, help="bilinear target value")
     p.add_argument("--set2", default=None, help="second ground-set file for bilinear")

@@ -8,11 +8,20 @@ merges vectors that are permutations of each other into one sorted-key class,
 and counts the first rows per class by a fold over the trie of class keys.
 
 Each enumeration is one walk over itertools.product. Only the brute oracle
-shards its walk: `_brute_walk` restricts the leading coordinate (the
-top-left entry) to a shard of the ground set, workers take contiguous shards
-and their histograms merge by key-wise addition, so totals are identical for
-any worker count. The cofactor table is walked in one process at any worker
-count: shipping each worker's table back cost more than the walk it saved.
+shards its walk, in `_brute_histogram`: `_brute_walk` restricts the leading
+coordinate (the top-left entry) to a shard of the ground set, workers of a
+process pool take contiguous shards and their histograms merge by key-wise
+addition, so totals are identical for any worker count. The cofactor table
+is walked in one process at any worker count: shipping each worker's table
+back cost more than the walk it saved.
+
+At n = 2 the rowblock count is the product correlation `count_det_conv_n2`:
+the cofactor vector of the bottom row (y1, y2) is (y2, -y1), so
+D_2(X, d) = sum_t P(t) * P(t - d) over the pair-product distribution P,
+|X|^2 steps where the linear-form kernel takes |X|^3. It lifts X like the
+table below and correlates int pair products against L^2 d (or the residue
+of d). The n = 2 spectrum and `minor_multiplicity_map` walk the |X|^2
+bottom rows as generic blocks.
 
 The cofactor table is walked in plain ints: `_int_table` lifts X once with
 `scalars.int_lift` (L*X over Q, residues over F_p, where each distinct key is
@@ -25,8 +34,7 @@ rowblock engines, `energy.energy_Estar_mu`, `energy.dyadic_pyramid` and
 only multiplicities, which the lift keeps: it is injective on keys; the
 planes are keyed on the lifted triples); only `minor_multiplicity_map`
 lowers its keys to field scalars, except for an integral rational set, whose
-int table is already canonical. The `conv` engine lifts X the same way and
-correlates int pair products against L^2 d (or the residue of d).
+int table is already canonical.
 
 Every linear-form count in the package goes through one kernel:
 `_count_forms` sums w * #{r in X^k : <c, r> = t} over forms (c, t, w). It
@@ -50,11 +58,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
 from .matrices import Matrix, _det_rows, _rank_rows
-from .parallel import merge_tables, run_chunked
 from .scalars import GroundSet, Scalar, int_lift
 
 
@@ -196,13 +204,32 @@ def _brute_walk(elems, n, start, stop) -> Counter:
     return Counter(dets)
 
 
-def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, what: str) -> dict:
+# Brute histogram, 1 vs 2 workers on a 2-core host (medians of 7-9 runs): n = 3
+# at 3^9 = 19,683 items 8 vs 25 ms, n = 2 at 20^4 = 160,000 items 35 vs 49 ms,
+# n = 3 at 4^9 = 262,144 items 115 vs 91 ms; two workers pay from about 2^18.
+_MIN_PARALLEL_ITEMS = 1 << 18
+
+
+def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, what: str) -> Counter:
+    """Determinant histogram of X^(n x n). From `_MIN_PARALLEL_ITEMS` matrices
+    on, `threads` workers walk contiguous shards of the leading coordinate's
+    values (at most |X| of them) and their partials are summed key-wise."""
     if n < 1:
         raise PreconditionError("dimension must be >= 1")
     B = len(X)
     total = B ** (n * n)
     check_budget(total, budget, what)
-    return merge_tables(run_chunked(_brute_walk, (X.elements, n), B, total, threads))
+    if threads <= 1 or total < _MIN_PARALLEL_ITEMS:
+        return _brute_walk(X.elements, n, 0, B)
+    parts = min(threads, B)
+    cuts = [B * i // parts for i in range(parts + 1)]
+    hist = Counter()
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        shards = zip(cuts, cuts[1:])
+        futures = [pool.submit(_brute_walk, X.elements, n, start, stop) for start, stop in shards]
+        for f in futures:
+            hist.update(f.result())
+    return hist
 
 
 def count_det_brute(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
@@ -238,9 +265,7 @@ def _int_table(X: GroundSet, n: int, budget: int | None, what: str):
     check_budget(len(X) ** (n * (n - 1)), budget, what)
     lift = int_lift(X)
     elems = lift.elements
-    if n == 2:
-        vectors = ((y2, -y1) for y1, y2 in itertools.product(elems, repeat=2))
-    elif n == 3:
+    if n == 3:
         vectors = (
             (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
             for y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=6)
@@ -297,8 +322,11 @@ def count_det_rowblock(
     """Same count as count_det_brute, via cofactor-vector multiplicities, all
     in ints: each sorted-key class m of multiplicity mu is the form
     (m, target, mu) of the linear-form kernel `_count_forms`, which charges
-    the budget on top of the table's blocks. The table is walked in-process;
+    the budget on top of the table's blocks. At n = 2 the count is the
+    product correlation `count_det_conv_n2`. The table is walked in-process;
     `threads` is the registry's signature."""
+    if n == 2:
+        return count_det_conv_n2(X, d, budget=budget)
     what = "count_det_rowblock"
     classes, zero, lift, spent = _rowblock_table(X, n, budget, what)
     target = lift.target(d, n)
@@ -314,31 +342,28 @@ def _pair_products(elems) -> Counter:
     return Counter(u * v for u, v in itertools.product(elems, repeat=2))
 
 
-def count_det_conv_n2(X: GroundSet, d) -> int:
+def count_det_conv_n2(X: GroundSet, d, *, budget: int | None = None) -> int:
     """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d),
     in ints over the lifted set (target L^2 d, 0 when that is not an integer;
-    over F_p the pair products are reduced mod p once)."""
+    over F_p the pair products are reduced mod p once). The budget is charged
+    |X|^2 for the pair-product table P, then |X|^2 + |P| for the lookups."""
+    what = "count_det_conv_n2"
+    check_budget(len(X) ** 2, budget, what)
     lift = int_lift(X)
     target = lift.target(d, 2)
     if target is None:
         return 0
-    p = lift.modulus
+    elems, p = lift.elements, lift.modulus
+    prod = Counter(u * v % p for u, v in itertools.product(elems, repeat=2)) if p else _pair_products(elems)
+    check_budget(len(X) ** 2 + len(prod), budget, what)
+    get = prod.get
     if p:
-        prod = Counter(u * v % p for u, v in itertools.product(lift.elements, repeat=2))
-        return sum(c * prod.get((t - target) % p, 0) for t, c in prod.items())
-    prod = _pair_products(lift.elements)
-    return sum(c * prod.get(t - target, 0) for t, c in prod.items())
-
-
-def _count_conv(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
-    if n != 2:
-        raise PreconditionError("conv engine is the n = 2 product-correlation path")
-    check_budget(len(X) ** 2, budget, "count_det_conv_n2")
-    return count_det_conv_n2(X, d)
+        return sum(c * get((t - target) % p, 0) for t, c in prod.items())
+    return sum(c * get(t - target, 0) for t, c in prod.items())
 
 
 # Count engines by name, each called as f(X, n, d, *, budget, threads).
-COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock, "conv": _count_conv}
+COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock}
 
 
 # ---------------------------------------------------------------------------

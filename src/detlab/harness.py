@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, PreconditionError
-from .detcount import COUNT_ENGINES, SPECTRUM_ENGINES, dsup
+from .detcount import COUNT_ENGINES, dsup
 from .families import FamilySpec, generate
 from .scalars import FieldSpec, format_scalar
 
@@ -197,15 +197,6 @@ class ResultCache:
         self._load()[key] = row
 
 
-def _validate_engine(engine: str, dmode: str) -> None:
-    if engine not in COUNT_ENGINES:
-        raise PreconditionError(f"unknown engine {engine!r}")
-    if dmode in (DMODE_SUP_NONZERO, DMODE_SUP_ALL) and engine not in SPECTRUM_ENGINES:
-        raise PreconditionError(
-            f"sup modes need a spectrum engine ({', '.join(SPECTRUM_ENGINES)})"
-        )
-
-
 def _compute(X, n, dmode, d, engine, threads, budget):
     if dmode in (DMODE_FIXED, DMODE_ZERO):
         target = X.field.coerce(0 if dmode == DMODE_ZERO else d)
@@ -238,7 +229,8 @@ def run_scan(
         raise PreconditionError(f"unknown d-mode {dmode!r}")
     if dmode == DMODE_FIXED and d is None:
         raise PreconditionError("fixed d-mode needs a determinant value")
-    _validate_engine(engine, dmode)
+    if engine not in COUNT_ENGINES:
+        raise PreconditionError(f"unknown engine {engine!r}")
     if dmode == DMODE_ZERO:
         d_text = format_scalar(field.coerce(0))
     elif d is not None:

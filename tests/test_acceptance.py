@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-import detlab.parallel as parallel
+import detlab.detcount as detcount
 from detlab.detcount import (
     count_det_brute,
     count_det_conv_n2,
@@ -325,7 +325,7 @@ def test_criterion_10_rank_partition():
 
 
 def test_criterion_11_scan_determinism(monkeypatch):
-    monkeypatch.setattr(parallel, "_MIN_PARALLEL_ITEMS", 1)
+    monkeypatch.setattr(detcount, "_MIN_PARALLEL_ITEMS", 1)
     spec = FamilySpec("random", 4, seed=11)
 
     def run(threads):

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from detlab import cli
-from detlab.cli import main
-from detlab.parallel import resolve_threads
+from detlab.cli import main, resolve_threads
 
 
 def run_cli(capsys, *argv):
@@ -25,10 +24,10 @@ def run_json(capsys, *argv):
 
 def test_count_gp_anchor(capsys):
     obj = run_json(
-        capsys, "count", "--family", "gp", "--size", "4", "--n", "2", "--d", "0", "--engine", "conv"
+        capsys, "count", "--family", "gp", "--size", "4", "--n", "2", "--d", "0", "--engine", "rowblock"
     )
     assert obj["count"] == "44"
-    assert obj["engine"] == "conv"
+    assert obj["engine"] == "rowblock"
 
 
 def test_count_engines_agree(capsys):
@@ -104,7 +103,7 @@ def test_scan_and_fit_pipeline(tmp_path, capsys):
     rc, _ = run_cli(
         capsys,
         "scan", "--family", "gp", "--sizes", "2,4,8", "--n", "2", "--dmode", "zero",
-        "--engine", "conv", "--out", str(out), "--cache", str(tmp_path / "cache.jsonl"),
+        "--engine", "rowblock", "--out", str(out), "--cache", str(tmp_path / "cache.jsonl"),
     )
     assert rc == 0
     lines = out.read_text().strip().splitlines()
@@ -121,7 +120,7 @@ def test_scan_csv_format(tmp_path, capsys):
     rc, _ = run_cli(
         capsys,
         "scan", "--family", "interval", "--sizes", "2:4", "--n", "2",
-        "--dmode", "zero", "--engine", "conv", "--out", str(out), "--format", "csv",
+        "--dmode", "zero", "--engine", "rowblock", "--out", str(out), "--format", "csv",
     )
     assert rc == 0
     lines = out.read_text().strip().splitlines()
@@ -151,8 +150,10 @@ def test_scan_deterministic_bytes(tmp_path, capsys):
 
 
 def test_exit_code_precondition(capsys):
-    rc, _ = run_cli(capsys, "count", "--family", "interval", "--size", "3", "--n", "3", "--d", "0", "--engine", "conv")
-    assert rc == 2
+    # an unknown engine name is refused by argparse, before main's handlers
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "interval", "--size", "3", "--n", "2", "--d", "0", "--engine", "conv"])
+    assert exc.value.code == 2
     rc, _ = run_cli(capsys, "count", "--family", "interval", "--size", "3", "--n", "2", "--d", "x")
     assert rc == 2
     rc, _ = run_cli(capsys, "count", "--family", "gp", "--ratio", "1", "--size", "3", "--n", "2", "--d", "0")
@@ -170,11 +171,19 @@ def test_exit_code_budget(capsys):
     assert rc == 3
 
 
-def test_conv_engine_charges_pair_table(capsys):
-    argv = ["count", "--family", "interval", "--size", "40", "--n", "2", "--d", "1", "--engine", "conv"]
-    assert run_cli(capsys, *argv, "--budget", "1")[0] == 3
+def test_rowblock_n2_charges_pair_table(capsys):
+    # 40^2 pair products, then 40^2 plus the 517 distinct ones for the lookups
+    argv = ["count", "--family", "interval", "--size", "40", "--n", "2", "--d", "1", "--engine", "rowblock"]
     assert run_cli(capsys, *argv, "--budget", str(40**2 - 1))[0] == 3
-    assert run_json(capsys, *argv, "--budget", str(40**2))["count"] == "1878"
+    assert run_cli(capsys, *argv, "--budget", str(40**2 + 516))[0] == 3
+    assert run_json(capsys, *argv, "--budget", str(40**2 + 517))["count"] == "1878"
+
+
+@pytest.mark.parametrize("engine", ["mu", "pivot"])
+def test_energy_rejects_dropped_engine_names(capsys, engine):
+    with pytest.raises(SystemExit) as exc:
+        main(["energy", "--kind", "T", "--family", "interval", "--size", "3", "--engine", engine])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("kind", ["T", "S", "N"])

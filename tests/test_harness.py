@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-import detlab.parallel as parallel
+import detlab.detcount as detcount
 from detlab.errors import PreconditionError
 from detlab.detcount import COUNT_ENGINES, count_det_brute
 from detlab.families import FamilySpec
@@ -35,7 +35,7 @@ def make_row(size=2, count=6, **over):
         n=2,
         dmode="zero",
         d="0",
-        engine="conv",
+        engine="rowblock",
         count=count,
         elapsed_ms=1.0,
         budget_hit=False,
@@ -45,7 +45,7 @@ def make_row(size=2, count=6, **over):
 
 
 def test_scan_interval_counts_match_oracle():
-    rows = run_scan(FamilySpec("interval", 2), [2, 3, 4], QQ, 2, "zero", "conv")
+    rows = run_scan(FamilySpec("interval", 2), [2, 3, 4], QQ, 2, "zero", "rowblock")
     assert [r.count for r in rows] == [6, 15, 32]
     for r in rows:
         X = make_ground_set(range(1, r.size + 1), QQ)
@@ -54,7 +54,7 @@ def test_scan_interval_counts_match_oracle():
 
 
 def test_scan_gp_anchor():
-    rows = run_scan(FamilySpec("gp", 4, ratio=2), [4], QQ, 2, "zero", "conv")
+    rows = run_scan(FamilySpec("gp", 4, ratio=2), [4], QQ, 2, "zero", "rowblock")
     assert rows[0].count == 44
 
 
@@ -84,15 +84,13 @@ def test_scan_prime_field():
 
 def test_scan_validation_errors():
     with pytest.raises(PreconditionError):
-        run_scan(FamilySpec("interval", 2), [], QQ, 2, "zero", "conv")
+        run_scan(FamilySpec("interval", 2), [], QQ, 2, "zero", "rowblock")
     with pytest.raises(PreconditionError):
-        run_scan(FamilySpec("interval", 2), [2], QQ, 3, "zero", "conv")
+        run_scan(FamilySpec("interval", 2), [2], QQ, 2, "zero", "conv")
     with pytest.raises(PreconditionError):
-        run_scan(FamilySpec("interval", 2), [2], QQ, 2, "sup_all", "conv")
+        run_scan(FamilySpec("interval", 2), [2], QQ, 2, "fixed", "rowblock")
     with pytest.raises(PreconditionError):
-        run_scan(FamilySpec("interval", 2), [2], QQ, 2, "fixed", "conv")
-    with pytest.raises(PreconditionError):
-        run_scan(FamilySpec("interval", 2), [2], QQ, 2, "modal", "conv")
+        run_scan(FamilySpec("interval", 2), [2], QQ, 2, "modal", "rowblock")
 
 
 def test_scan_budget_hit_rows_continue():
@@ -103,15 +101,16 @@ def test_scan_budget_hit_rows_continue():
     assert rows[1].count is None and rows[1].budget_hit
 
 
-def test_scan_conv_budget_hit():
-    rows = run_scan(FamilySpec("interval", 2), [4, 5], QQ, 2, "zero", "conv", budget=16)
+def test_scan_rowblock_n2_budget_hit():
+    # |X| = 4 costs 4^2 pair products plus 9 distinct ones; |X| = 5 costs 25 + 14
+    rows = run_scan(FamilySpec("interval", 2), [4, 5], QQ, 2, "zero", "rowblock", budget=25)
     assert rows[0].count == 32 and not rows[0].budget_hit
     assert rows[1].count is None and rows[1].budget_hit
 
 
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
-    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational")
+    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational")
     assert cache.get(key) is None
     row = make_row()
     cache.put(key, row)
@@ -123,13 +122,13 @@ def test_cache_round_trip(tmp_path):
 def test_cache_warm_scan_identical_and_no_recompute(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path / "cache.jsonl")
     spec = FamilySpec("gp", 4, ratio=2)
-    first = run_scan(spec, [2, 3, 4], QQ, 2, "zero", "conv", cache=cache)
+    first = run_scan(spec, [2, 3, 4], QQ, 2, "zero", "rowblock", cache=cache)
 
     def boom(*a, **k):
         raise AssertionError("engine ran despite warm cache")
 
-    monkeypatch.setitem(COUNT_ENGINES, "conv", boom)
-    second = run_scan(spec, [2, 3, 4], QQ, 2, "zero", "conv", cache=cache)
+    monkeypatch.setitem(COUNT_ENGINES, "rowblock", boom)
+    second = run_scan(spec, [2, 3, 4], QQ, 2, "zero", "rowblock", cache=cache)
     assert second == first  # elapsed times included: rows come back verbatim
 
 
@@ -147,16 +146,16 @@ def test_cache_key_follows_explicit_file_contents(tmp_path):
     path = tmp_path / "set.txt"
     spec = FamilySpec("explicit", 3, path=str(path))
     path.write_text("1\n2\n3\n")
-    first = run_scan(spec, [3], QQ, 2, "zero", "conv", cache=cache)[0]
+    first = run_scan(spec, [3], QQ, 2, "zero", "rowblock", cache=cache)[0]
     path.write_text("2\n4\n8\n")
-    second = run_scan(spec, [3], QQ, 2, "zero", "conv", cache=cache)[0]
+    second = run_scan(spec, [3], QQ, 2, "zero", "rowblock", cache=cache)[0]
     assert first.params == second.params == {"path": str(path)}
     assert second.count == count_det_brute(make_ground_set([2, 4, 8], QQ), 2, 0) != first.count
 
 
 def test_cache_skips_corrupt_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
-    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational")
+    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational")
     good = json.dumps({"key": key, "version": ARTIFACT_VERSION, "row": make_row().to_json_dict()})
     path.write_text("{not json\n" + good + "\n[]\n", encoding="utf-8")
     cache = ResultCache(path)
@@ -166,8 +165,8 @@ def test_cache_skips_corrupt_lines(tmp_path):
 
 
 def test_cache_key_includes_version():
-    a = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational", version="1")
-    b = scan_key("interval", {}, None, 2, 2, "zero", "0", "conv", "rational", version="2")
+    a = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational", version="1")
+    b = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational", version="2")
     assert a != b
 
 
@@ -231,7 +230,7 @@ def test_csv_mirror():
     write_csv(rows, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "family,kind-params,seed,X,n,dmode,d,engine,count,elapsed_ms,budget_hit"
-    assert lines[1].startswith("gp,ratio=2,,2,2,zero,0,conv,6,")
+    assert lines[1].startswith("gp,ratio=2,,2,2,zero,0,rowblock,6,")
 
 
 def test_scan_rows_deterministic_modulo_elapsed():
@@ -243,7 +242,7 @@ def test_scan_rows_deterministic_modulo_elapsed():
 
 
 def test_scan_threads_agree(monkeypatch):
-    monkeypatch.setattr(parallel, "_MIN_PARALLEL_ITEMS", 1)
+    monkeypatch.setattr(detcount, "_MIN_PARALLEL_ITEMS", 1)
     spec = FamilySpec("random", 4, seed=3)
     counts = {}
     for threads in (1, 4):
