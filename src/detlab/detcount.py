@@ -2,10 +2,10 @@
 
 Counts are plain Python ints (arbitrary precision). Two independent routes are
 always available: full enumeration with a definition-level determinant (the
-master oracle), and a first-row cofactor engine that enumerates the bottom
-(n-1) x n block once, aggregates multiplicities of the signed cofactor vector,
-merges vectors that are permutations of each other into one sorted-key class,
-and counts the first rows per class by a fold over the trie of class keys.
+master oracle), and a first-row cofactor engine that tallies the signed
+cofactor vector of the bottom (n-1) x n block by sorted-key class (vectors
+that are permutations of each other share a class) and counts the first rows
+per class by a fold over the trie of class keys.
 
 Each enumeration is one walk over itertools.product. Only the brute oracle
 shards its walk, in `_brute_histogram`: `_brute_walk` restricts the leading
@@ -20,21 +20,20 @@ the cofactor vector of the bottom row (y1, y2) is (y2, -y1), so
 D_2(X, d) = sum_t P(t) * P(t - d) over the pair-product distribution P,
 |X|^2 steps where the linear-form kernel takes |X|^3. It lifts X like the
 table below and correlates int pair products against L^2 d (or the residue
-of d). The n = 2 spectrum and `minor_multiplicity_map` walk the |X|^2
-bottom rows as generic blocks.
+of d). The n = 2 spectrum reads the classes of the bottom rows, and the
+n = 2 `minor_multiplicity_map` tallies the |X|^2 vectors (b, -a) directly.
 
-The cofactor table is walked in plain ints: `_int_table` lifts X once with
-`scalars.int_lift` (L*X over Q, residues over F_p, where each distinct key is
-then reduced mod p and keys that vanish mod p join the zero bucket). The
+The one cofactor walk is `_class_table`: on the set lifted to plain ints by
+`scalars.int_lift` (L*X over Q, residues over F_p) it tallies the signed
+cofactor vectors by sorted-key class, with the zero vector apart. The
 rowblock count maps its target into the lifted problem (L^n d, or the
 residue of d) and counts in ints; the rowblock spectrum builds an int
-histogram and lowers each distinct value to a field scalar at the end. The
-rowblock engines, `energy.energy_Estar_mu`, `energy.dyadic_pyramid` and
-`incidence.planes_from_minors` use the int table as is (the energies read
-only multiplicities, which the lift keeps: it is injective on keys; the
-planes are keyed on the lifted triples); only `minor_multiplicity_map`
-lowers its keys to field scalars, except for an integral rational set, whose
-int table is already canonical.
+histogram and lowers each distinct value to a field scalar at the end. At
+n >= 3 the p(c) permutations of a class c share its multiplicity mu_c
+(`_perms` counts them): `energy.energy_Estar_mu` and `energy.dyadic_pyramid`
+read the classes as they are, and `minor_multiplicity_map` and
+`incidence.planes_from_minors` expand them (`_expand_classes`); only
+`minor_multiplicity_map` lowers its keys to field scalars.
 
 Every linear-form count in the package goes through one kernel:
 `_count_forms` sums w * #{r in X^k : <c, r> = t} over forms (c, t, w). It
@@ -47,7 +46,7 @@ and the curve half of `incidence.curve_incidences_n3` (lifted ints, with the
 modulus over F_p), and `energy.count_bilinear` (field scalars). The
 rowblock spectrum folds the weighted classes over the same prefix trie, from
 the leaves up to the root (). The oracles those routes are checked against
-use neither the kernel, the prefix fold, the sorted-key table nor the lift:
+use neither the kernel, the prefix fold, the class walk nor the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
@@ -57,6 +56,7 @@ of `curve_incidences_n3`.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -211,24 +211,31 @@ _MIN_PARALLEL_ITEMS = 1 << 18
 
 
 def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, what: str) -> Counter:
-    """Determinant histogram of X^(n x n). From `_MIN_PARALLEL_ITEMS` matrices
-    on, `threads` workers walk contiguous shards of the leading coordinate's
-    values (at most |X| of them) and their partials are summed key-wise."""
+    """Determinant histogram of X^(n x n), keyed by canonical field scalars.
+    From `_MIN_PARALLEL_ITEMS` matrices on, `threads` workers walk contiguous
+    shards of the leading coordinate's values (at most |X| of them) and their
+    partials are summed key-wise. Over F_p the walk multiplies residues as
+    plain ints, and ints that share a residue are summed into one key."""
     if n < 1:
         raise PreconditionError("dimension must be >= 1")
     B = len(X)
     total = B ** (n * n)
     check_budget(total, budget, what)
+    field = X.field
+    elems = X.elements if field.is_rational else tuple(e.residue for e in X)
     if threads <= 1 or total < _MIN_PARALLEL_ITEMS:
-        return _brute_walk(X.elements, n, 0, B)
-    parts = min(threads, B)
-    cuts = [B * i // parts for i in range(parts + 1)]
+        parts = [_brute_walk(elems, n, 0, B)]
+    else:
+        workers = min(threads, B)
+        cuts = [B * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shards = zip(cuts, cuts[1:])
+            futures = [pool.submit(_brute_walk, elems, n, start, stop) for start, stop in shards]
+            parts = [f.result() for f in futures]
     hist = Counter()
-    with ProcessPoolExecutor(max_workers=parts) as pool:
-        shards = zip(cuts, cuts[1:])
-        futures = [pool.submit(_brute_walk, X.elements, n, start, stop) for start, stop in shards]
-        for f in futures:
-            hist.update(f.result())
+    for part in parts:
+        for k, v in part.items():
+            hist[field.coerce(k)] += v
     return hist
 
 
@@ -239,61 +246,104 @@ def count_det_brute(X: GroundSet, n: int, d, *, budget: int | None = None, threa
 
 
 # ---------------------------------------------------------------------------
-# signed cofactor vector multiplicities
+# signed cofactor vector multiplicities, by sorted-key class
 
 
-def _cofactor_vector(block, n):
-    """Signed first-row cofactors from the bottom (n-1) x n block."""
-    out = []
-    for j in range(n):
-        minor = tuple(r[:j] + r[j + 1 :] for r in block)
-        c = _det_rows(minor)
-        if j % 2:
-            c = -c
-        out.append(c)
-    return tuple(out)
+def _perms(key) -> int:
+    """Number of distinct permutations of the sorted tuple `key`: len(key)!
+    over the product of (run length)! for its runs of equal entries."""
+    count, run = math.factorial(len(key)), 1
+    for a, b in zip(key, key[1:]):
+        run = run + 1 if a == b else 1
+        count //= run
+    return count
 
 
-def _int_table(X: GroundSet, n: int, budget: int | None, what: str):
-    """Cofactor table of the lifted set, walked over every bottom block in
-    one process: int keys, reduced mod p over F_p once per distinct key (a
-    vector that vanishes mod p joins the zero bucket), the zero count, and
-    the lift. Needs n >= 2; the |X|^(n(n-1)) blocks are charged to `what`
-    before the walk starts."""
+def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
+    """Sorted-key classes of the lifted set's cofactor table, the zero count,
+    the lift and the steps charged. A column permutation s maps the cofactor
+    vector m to sgn(s)*s(m), so only sorted first rows y are walked, weighted
+    by `_perms(y)`. Each further row u adds a level of minors, which Laplace
+    expansion along u makes linear forms in u; the last level emits the
+    signed cofactors sorted (reduced mod p first over F_p). An odd s moves m
+    into the class of -m, which has the same multiplicity, so each class gets
+    half its pair's sum. The budget is charged C(|X| + n - 1, n) first rows,
+    then |level| * |X|^n before each level."""
     if n < 2:
         raise PreconditionError("cofactor vectors need dimension >= 2")
-    check_budget(len(X) ** (n * (n - 1)), budget, what)
+    B = len(X)
+    spent = math.comb(B + n - 1, n)
+    check_budget(spent, budget, what)
     lift = int_lift(X)
-    elems = lift.elements
-    if n == 3:
-        vectors = (
-            (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
-            for y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=6)
-        )
-    else:
-        rows = list(itertools.product(elems, repeat=n))
-        vectors = (_cofactor_vector(block, n) for block in itertools.product(rows, repeat=n - 1))
-    table = Counter(vectors)
-    zero = table.pop((0,) * n, 0)
-    if lift.modulus:
-        residue = lift.modulus.__rmod__
-        reduced: dict = {}
-        get = reduced.get
-        for m, mu in table.items():
-            key = tuple(map(residue, m))
-            reduced[key] = get(key, 0) + mu
-        zero += reduced.pop((0,) * n, 0)
-        table = reduced
-    return table, zero, lift
+    elems, p = lift.elements, lift.modulus
+
+    def key(v):
+        return tuple(sorted([x % p for x in v] if p else v))
+
+    level = Counter()
+    for y in itertools.combinations_with_replacement(elems, n):
+        # at n = 2 the cofactor vector of the row (a, b) is (b, -a)
+        level[key((y[1], -y[0])) if n == 2 else y] += _perms(y)
+    for k in range(1, n - 1):
+        spent += len(level) * B**n
+        check_budget(spent, budget, what)
+        minors = {S: i for i, S in enumerate(itertools.combinations(range(n), k))}
+        last = k == n - 2
+        # the coefficient of u_s in the new minor S is a sign times the minor
+        # S without s; the last level's S leaves out column n(n-1)/2 - sum(S)
+        forms = []
+        for S in itertools.combinations(range(n), k + 1):
+            sign = (-1) ** (k + last * (n * (n - 1) // 2 - sum(S)))
+            form = [(0, 0)] * n
+            for i, s in enumerate(S):
+                form[s] = (sign * (-1) ** i, minors[S[:i] + S[i + 1 :]])
+            forms.append(form)
+        groups: dict = {}
+        for t, w in level.items():
+            coords = [map(sum, itertools.product(*[[a * t[i] * x for x in elems] for a, i in f])) for f in forms]
+            vectors = zip(*[map(p.__rmod__, c) for c in coords] if p else coords)
+            groups.setdefault(w, Counter()).update(map(tuple, map(sorted, vectors)) if last else vectors)
+        level = Counter()
+        for w, tally in groups.items():
+            for v, c in tally.items():
+                level[v] += w * c
+    zero = level.pop((0,) * n, 0)
+    classes: dict = {}
+    for c, a in level.items():
+        if c not in classes:
+            neg = key([-x for x in c])
+            pair = a + level.get(neg, 0)
+            if pair % 2:
+                raise AssertionError(f"classes {c} and {neg} have an odd total {pair}")
+            classes[c] = classes[neg] = pair // 2
+    return classes, zero, lift, spent
+
+
+def _expand_classes(classes: dict) -> dict:
+    """The cofactor table m -> mu of the classes at n >= 3, where the row swap
+    gives all permutations of a class the same multiplicity."""
+    table: dict = {}
+    for c, mu in classes.items():
+        perms = set(itertools.permutations(c))
+        table.update(dict.fromkeys(perms, mu // len(perms)))
+    return table
 
 
 def minor_multiplicity_map(
     X: GroundSet, n: int, *, budget: int | None = None, threads: int = 1
 ) -> MinorMultiplicityMap:
-    """Cofactor table of X keyed by canonical field scalars: the int table,
-    lowered once per distinct key (an integral rational set's table is kept
-    as walked). Walked in-process; `threads` is accepted and unused."""
-    table, zero, lift = _int_table(X, n, budget, "minor_multiplicity_map")
+    """Cofactor table of X keyed by canonical field scalars: at n >= 3 the
+    classes of `_class_table` expanded into their vectors and lowered once
+    per distinct key (an integral rational set's ints are kept); at n = 2,
+    which has no row swap, the vectors (b, -a) of the |X|^2 rows (a, b).
+    Walked in-process; `threads` is accepted and unused."""
+    if n == 2:
+        check_budget(len(X) ** 2, budget, "minor_multiplicity_map")
+        table = Counter((b, -a) for a, b in itertools.product(X.elements, repeat=2))
+        z = X.field.zero()
+        return MinorMultiplicityMap(n, X, table, table.pop((z, z), 0))
+    classes, zero, lift, _ = _class_table(X, n, budget, "minor_multiplicity_map")
+    table = _expand_classes(classes)
     if not lift.is_identity:
         table = {tuple(lift.lower(c, n - 1) for c in m): mu for m, mu in table.items()}
     return MinorMultiplicityMap(n, X, table, zero)
@@ -301,19 +351,6 @@ def minor_multiplicity_map(
 
 # ---------------------------------------------------------------------------
 # first-row cofactor engine
-
-
-def _rowblock_table(X: GroundSet, n: int, budget: int | None, what: str):
-    """Int cofactor table of the lifted set for a rowblock engine, merged into
-    sorted-key classes: the distribution of <m, r> over r in X^n does not
-    change when the coordinates of m are permuted, so each class is handled
-    once. The blocks `_int_table` charged are returned for the engine to add
-    its own steps to."""
-    table, zero, lift = _int_table(X, n, budget, what)
-    classes = Counter()
-    for m, mu in table.items():
-        classes[tuple(sorted(m))] += mu
-    return classes, zero, lift, len(X) ** (n * (n - 1))
 
 
 def count_det_rowblock(
@@ -328,7 +365,7 @@ def count_det_rowblock(
     if n == 2:
         return count_det_conv_n2(X, d, budget=budget)
     what = "count_det_rowblock"
-    classes, zero, lift, spent = _rowblock_table(X, n, budget, what)
+    classes, zero, lift, spent = _class_table(X, n, budget, what)
     target = lift.target(d, n)
     if target is None:
         return 0
@@ -371,8 +408,7 @@ COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock}
 
 
 def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
-    hist = _brute_histogram(X, n, budget, threads, "det_spectrum[brute]")
-    return {X.field.coerce(k): v for k, v in hist.items()}
+    return dict(_brute_histogram(X, n, budget, threads, "det_spectrum[brute]"))
 
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
@@ -388,7 +424,7 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     scalar, one to one: k / L^n over Q, a residue over F_p."""
     what = "det_spectrum[rowblock]"
     B = len(X)
-    classes, zero, lift, spent = _rowblock_table(X, n, budget, what)
+    classes, zero, lift, spent = _class_table(X, n, budget, what)
     elems, p = lift.elements, lift.modulus
     nodes = {m: {0: mu} for m, mu in classes.items()}
     for _ in range(n):

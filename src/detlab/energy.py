@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_forms, _int_table, _pair_products
+from .detcount import _class_table, _count_forms, _pair_products, _perms
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -183,10 +183,10 @@ def count_bilinear_brute(
 def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> int:
     """Solution count of the simultaneous equality of the two signed cofactor
     triples over X^12, computed as the sum of squared triple multiplicities
-    (the all-zero triple included). The table is walked in-process;
-    `threads` is accepted and unused."""
-    table, zero, _ = _int_table(X, 3, budget, "energy_Estar_mu")
-    return sum(mu * mu for mu in table.values()) + zero * zero
+    (the all-zero triple included): mu_c^2 / p(c) per sorted-key class c.
+    Walked in-process; `threads` is accepted and unused."""
+    classes, zero, _, _ = _class_table(X, 3, budget, "energy_Estar_mu")
+    return sum(mu * mu // _perms(c) for c, mu in classes.items()) + zero * zero
 
 
 def energy_Estar_brute(X: GroundSet, *, budget: int | None = None) -> int:
@@ -216,20 +216,21 @@ class DyadicPyramid:
 
 
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:
-    """Dyadic census of the cofactor table (walked in-process; `threads` is unused)."""
-    table, zero, _ = _int_table(X, 3, budget, "dyadic_pyramid")
-    mults = list(table.values())
+    """Dyadic census of the cofactor table, whose sorted-key class c holds
+    p(c) triples of multiplicity mu_c / p(c) (walked in-process)."""
+    table, zero, _, _ = _class_table(X, 3, budget, "dyadic_pyramid")
+    mults = [(mu // p, p) for c, mu in table.items() for p in (_perms(c),)]
     if zero:
-        mults.append(zero)
+        mults.append((zero, 1))
     by_class: dict = {}
-    for mu in mults:
+    for mu, size in mults:
         w = 1
         while 2 * w <= mu:
             w *= 2
-        by_class[w] = by_class.get(w, 0) + 1
+        by_class[w] = by_class.get(w, 0) + size
     classes = tuple(sorted(by_class.items()))
     return DyadicPyramid(
         classes=classes,
-        total_mass=sum(mults),
+        total_mass=sum(mu * size for mu, size in mults),
         max_weighted=max(w * w * c for w, c in classes),
     )

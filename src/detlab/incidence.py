@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, check_budget
-from .detcount import _count_forms, _int_table
+from .detcount import _class_table, _count_forms, _expand_classes
 from .matrices import _rank_rows
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -355,14 +355,15 @@ def planes_from_minors(
     weighted by triple multiplicity; the zero triple is reported separately.
     For d != 0 distinct triples give distinct planes; for d = 0 projectively
     equal triples merge and their weights add. Planes are keyed on the
-    lifted int table: over Q a lifted triple is L^2 m, and <m, x> = d is
-    <L^2 m, x> = L^2 d; over F_p the triples are residues. The table is
-    walked in-process; `threads` is accepted and unused."""
-    table, zero, lift = _int_table(X, 3, budget, "planes_from_minors")
+    lifted int triples, expanded from their sorted-key classes: over Q a
+    lifted triple is L^2 m, and <m, x> = d is <L^2 m, x> = L^2 d; over F_p
+    the triples are residues. The table is walked in-process; `threads` is
+    accepted and unused."""
+    classes, zero, lift, _ = _class_table(X, 3, budget, "planes_from_minors")
     d_s = X.field.coerce(d)
     offset = d_s.residue if lift.modulus else X.field.coerce(d_s * lift.scale**2)
     merged: dict = {}
-    for m, mu in table.items():
+    for m, mu in _expand_classes(classes).items():
         key = normalize_plane(m, offset, X.field)
         merged[key] = merged.get(key, 0) + mu
     family = HyperplaneFamily(3, tuple(merged))

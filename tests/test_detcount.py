@@ -10,8 +10,9 @@ import hypothesis.strategies as st
 import detlab.detcount as detcount
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.detcount import (
-    _cofactor_vector,
+    _class_table,
     _count_forms,
+    _perms,
     count_decomposition,
     count_det_brute,
     count_det_conv_n2,
@@ -22,7 +23,8 @@ from detlab.detcount import (
     find_witness,
     minor_multiplicity_map,
 )
-from detlab.matrices import det
+from detlab.energy import dyadic_pyramid, energy_Estar_mu
+from detlab.matrices import _det_rows, det
 from detlab.scalars import FieldSpec, make_ground_set, negate_set, scale_set
 
 from conftest import QQ, F7, int_ground_sets, fraction_ground_sets
@@ -206,27 +208,106 @@ def test_decomposition_sums_to_brute(X, d):
     assert parts.total() == count_det_brute(X, 2, d)
 
 
+def _cofactor_vector(block, n):
+    """Signed first-row cofactors from the bottom (n-1) x n block."""
+    out = []
+    for j in range(n):
+        minor = tuple(r[:j] + r[j + 1 :] for r in block)
+        c = _det_rows(minor)
+        if j % 2:
+            c = -c
+        out.append(c)
+    return tuple(out)
+
+
+def _cofactor_tally(X, n) -> Counter:
+    """Oracle: the cofactor vector of every bottom block, in field scalars."""
+    rows = list(itertools.product(X.elements, repeat=n))
+    return Counter(_cofactor_vector(block, n) for block in itertools.product(rows, repeat=n - 1))
+
+
 def test_minor_map_mass():
     sets = (
         X12,
         make_ground_set([0, 1, 2], QQ),
         make_ground_set([1, 3], F7),
         make_ground_set([Fraction(1, 2), Fraction(2, 3), 2], QQ),
+        make_ground_set([Fraction(-1, 2), Fraction(2, 3)], QQ),
         make_ground_set([1, 2, 4], FieldSpec.prime(5)),
     )
     for X in sets:
-        for n in (2, 3):
+        # n = 4 at |X| = 3 is 3^12 oracle blocks, too slow in field scalars
+        for n in (2, 3, 4) if len(X) <= 2 else (2, 3):
             mm = minor_multiplicity_map(X, n)
             assert mm.total_mass() == len(X) ** (n * (n - 1))
-            rows = list(itertools.product(X.elements, repeat=n))
-            direct = Counter(
-                _cofactor_vector(block, n) for block in itertools.product(rows, repeat=n - 1)
-            )
+            direct = _cofactor_tally(X, n)
             zero = direct.pop((X.field.zero(),) * n, 0)
             assert (mm.entries, mm.zero_count) == (direct, zero)
             # keys are canonical field scalars: an int whenever integral
             for m in mm.entries:
                 assert all(type(c) is type(X.field.coerce(c)) for c in m)
+
+
+@st.composite
+def _class_cases(draw):
+    """(X, n): an int, Fraction or F_p set with n in {2, 3, 4}; n = 4 only
+    at |X| <= 2, where the oracle walks 2^12 blocks."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    size = 2 if n == 4 else 3
+    kind = draw(st.sampled_from(["int", "fraction", "fp"]))
+    if kind == "int":
+        return draw(int_ground_sets(max_size=size)), n
+    if kind == "fraction":
+        return draw(fraction_ground_sets(max_size=size)), n
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    vals = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=size, unique=True))
+    return make_ground_set(vals, FieldSpec.prime(p)), n
+
+
+@given(_class_cases())
+@example((make_ground_set([-1, 0, 2], QQ), 4))
+@example((make_ground_set([1, 2], FieldSpec.prime(3)), 4))
+@settings(max_examples=40)
+def test_class_table_matches_sorted_tally(case):
+    # the symmetrized walk over sorted first rows against every block's
+    # cofactor vector, sorted; {1, 2} over F_3 has cofactors 3 = 0 mod 3
+    X, n = case
+    classes, zero, lift, _ = _class_table(X, n, None, "test")
+    direct = _cofactor_tally(X, n)
+    assert zero == direct.pop((X.field.zero(),) * n, 0)
+    oracle = Counter()
+    for m, mu in direct.items():
+        oracle[tuple(sorted(m))] += mu
+    assert {tuple(lift.lower(v, n - 1) for v in c): mu for c, mu in classes.items()} == oracle
+    for c, mu in classes.items():
+        perms = len(set(itertools.permutations(c)))
+        assert _perms(c) == perms
+        # the row swap gives every permutation of a class one multiplicity
+        assert n == 2 or mu % perms == 0
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        make_ground_set([-1, 0, 2, 3], QQ),
+        make_ground_set([Fraction(1, 2), 1, 3], QQ),
+        make_ground_set([0, 1, 3, 5], F7),
+        make_ground_set([1, 2, 4], FieldSpec.prime(5)),
+    ],
+)
+def test_dyadic_pyramid_and_energy_match_binned_tally(X):
+    mults = list(_cofactor_tally(X, 3).values())
+    by_class = Counter()
+    for mu in mults:
+        w = 1
+        while 2 * w <= mu:
+            w *= 2
+        by_class[w] += 1
+    pyramid = dyadic_pyramid(X)
+    assert pyramid.classes == tuple(sorted(by_class.items()))
+    assert pyramid.total_mass == sum(mults) == len(X) ** 6
+    assert pyramid.max_weighted == max(w * w * c for w, c in by_class.items())
+    assert energy_Estar_mu(X) == sum(mu * mu for mu in mults)
 
 
 def test_scaling_covariance():
@@ -261,7 +342,8 @@ def test_budget_refusal():
 
 
 def test_budget_covers_solve_phase():
-    # 4^6 = 4096 blocks fit the budget, but the pivot solves behind them do not
+    # the class walk's 20 sorted first rows and 20 * 4^3 wedge steps (1300)
+    # fit the budget, but the kernel and fold steps behind them do not
     X = make_ground_set(range(1, 5), QQ)
     with pytest.raises(BudgetExceededError):
         count_det_rowblock(X, 3, 0, budget=4096)
@@ -270,21 +352,47 @@ def test_budget_covers_solve_phase():
 
 
 def test_rowblock_budget_is_charged_per_sorted_key_class():
-    # interval 4, n = 3: 4^6 = 4096 blocks and 447 sorted-key classes with
-    # 152 distinct prefixes (a, b) and 15 distinct (a). The count builds the
-    # 15 distributions of a*x from the root's one entry (4 * 15 steps), the
-    # 152 distributions of a*x + b*y from theirs (2432 steps), then does 4
-    # lookups per class (1788). The spectrum shifts 4 * 447 leaf entries,
-    # then 4 * 1394 entries of the 152 prefix dicts and 4 * 821 of the 15.
+    # interval 4, n = 3: the class walk takes C(6, 3) = 20 sorted first rows
+    # and wedges each with the 4^3 second rows (20 + 1280 steps), giving 447
+    # sorted-key classes with 152 distinct prefixes (a, b) and 15 distinct
+    # (a). The count builds the 15 distributions of a*x from the root's one
+    # entry (4 * 15 steps), the 152 distributions of a*x + b*y from theirs
+    # (2432 steps), then does 4 lookups per class (1788). The spectrum shifts
+    # 4 * 447 leaf entries, then 4 * 1394 entries of the 152 prefix dicts and
+    # 4 * 821 of the 15.
     X = make_ground_set(range(1, 5), QQ)
-    count = count_det_rowblock(X, 3, 0, budget=8_376)
-    spec = det_spectrum(X, 3, "rowblock", budget=14_744)
+    count = count_det_rowblock(X, 3, 0, budget=5_580)
+    spec = det_spectrum(X, 3, "rowblock", budget=11_948)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=8_375)
+        count_det_rowblock(X, 3, 0, budget=5_579)
     with pytest.raises(BudgetExceededError):
-        det_spectrum(X, 3, "rowblock", budget=14_743)
+        det_spectrum(X, 3, "rowblock", budget=11_947)
+
+
+def test_class_walk_charges_each_wedge_level():
+    # interval 3, n = 4: C(6, 4) = 15 sorted first rows, one wedge step per
+    # first row and second row (15 * 3^4), then one per distinct level-2
+    # Pluecker vector and third row: 1024 * 3^4
+    X = make_ground_set(range(1, 4), QQ)
+    steps = 15 + 15 * 81 + 1024 * 81
+    assert _class_table(X, 4, None, "test")[3] == steps
+    mm = minor_multiplicity_map(X, 4, budget=steps)
+    assert mm.total_mass() == 3**12
+    with pytest.raises(BudgetExceededError):
+        minor_multiplicity_map(X, 4, budget=steps - 1)
+    # the first wedge level is refused before it runs
+    with pytest.raises(BudgetExceededError):
+        minor_multiplicity_map(X, 4, budget=15 + 15 * 81 - 1)
+
+
+def test_n4_interval_3_count():
+    # 7,382,001 is "D4 interval 3 d=0" in perfbench/references.json, where
+    # the brute oracle confirmed it
+    X = make_ground_set(range(1, 4), QQ)
+    assert count_det_rowblock(X, 4, 0) == 7_382_001
+    assert det_spectrum(X, 4, "rowblock").get(0) == 7_382_001
 
 
 def test_parallel_counts_match_serial(monkeypatch):
