@@ -4,8 +4,9 @@ Counts are plain Python ints (arbitrary precision). Two independent routes are
 always available: full enumeration with a definition-level determinant (the
 master oracle), and a first-row cofactor engine that tallies the signed
 cofactor vector of the bottom (n-1) x n block by sorted-key class (vectors
-that are permutations of each other share a class) and counts the first rows
-per class by a fold over the trie of class keys.
+that are permutations of each other share a class), pairs each class with
+its negation, and counts the first rows per pair by a fold over the trie of
+pair keys.
 
 Each enumeration is one walk over itertools.product. Only the brute oracle
 shards its walk, in `_brute_histogram`: `_brute_walk` restricts the leading
@@ -25,28 +26,31 @@ n = 2 `minor_multiplicity_map` tallies the |X|^2 vectors (b, -a) directly.
 
 The one cofactor walk is `_class_table`: on the set lifted to plain ints by
 `scalars.int_lift` (L*X over Q, residues over F_p) it tallies the signed
-cofactor vectors by sorted-key class, with the zero vector apart. The
-rowblock count maps its target into the lifted problem (L^n d, or the
-residue of d) and counts in ints; the rowblock spectrum builds an int
-histogram and lowers each distinct value to a field scalar at the end. At
-n >= 3 the p(c) permutations of a class c share its multiplicity mu_c
-(`_perms` counts them): `energy.energy_Estar_mu` and `energy.dyadic_pyramid`
-read the classes as they are, and `minor_multiplicity_map` and
-`incidence.planes_from_minors` expand them (`_expand_classes`); only
-`minor_multiplicity_map` lowers its keys to field scalars.
+cofactor vectors by sorted-key class, with the zero vector apart. A row
+swap negates a determinant, so the class of -m (`_mirror`) has the
+multiplicity of the class of m, and the walk returns one key per +- pair of
+classes with the pair's mass. The rowblock count maps its target into the
+lifted problem (L^n d, or the residue of d) and counts in ints; the rowblock
+spectrum builds an int histogram, mirrors it and lowers each distinct value
+to a field scalar at the end. At n >= 3 the p(c) permutations of a class c
+share its multiplicity mu_c (`_perms` counts them): `energy.energy_Estar_mu`
+and `energy.dyadic_pyramid` read the pairs as they are, and
+`minor_multiplicity_map` and `incidence.planes_from_minors` expand them;
+only `minor_multiplicity_map` lowers its keys to field scalars.
 
 Every linear-form count in the package goes through one kernel:
 `_count_forms` sums w * #{r in X^k : <c, r> = t} over forms (c, t, w). It
 sorts each c, groups the forms by the prefix q = c[:-1], builds the
 distribution of <q, r> over r in X^len(q) once per distinct prefix from that
 of q[:-1] shifted by q[-1]*y for each y in X (`_shift_add`), and does |X|
-lookups per form. Its callers are `count_det_rowblock` (one form per
-sorted-key class, on lifted ints), `MinorPlanes.det_count_via_incidences`
-and the curve half of `incidence.curve_incidences_n3` (lifted ints, with the
-modulus over F_p), and `energy.count_bilinear` (field scalars). The
-rowblock spectrum folds the weighted classes over the same prefix trie, from
-the leaves up to the root (). The oracles those routes are checked against
-use neither the kernel, the prefix fold, the class walk nor the lift:
+lookups per form. Its callers are `count_det_rowblock` (one form per pair
+key at d = 0 and two, at d and -d, otherwise, on lifted ints),
+`MinorPlanes.det_count_via_incidences` and the curve half of
+`incidence.curve_incidences_n3` (lifted ints, with the modulus over F_p),
+and `energy.count_bilinear` (field scalars). The rowblock spectrum folds the
+weighted pair keys over the same prefix trie, from the leaves up to the root
+(). The oracles those routes are checked against use neither the kernel,
+the prefix fold, the class walk nor the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
@@ -246,7 +250,7 @@ def count_det_brute(X: GroundSet, n: int, d, *, budget: int | None = None, threa
 
 
 # ---------------------------------------------------------------------------
-# signed cofactor vector multiplicities, by sorted-key class
+# signed cofactor vector multiplicities, by +- pair of sorted-key classes
 
 
 def _perms(key) -> int:
@@ -259,16 +263,28 @@ def _perms(key) -> int:
     return count
 
 
+def _mirror(key, p: int | None) -> tuple:
+    """Sorted key of -c for the sorted key c (negated residues over F_p)."""
+    return tuple(sorted([-x % p for x in key])) if p else tuple([-x for x in key[::-1]])
+
+
+def _pair_size(key, p: int | None) -> int:
+    """Classes in the +- pair of `key`: 1 if it is its own mirror, else 2."""
+    return 1 if _mirror(key, p) == key else 2
+
+
 def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
-    """Sorted-key classes of the lifted set's cofactor table, the zero count,
-    the lift and the steps charged. A column permutation s maps the cofactor
+    """+- pairs of the lifted set's cofactor classes, the zero count, the
+    lift and the steps charged. A column permutation s maps the cofactor
     vector m to sgn(s)*s(m), so only sorted first rows y are walked, weighted
     by `_perms(y)`. Each further row u adds a level of minors, which Laplace
     expansion along u makes linear forms in u; the last level emits the
-    signed cofactors sorted (reduced mod p first over F_p). An odd s moves m
-    into the class of -m, which has the same multiplicity, so each class gets
-    half its pair's sum. The budget is charged C(|X| + n - 1, n) first rows,
-    then |level| * |X|^n before each level."""
+    signed cofactors sorted (reduced mod p first over F_p), one tally per
+    weight. A row swap maps m to -m, so a class c and its mirror share a
+    multiplicity mu_c: each tally is folded straight into one key per pair,
+    the smaller of c and `_mirror(c)`, whose value is the pair's mass
+    mu_c + mu_-c (mu_c when c is self-paired). The budget is charged
+    C(|X| + n - 1, n) first rows, then |level| * |X|^n before each level."""
     if n < 2:
         raise PreconditionError("cofactor vectors need dimension >= 2")
     B = len(X)
@@ -277,14 +293,17 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     lift = int_lift(X)
     elems, p = lift.elements, lift.modulus
 
-    def key(v):
-        return tuple(sorted([x % p for x in v] if p else v))
-
-    level = Counter()
+    tallies = {1: Counter()}
     for y in itertools.combinations_with_replacement(elems, n):
         # at n = 2 the cofactor vector of the row (a, b) is (b, -a)
-        level[key((y[1], -y[0])) if n == 2 else y] += _perms(y)
+        v = (y[1], -y[0]) if n == 2 else y
+        tallies[1][tuple(sorted([x % p for x in v] if p else v))] += _perms(y)
     for k in range(1, n - 1):
+        level = Counter()
+        while tallies:
+            w, tally = tallies.popitem()
+            for v, c in tally.items():
+                level[v] += w * c
         spent += len(level) * B**n
         check_budget(spent, budget, what)
         minors = {S: i for i, S in enumerate(itertools.combinations(range(n), k))}
@@ -298,34 +317,34 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
             for i, s in enumerate(S):
                 form[s] = (sign * (-1) ** i, minors[S[:i] + S[i + 1 :]])
             forms.append(form)
-        groups: dict = {}
         for t, w in level.items():
             coords = [map(sum, itertools.product(*[[a * t[i] * x for x in elems] for a, i in f])) for f in forms]
             vectors = zip(*[map(p.__rmod__, c) for c in coords] if p else coords)
-            groups.setdefault(w, Counter()).update(map(tuple, map(sorted, vectors)) if last else vectors)
-        level = Counter()
-        for w, tally in groups.items():
-            for v, c in tally.items():
-                level[v] += w * c
-    zero = level.pop((0,) * n, 0)
-    classes: dict = {}
-    for c, a in level.items():
-        if c not in classes:
-            neg = key([-x for x in c])
-            pair = a + level.get(neg, 0)
-            if pair % 2:
-                raise AssertionError(f"classes {c} and {neg} have an odd total {pair}")
-            classes[c] = classes[neg] = pair // 2
-    return classes, zero, lift, spent
+            tallies.setdefault(w, Counter()).update(map(tuple, map(sorted, vectors)) if last else vectors)
+        del level
+    pairs: dict = {}
+    get = pairs.get
+    while tallies:
+        w, tally = tallies.popitem()
+        # popping frees keys as they fold: interval 16 peaks at 330, not 380 MB
+        while tally:
+            c, a = tally.popitem()
+            c = min(c, _mirror(c, p))
+            pairs[c] = get(c, 0) + w * a
+    zero = pairs.pop((0,) * n, 0)
+    for c, mass in pairs.items():
+        if mass % 2 and _mirror(c, p) != c:
+            raise AssertionError(f"the pair of {c} has an odd mass {mass}")
+    return pairs, zero, lift, spent
 
 
-def _expand_classes(classes: dict) -> dict:
-    """The cofactor table m -> mu of the classes at n >= 3, where the row swap
-    gives all permutations of a class the same multiplicity."""
+def _expand_classes(pairs: dict, p: int | None) -> dict:
+    """The cofactor table m -> mu of the pairs at n >= 3, where the row swap
+    gives all permutations of a class and of its mirror one multiplicity."""
     table: dict = {}
-    for c, mu in classes.items():
-        perms = set(itertools.permutations(c))
-        table.update(dict.fromkeys(perms, mu // len(perms)))
+    for c, mass in pairs.items():
+        perms = {*itertools.permutations(c), *itertools.permutations(_mirror(c, p))}
+        table.update(dict.fromkeys(perms, mass // len(perms)))
     return table
 
 
@@ -333,7 +352,7 @@ def minor_multiplicity_map(
     X: GroundSet, n: int, *, budget: int | None = None, threads: int = 1
 ) -> MinorMultiplicityMap:
     """Cofactor table of X keyed by canonical field scalars: at n >= 3 the
-    classes of `_class_table` expanded into their vectors and lowered once
+    pairs of `_class_table` expanded into their vectors and lowered once
     per distinct key (an integral rational set's ints are kept); at n = 2,
     which has no row swap, the vectors (b, -a) of the |X|^2 rows (a, b).
     Walked in-process; `threads` is accepted and unused."""
@@ -342,8 +361,8 @@ def minor_multiplicity_map(
         table = Counter((b, -a) for a, b in itertools.product(X.elements, repeat=2))
         z = X.field.zero()
         return MinorMultiplicityMap(n, X, table, table.pop((z, z), 0))
-    classes, zero, lift, _ = _class_table(X, n, budget, "minor_multiplicity_map")
-    table = _expand_classes(classes)
+    pairs, zero, lift, _ = _class_table(X, n, budget, "minor_multiplicity_map")
+    table = _expand_classes(pairs, lift.modulus)
     if not lift.is_identity:
         table = {tuple(lift.lower(c, n - 1) for c in m): mu for m, mu in table.items()}
     return MinorMultiplicityMap(n, X, table, zero)
@@ -357,20 +376,22 @@ def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, via cofactor-vector multiplicities, all
-    in ints: each sorted-key class m of multiplicity mu is the form
-    (m, target, mu) of the linear-form kernel `_count_forms`, which charges
-    the budget on top of the table's blocks. At n = 2 the count is the
-    product correlation `count_det_conv_n2`. The table is walked in-process;
+    in ints: as <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the
+    form (m, 0, w) of the linear-form kernel `_count_forms` at target 0, and
+    (m, t, w) and (m, -t, w), halved, at t != 0. The kernel charges the
+    budget on top of the table's blocks. At n = 2 the count is the product
+    correlation `count_det_conv_n2`. The table is walked in-process;
     `threads` is the registry's signature."""
     if n == 2:
         return count_det_conv_n2(X, d, budget=budget)
     what = "count_det_rowblock"
-    classes, zero, lift, spent = _class_table(X, n, budget, what)
+    pairs, zero, lift, spent = _class_table(X, n, budget, what)
     target = lift.target(d, n)
     if target is None:
         return 0
-    forms = ((m, target, mu) for m, mu in classes.items())
-    total = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent)
+    targets = (target, -target) if target else (0,)
+    forms = ((m, t, w) for m, w in pairs.items() for t in targets)
+    total = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent) // len(targets)
     return total + (zero * len(X) ** n if not target else 0)
 
 
@@ -412,21 +433,22 @@ def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -
 
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
-    """Int histogram of <m, r> over r in X^n, summed over the sorted-key
-    classes m with their multiplicities, by a fold over the trie of class
-    keys. Each class starts as the dict {0: mu}; at every level each node
-    (..., c) shift-adds its dict by c*x for x in X into its parent's dict,
-    until the root () holds the histogram; over F_p every sum is reduced mod
-    p, which keeps each dict within p entries (at |X| = 6 over F_101 the
-    fold without it took 1.7 to 2.8 times as long). Before a level runs, the
-    budget is charged |X| per entry of the dicts it will shift (|X| per
-    class at the leaf level). At the end each int is lowered to its field
-    scalar, one to one: k / L^n over Q, a residue over F_p."""
+    """Int histogram of <m, r> over r in X^n, summed over the cofactor
+    classes m with their multiplicities, by a fold over the trie of pair
+    keys. Each starts as the dict {0: mass}; at every level each node (..., c)
+    shift-adds its dict by c*x for x in X into its parent's dict, until the
+    root () holds the histogram h; over F_p every sum is reduced mod p, which
+    keeps each dict within p entries (at |X| = 6 over F_101 the fold without
+    it took 1.7 to 2.8 times as long). Before a level runs, the budget is
+    charged |X| per entry of the dicts it will shift (|X| per pair key at the
+    leaf level). A class and its mirror give v and -v the same counts, so the
+    histogram is (h(v) + h(-v)) / 2 (-v mod p over F_p), each int lowered to
+    its field scalar, one to one: k / L^n over Q, a residue over F_p."""
     what = "det_spectrum[rowblock]"
     B = len(X)
-    classes, zero, lift, spent = _class_table(X, n, budget, what)
+    pairs, zero, lift, spent = _class_table(X, n, budget, what)
     elems, p = lift.elements, lift.modulus
-    nodes = {m: {0: mu} for m, mu in classes.items()}
+    nodes = {m: {0: w} for m, w in pairs.items()}
     for _ in range(n):
         spent += B * sum(map(len, nodes.values()))
         check_budget(spent, budget, what)
@@ -434,12 +456,11 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
         for q, dist in nodes.items():
             _shift_add(parents.setdefault(q[:-1], {}), dist, [q[-1] * x for x in elems], p)
         nodes = parents
-    hist = nodes.get((), {})
-    if zero:
-        hist[0] = hist.get(0, 0) + zero * B**n
-    if lift.is_identity:
-        return hist
-    return {lift.lower(k, n): v for k, v in hist.items()}
+    hist = {0: 2 * zero * B**n} if zero else {}
+    for v, c in nodes.get((), {}).items():
+        for u in (v, -v % p if p else -v):
+            hist[u] = hist.get(u, 0) + c
+    return {k if lift.is_identity else lift.lower(k, n): v // 2 for k, v in hist.items()}
 
 
 # Spectrum engines by name, each called as f(X, n, *, budget, threads) and

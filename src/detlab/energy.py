@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _class_table, _count_forms, _pair_products, _perms
+from .detcount import _class_table, _count_forms, _pair_products, _pair_size, _perms
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -183,10 +183,12 @@ def count_bilinear_brute(
 def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> int:
     """Solution count of the simultaneous equality of the two signed cofactor
     triples over X^12, computed as the sum of squared triple multiplicities
-    (the all-zero triple included): mu_c^2 / p(c) per sorted-key class c.
-    Walked in-process; `threads` is accepted and unused."""
-    classes, zero, _, _ = _class_table(X, 3, budget, "energy_Estar_mu")
-    return sum(mu * mu // _perms(c) for c, mu in classes.items()) + zero * zero
+    (the all-zero triple included): w^2 / k per pair of mass w spread over
+    k = pair size * p(c) triples. Walked in-process; `threads` is accepted
+    and unused."""
+    pairs, zero, lift, _ = _class_table(X, 3, budget, "energy_Estar_mu")
+    sizes = ((w, _pair_size(c, lift.modulus) * _perms(c)) for c, w in pairs.items())
+    return sum(w * w // k for w, k in sizes) + zero * zero
 
 
 def energy_Estar_brute(X: GroundSet, *, budget: int | None = None) -> int:
@@ -216,10 +218,10 @@ class DyadicPyramid:
 
 
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:
-    """Dyadic census of the cofactor table, whose sorted-key class c holds
-    p(c) triples of multiplicity mu_c / p(c) (walked in-process)."""
-    table, zero, _, _ = _class_table(X, 3, budget, "dyadic_pyramid")
-    mults = [(mu // p, p) for c, mu in table.items() for p in (_perms(c),)]
+    """Dyadic census of the cofactor table, whose pair c of mass w holds
+    k = pair size * p(c) triples of multiplicity w / k (walked in-process)."""
+    pairs, zero, lift, _ = _class_table(X, 3, budget, "dyadic_pyramid")
+    mults = [(w // k, k) for c, w in pairs.items() for k in (_pair_size(c, lift.modulus) * _perms(c),)]
     if zero:
         mults.append((zero, 1))
     by_class: dict = {}

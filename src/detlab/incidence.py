@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import PreconditionError, check_budget
-from .detcount import _class_table, _count_forms, _expand_classes
+from .detcount import _class_table, _count_forms, _mirror
 from .matrices import _rank_rows
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -355,17 +355,24 @@ def planes_from_minors(
     weighted by triple multiplicity; the zero triple is reported separately.
     For d != 0 distinct triples give distinct planes; for d = 0 projectively
     equal triples merge and their weights add. Planes are keyed on the
-    lifted int triples, expanded from their sorted-key classes: over Q a
-    lifted triple is L^2 m, and <m, x> = d is <L^2 m, x> = L^2 d; over F_p
-    the triples are residues. The table is walked in-process; `threads` is
-    accepted and unused."""
-    classes, zero, lift, _ = _class_table(X, 3, budget, "planes_from_minors")
+    lifted int triples of the +- pairs of `_class_table`: over Q a lifted
+    triple is L^2 m, and <m, x> = d is <L^2 m, x> = L^2 d; over F_p the
+    triples are residues, each normalized. Over Q a pair takes one gcd: its
+    key's normal form (a, b) reduces its triples to the permutations of a
+    and -a, each t with a positive lead giving the planes (t, b) and, from
+    -t, (t, -b). Walked in-process; `threads` is accepted and unused."""
+    pairs, zero, lift, _ = _class_table(X, 3, budget, "planes_from_minors")
     d_s = X.field.coerce(d)
-    offset = d_s.residue if lift.modulus else X.field.coerce(d_s * lift.scale**2)
+    p = lift.modulus
+    offset = d_s.residue if p else X.field.coerce(d_s * lift.scale**2)
     merged: dict = {}
-    for m, mu in _expand_classes(classes).items():
-        key = normalize_plane(m, offset, X.field)
-        merged[key] = merged.get(key, 0) + mu
+    for c, w in pairs.items():
+        a, b = (c, offset) if p else normalize_plane(c, offset, X.field)
+        triples = {*itertools.permutations(a), *itertools.permutations(_mirror(a, p))}
+        for t in triples:
+            if p or t > (0, 0, 0):
+                for key in [normalize_plane(t, b, X.field)] if p else [(t, b), (t, -b)]:
+                    merged[key] = merged.get(key, 0) + w // len(triples)
     family = HyperplaneFamily(3, tuple(merged))
     return MinorPlanes(X, d_s, family, tuple(merged.values()), zero)
 

@@ -12,6 +12,8 @@ from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.detcount import (
     _class_table,
     _count_forms,
+    _mirror,
+    _pair_size,
     _perms,
     count_decomposition,
     count_det_brute,
@@ -269,21 +271,73 @@ def _class_cases(draw):
 @example((make_ground_set([1, 2], FieldSpec.prime(3)), 4))
 @settings(max_examples=40)
 def test_class_table_matches_sorted_tally(case):
-    # the symmetrized walk over sorted first rows against every block's
-    # cofactor vector, sorted; {1, 2} over F_3 has cofactors 3 = 0 mod 3
+    # the paired walk over sorted first rows against every block's cofactor
+    # vector, keyed by the smaller of its sorted form and that of its
+    # negation; {1, 2} over F_3 has cofactors 3 = 0 mod 3
     X, n = case
-    classes, zero, lift, _ = _class_table(X, n, None, "test")
+    pairs, zero, lift, _ = _class_table(X, n, None, "test")
     direct = _cofactor_tally(X, n)
+    by_class = Counter()
+    for m, mu in direct.items():
+        by_class[tuple(sorted(m))] += mu
+    for c, mu in by_class.items():
+        assert by_class[tuple(sorted(-x for x in c))] == mu
+    if n > 2:
+        # the row swap maps each vector to its negation
+        assert all(direct[tuple(-x for x in m)] == mu for m, mu in direct.items())
     assert zero == direct.pop((X.field.zero(),) * n, 0)
     oracle = Counter()
     for m, mu in direct.items():
-        oracle[tuple(sorted(m))] += mu
-    assert {tuple(lift.lower(v, n - 1) for v in c): mu for c, mu in classes.items()} == oracle
-    for c, mu in classes.items():
+        oracle[min(tuple(sorted(m)), tuple(sorted(-x for x in m)))] += mu
+    assert {tuple(lift.lower(v, n - 1) for v in c): w for c, w in pairs.items()} == oracle
+    for c, w in pairs.items():
         perms = len(set(itertools.permutations(c)))
         assert _perms(c) == perms
-        # the row swap gives every permutation of a class one multiplicity
-        assert n == 2 or mu % perms == 0
+        assert c <= _mirror(c, lift.modulus)
+        # the row swap gives every permutation of both classes one multiplicity
+        assert n == 2 or w % (perms * _pair_size(c, lift.modulus)) == 0
+
+
+def test_pair_size_over_q_and_fp():
+    assert _mirror((-3, 1, 2), None) == (-2, -1, 3)
+    assert _pair_size((-3, 1, 2), None) == 2
+    assert _pair_size((-2, 0, 2), None) == 1
+    assert _pair_size((-1, -1, 1, 1), None) == 1
+    assert _pair_size((-1, 1, 1), None) == 2
+    # over F_5, -(0, 1, 4) is (0, 4, 1): self-paired with c[0] + c[-1] != 0
+    assert _mirror((0, 1, 4), 5) == (0, 1, 4)
+    assert _pair_size((0, 1, 4), 5) == 1
+    assert _mirror((0, 1, 2), 5) == (0, 3, 4)
+    assert _pair_size((0, 1, 2), 5) == 2
+    assert _pair_size((0, 0), 7) == 1
+    # over F_2 every residue is its own negation
+    assert _pair_size((0, 1, 1), 2) == 1
+
+
+# sets symmetric about 0, where self-paired classes such as (-1, 0, 1)
+# abound, and F_5 sets whose classes include self-paired keys like (0, 1, 4)
+_symmetric_sets = st.integers(1, 2).map(lambda k: make_ground_set(range(-k, k + 1), QQ))
+_paired_sets = st.one_of(
+    _symmetric_sets,
+    int_ground_sets(max_size=3, lo=-3, hi=3),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True).map(
+        lambda vals: make_ground_set(vals, FieldSpec.prime(5))
+    ),
+)
+
+
+@given(_paired_sets, st.integers(-4, 4))
+@example(make_ground_set(range(-2, 3), QQ), 1)
+@example(make_ground_set([0, 1, 4], FieldSpec.prime(5)), 2)
+@example(make_ground_set([1, 4], FieldSpec.prime(5)), 1)
+@settings(max_examples=25)
+def test_paired_rowblock_matches_brute(X, d):
+    # one form per pair at d = 0, the forms at d and -d halved otherwise,
+    # and the mirrored fold, against the brute spectrum at n = 3
+    sb = det_spectrum(X, 3, "brute")
+    assert det_spectrum(X, 3, "rowblock").entries == sb.entries
+    for t in (d, -d, 0):
+        assert count_det_rowblock(X, 3, t) == sb.get(t)
 
 
 @pytest.mark.parametrize(
@@ -353,22 +407,22 @@ def test_budget_covers_solve_phase():
 
 def test_rowblock_budget_is_charged_per_sorted_key_class():
     # interval 4, n = 3: the class walk takes C(6, 3) = 20 sorted first rows
-    # and wedges each with the 4^3 second rows (20 + 1280 steps), giving 447
-    # sorted-key classes with 152 distinct prefixes (a, b) and 15 distinct
-    # (a). The count builds the 15 distributions of a*x from the root's one
-    # entry (4 * 15 steps), the 152 distributions of a*x + b*y from theirs
-    # (2432 steps), then does 4 lookups per class (1788). The spectrum shifts
-    # 4 * 447 leaf entries, then 4 * 1394 entries of the 152 prefix dicts and
-    # 4 * 821 of the 15.
+    # and wedges each with the 4^3 second rows (20 + 1280 steps), giving 231
+    # pair keys of sorted-key classes with 120 distinct prefixes (a, b) and
+    # 15 distinct (a). The count at d = 0 builds the 15 distributions of a*x
+    # from the root's one entry (4 * 15 steps), the 120 distributions of
+    # a*x + b*y from theirs (4 * 4 * 120 = 1920 steps), then does 4 lookups
+    # per pair key (924). The spectrum shifts 4 * 231 leaf entries, then
+    # 4 * 787 entries of the 120 prefix dicts and 4 * 594 of the 15.
     X = make_ground_set(range(1, 5), QQ)
-    count = count_det_rowblock(X, 3, 0, budget=5_580)
-    spec = det_spectrum(X, 3, "rowblock", budget=11_948)
+    count = count_det_rowblock(X, 3, 0, budget=4_204)
+    spec = det_spectrum(X, 3, "rowblock", budget=7_748)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=5_579)
+        count_det_rowblock(X, 3, 0, budget=4_203)
     with pytest.raises(BudgetExceededError):
-        det_spectrum(X, 3, "rowblock", budget=11_947)
+        det_spectrum(X, 3, "rowblock", budget=7_747)
 
 
 def test_class_walk_charges_each_wedge_level():

@@ -27,7 +27,7 @@ from detlab.incidence import (
 )
 from detlab.scalars import make_ground_set
 
-from conftest import QQ, F7
+from conftest import QQ, F7, fraction_ground_sets, int_ground_sets
 
 X01 = make_ground_set([0, 1], QQ)
 X12 = make_ground_set([1, 2], QQ)
@@ -348,6 +348,36 @@ def test_planes_from_minors_projective_merge_at_zero():
     mp1 = planes_from_minors(X012, 1)
     assert len(mp0.family) < len(mp1.family)
     assert mp0.det_count_via_incidences() == count_det_brute(X012, 3, 0)
+
+
+def _minor_triples(X) -> dict:
+    """Oracle: the signed cofactor triple of every 2 x 3 block over X."""
+    tally: dict = {}
+    for y1, y2, y3, z1, z2, z3 in itertools.product(X.elements, repeat=6):
+        m = (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
+        tally[m] = tally.get(m, 0) + 1
+    return tally
+
+
+@given(
+    st.one_of(int_ground_sets(max_size=3, lo=-3, hi=4), fraction_ground_sets(max_size=3)),
+    st.sampled_from([0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3)]),
+)
+@example(make_ground_set(range(-1, 2), QQ), 1)
+@example(HALVES, Fraction(1, 2))
+@settings(max_examples=30)
+def test_minor_planes_are_normal_forms_of_every_triple(X, d):
+    # each pair of classes takes one gcd over Q; every plane must be its own
+    # normal form, and the family the normalized triples with their weights
+    mp = planes_from_minors(X, d)
+    expected: dict = {}
+    for m, mu in _minor_triples(X).items():
+        if any(m):
+            plane = normalize_plane(m, d, QQ)
+            expected[plane] = expected.get(plane, 0) + mu
+    assert dict(zip(mp.family.planes, mp.weights)) == expected
+    for coeffs, offset in mp.family:
+        assert normalize_plane(coeffs, offset, QQ) == (coeffs, offset)
 
 
 def test_planes_from_minors_spectrum_sweep():
