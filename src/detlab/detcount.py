@@ -26,15 +26,19 @@ n = 2 `minor_multiplicity_map` tallies the |X|^2 vectors (b, -a) directly.
 
 The one cofactor walk is `_class_table`: on the set lifted to plain ints by
 `scalars.int_lift` (L*X over Q, residues over F_p) it tallies the signed
-cofactor vectors by sorted-key class, with the zero vector apart. A row
-swap negates a determinant, so the class of -m (`_mirror`) has the
-multiplicity of the class of m, and the walk returns one key per +- pair of
-classes with the pair's mass. The rowblock count maps its target into the
-lifted problem (L^n d, or the residue of d) and counts in ints; the rowblock
-spectrum builds an int histogram, mirrors it and lowers each distinct value
-to a field scalar at the end. At n >= 3 the p(c) permutations of a class c
-share its multiplicity mu_c (`_perms` counts them): `energy.energy_Estar_mu`
-and `energy.dyadic_pyramid` read the pairs as they are, and
+cofactor vectors by sorted-key class, with the zero vector apart. Permuting
+columns permutes the cofactor vector up to sign, so it walks one top block
+per multiset of columns: at n >= 3 the first two rows, as multisets of n of
+the |X|^2 columns in X^2, their 2-minors read from a table of the 2 x 2
+determinants of column pairs built once. A row swap negates a determinant,
+so the class of -m (`_mirror`) has the multiplicity of the class of m, and
+the walk returns one key per +- pair of classes with the pair's mass. The
+rowblock count maps its target into the lifted problem (L^n d, or the
+residue of d) and counts in ints; the rowblock spectrum builds an int
+histogram, mirrors it and lowers each distinct value to a field scalar at
+the end. At n >= 3 the p(c) permutations of a class c share its multiplicity
+mu_c (`_perms` counts them): `energy.energy_Estar_mu` and
+`energy.dyadic_pyramid` read the pairs as they are, and
 `minor_multiplicity_map` and `incidence.planes_from_minors` expand them;
 only `minor_multiplicity_map` lowers its keys to field scalars.
 
@@ -64,6 +68,7 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import PreconditionError, check_budget
 from .matrices import Matrix, _det_rows, _rank_rows
@@ -276,29 +281,63 @@ def _pair_size(key, p: int | None) -> int:
 def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     """+- pairs of the lifted set's cofactor classes, the zero count, the
     lift and the steps charged. A column permutation s maps the cofactor
-    vector m to sgn(s)*s(m), so only sorted first rows y are walked, weighted
-    by `_perms(y)`. Each further row u adds a level of minors, which Laplace
-    expansion along u makes linear forms in u; the last level emits the
-    signed cofactors sorted (reduced mod p first over F_p), one tally per
-    weight. A row swap maps m to -m, so a class c and its mirror share a
-    multiplicity mu_c: each tally is folded straight into one key per pair,
-    the smaller of c and `_mirror(c)`, whose value is the pair's mass
+    vector m to sgn(s)*s(m), so the walk takes one top block per column
+    multiset, weighted by its distinct orderings (`_perms`). At n = 2 the
+    top block is the first row alone. At n >= 3 it is the first two rows:
+    its columns are index multisets i_0 <= ... <= i_{n-1} over the |X|^2
+    lifted columns in X^2, and its 2-minors are read from the table
+    D[i][j] = det(col_i, col_j) (mod p over F_p), built once, the last index
+    running in bulk over row slices of D. At n = 3 these are the signed
+    cofactors (D[j][k], -D[i][k], D[i][j]); at n >= 4 they are the level-2
+    Pluecker vectors, and each further row u adds a level of minors, which
+    Laplace expansion along u makes linear forms in u. The last level emits
+    the signed cofactors sorted (reduced mod p first over F_p), one tally
+    per weight. A row swap maps m to -m, so a class c and its mirror share
+    a multiplicity mu_c: each tally is folded straight into one key per
+    pair, the smaller of c and `_mirror(c)`, whose value is the pair's mass
     mu_c + mu_-c (mu_c when c is self-paired). The budget is charged
-    C(|X| + n - 1, n) first rows, then |level| * |X|^n before each level."""
+    C(|X| + n - 1, n) first rows at n = 2, or C(|X|^2 + n - 1, n) top
+    blocks at n >= 3, then |level| * |X|^n before each further level."""
     if n < 2:
         raise PreconditionError("cofactor vectors need dimension >= 2")
     B = len(X)
-    spent = math.comb(B + n - 1, n)
+    spent = math.comb((B if n == 2 else B * B) + n - 1, n)
     check_budget(spent, budget, what)
     lift = int_lift(X)
     elems, p = lift.elements, lift.modulus
 
-    tallies = {1: Counter()}
-    for y in itertools.combinations_with_replacement(elems, n):
-        # at n = 2 the cofactor vector of the row (a, b) is (b, -a)
-        v = (y[1], -y[0]) if n == 2 else y
-        tallies[1][tuple(sorted([x % p for x in v] if p else v))] += _perms(y)
-    for k in range(1, n - 1):
+    tallies: dict = {}
+    if n == 2:
+        tally = tallies[1] = Counter()
+        for y in itertools.combinations_with_replacement(elems, 2):
+            # the cofactor vector of the row (a, b) is (b, -a)
+            v = (y[1], -y[0])
+            tally[tuple(sorted([x % p for x in v] if p else v))] += _perms(y)
+    else:
+        cols = list(itertools.product(elems, repeat=2))
+        D = [[y * v - u * x for x, v in cols] for y, u in cols]
+        if p:
+            D = [[x % p for x in row] for row in D]
+        # D is antisymmetric, so the rows of its transpose N are rows of -D
+        N = [list(col) for col in zip(*D)]
+        # minor (a, b) of the top block is D[i_a][i_b]; at n = 3 the middle
+        # cofactor is -D[i_0][i_2]; the last index runs over a row slice
+        sources = [(a, b, N if (n, a, b) == (3, 0, 2) else D) for a, b in itertools.combinations(range(n), 2)]
+        for idx in itertools.combinations_with_replacement(range(B * B), n - 1):
+            j = idx[-1]
+            vectors = zip(
+                *[T[idx[a]][j:] if b == n - 1 else itertools.repeat(T[idx[a]][idx[b]]) for a, b, T in sources]
+            )
+            if n == 3:
+                vectors = map(tuple, map(sorted, vectors))
+            # a last index above j starts a run of its own, with n times the
+            # orderings of idx; the first, equal to j, extends j's run of r
+            # to r + 1, which divides that by r + 1
+            w = _perms(idx) * n
+            tally = tallies.setdefault(w // (idx.count(j) + 1), Counter())
+            tally[next(vectors)] += 1
+            tallies.setdefault(w, Counter()).update(vectors)
+    for k in range(2, n - 1):
         level = Counter()
         while tallies:
             w, tally = tallies.popitem()
@@ -326,10 +365,12 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     get = pairs.get
     while tallies:
         w, tally = tallies.popitem()
-        # popping frees keys as they fold: interval 16 peaks at 330, not 380 MB
+        # popping frees keys as they fold: interval 16 peaks at 230, not 259 MB
         while tally:
             c, a = tally.popitem()
-            c = min(c, _mirror(c, p))
+            m = _mirror(c, p) if p else tuple(map(neg, c[::-1]))
+            if m < c:
+                c = m
             pairs[c] = get(c, 0) + w * a
     zero = pairs.pop((0,) * n, 0)
     for c, mass in pairs.items():

@@ -41,19 +41,26 @@ def product_distribution(U: GroundSet) -> ValueDistribution:
     return ValueDistribution(_pair_products(U.elements), "pair-product")
 
 
-def _self_convolution(P: dict) -> dict:
-    """t -> sum over t1 + t2 = t of P(t1) * P(t2)."""
+def _convolution(P: dict, Q: dict) -> dict:
+    """t -> sum over t1 + t2 = t of P(t1) * Q(t2)."""
     table: dict = {}
     for t1, c1 in P.items():
-        for t2, c2 in P.items():
+        for t2, c2 in Q.items():
             s = t1 + t2
             table[s] = table.get(s, 0) + c1 * c2
     return table
 
 
+def _cross_terms(P: dict) -> dict:
+    """t -> #{a - b = t} over two independent pair products a and b: the
+    difference-correlation of P with itself."""
+    return _convolution(P, {-t: c for t, c in P.items()})
+
+
 def r_distribution(U: GroundSet) -> ValueDistribution:
     """R(t) = #{u1*v1 + u2*v2 = t}; the sum-convolution of P with itself."""
-    return ValueDistribution(_self_convolution(_pair_products(U.elements)), "paired-product-sum")
+    P = _pair_products(U.elements)
+    return ValueDistribution(_convolution(P, P), "paired-product-sum")
 
 
 def energy_T(U: GroundSet, *, budget: int | None = None) -> int:
@@ -63,7 +70,7 @@ def energy_T(U: GroundSet, *, budget: int | None = None) -> int:
     check_budget(len(U) ** 2, budget, "energy_T")
     P = _pair_products(U.elements)
     check_budget(len(U) ** 2 + len(P) ** 2, budget, "energy_T")
-    return sum(c * c for c in _self_convolution(P).values())
+    return sum(c * c for c in _convolution(P, P).values())
 
 
 def energy_T_brute(U: GroundSet, *, budget: int | None = None) -> int:
@@ -90,19 +97,20 @@ def energy_N_brute(U: GroundSet, *, budget: int | None = None) -> int:
 
 
 def energy_S(U: GroundSet, *, budget: int | None = None) -> int:
-    """Solutions of u1*v3 - u3*v1 = y1*z3 - y3*z1 over U^8, as sum of Q2(t)^2;
-    charged |U|^4 steps."""
-    check_budget(len(U) ** 4, budget, "energy_S")
-    return sum(c * c for c in cross_term_distribution(U).entries.values())
+    """Solutions of u1*v3 - u3*v1 = y1*z3 - y3*z1 over U^8, as sum of Q2(t)^2.
+    u1*v3 and u3*v1 are independent pair products, so Q2 is the
+    difference-correlation of P. The budget is charged |U|^2 for the
+    pair-product table P, then |U|^2 + |P|^2 for the correlation once |P|
+    is known."""
+    check_budget(len(U) ** 2, budget, "energy_S")
+    P = _pair_products(U.elements)
+    check_budget(len(U) ** 2 + len(P) ** 2, budget, "energy_S")
+    return sum(c * c for c in _cross_terms(P).values())
 
 
 def cross_term_distribution(U: GroundSet) -> ValueDistribution:
     """Q2(t) = #{(u1, u3, v1, v3) in U^4 : u1*v3 - u3*v1 = t}; mass |U|^4."""
-    table: dict = {}
-    for u1, u3, v1, v3 in itertools.product(U.elements, repeat=4):
-        t = u1 * v3 - u3 * v1
-        table[t] = table.get(t, 0) + 1
-    return ValueDistribution(table, "two-by-two-cross")
+    return ValueDistribution(_cross_terms(_pair_products(U.elements)), "two-by-two-cross")
 
 
 def energy_S_brute(U: GroundSet, *, budget: int | None = None) -> int:

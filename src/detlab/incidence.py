@@ -357,10 +357,12 @@ def planes_from_minors(
     equal triples merge and their weights add. Planes are keyed on the
     lifted int triples of the +- pairs of `_class_table`: over Q a lifted
     triple is L^2 m, and <m, x> = d is <L^2 m, x> = L^2 d; over F_p the
-    triples are residues, each normalized. Over Q a pair takes one gcd: its
-    key's normal form (a, b) reduces its triples to the permutations of a
-    and -a, each t with a positive lead giving the planes (t, b) and, from
-    -t, (t, -b). Walked in-process; `threads` is accepted and unused."""
+    triples are residues. Over Q a pair takes one gcd: its key's normal form
+    (a, b) reduces its triples to the permutations of a and -a, each t with
+    a positive lead giving the planes (t, b) and, from -t, (t, -b). Over F_p
+    a pair takes one inverse per distinct nonzero entry of its key, and each
+    triple and d are scaled by the inverse of the triple's lead. Walked
+    in-process; `threads` is accepted and unused."""
     pairs, zero, lift, _ = _class_table(X, 3, budget, "planes_from_minors")
     d_s = X.field.coerce(d)
     p = lift.modulus
@@ -369,10 +371,17 @@ def planes_from_minors(
     for c, w in pairs.items():
         a, b = (c, offset) if p else normalize_plane(c, offset, X.field)
         triples = {*itertools.permutations(a), *itertools.permutations(_mirror(a, p))}
-        for t in triples:
-            if p or t > (0, 0, 0):
-                for key in [normalize_plane(t, b, X.field)] if p else [(t, b), (t, -b)]:
-                    merged[key] = merged.get(key, 0) + w // len(triples)
+        if p:
+            # a triple's lead is an entry x of c or its negation, and
+            # 1/(-x) = -(1/x): one inverse per distinct nonzero entry
+            inv = {x: pow(x, -1, p) for x in set(c) - {0}}
+            inv.update({p - x: p - y for x, y in inv.items()})
+            scales = [inv[next(filter(None, t))] for t in triples]
+            keys = [(tuple([v * s % p for v in t]), b * s % p) for t, s in zip(triples, scales)]
+        else:
+            keys = [(t, e) for t in triples if t > (0, 0, 0) for e in (b, -b)]
+        for key in keys:
+            merged[key] = merged.get(key, 0) + w // len(triples)
     family = HyperplaneFamily(3, tuple(merged))
     return MinorPlanes(X, d_s, family, tuple(merged.values()), zero)
 

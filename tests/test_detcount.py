@@ -269,11 +269,15 @@ def _class_cases(draw):
 @given(_class_cases())
 @example((make_ground_set([-1, 0, 2], QQ), 4))
 @example((make_ground_set([1, 2], FieldSpec.prime(3)), 4))
+@example((make_ground_set([-2, 0, 3], QQ), 3))
+@example((make_ground_set([0, 1, 2], FieldSpec.prime(3)), 3))
+@example((make_ground_set([0, 1], FieldSpec.prime(2)), 4))
 @settings(max_examples=40)
 def test_class_table_matches_sorted_tally(case):
-    # the paired walk over sorted first rows against every block's cofactor
-    # vector, keyed by the smaller of its sorted form and that of its
-    # negation; {1, 2} over F_3 has cofactors 3 = 0 mod 3
+    # the paired walk over top-block column multisets against every block's
+    # cofactor vector, keyed by the smaller of its sorted form and that of
+    # its negation; {1, 2} over F_3 has cofactors 3 = 0 mod 3, and with 0
+    # in the set, or all of a prime field, many 2-minors vanish
     X, n = case
     pairs, zero, lift, _ = _class_table(X, n, None, "test")
     direct = _cofactor_tally(X, n)
@@ -396,49 +400,51 @@ def test_budget_refusal():
 
 
 def test_budget_covers_solve_phase():
-    # the class walk's 20 sorted first rows and 20 * 4^3 wedge steps (1300)
-    # fit the budget, but the kernel and fold steps behind them do not
+    # the class walk's C(4^2 + 2, 3) = 816 top blocks fit the budget, but
+    # the kernel (3,720 steps in all) and the fold (7,264) behind them do not
     X = make_ground_set(range(1, 5), QQ)
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=4096)
+        count_det_rowblock(X, 3, 0, budget=2048)
     with pytest.raises(BudgetExceededError):
-        det_spectrum(X, 3, "rowblock", budget=4096)
+        det_spectrum(X, 3, "rowblock", budget=2048)
 
 
 def test_rowblock_budget_is_charged_per_sorted_key_class():
-    # interval 4, n = 3: the class walk takes C(6, 3) = 20 sorted first rows
-    # and wedges each with the 4^3 second rows (20 + 1280 steps), giving 231
+    # interval 4, n = 3: the class walk takes one 2 x 3 top block per
+    # multiset of 3 of the 4^2 columns, C(18, 3) = 816 steps, giving 231
     # pair keys of sorted-key classes with 120 distinct prefixes (a, b) and
     # 15 distinct (a). The count at d = 0 builds the 15 distributions of a*x
     # from the root's one entry (4 * 15 steps), the 120 distributions of
     # a*x + b*y from theirs (4 * 4 * 120 = 1920 steps), then does 4 lookups
-    # per pair key (924). The spectrum shifts 4 * 231 leaf entries, then
-    # 4 * 787 entries of the 120 prefix dicts and 4 * 594 of the 15.
+    # per pair key (924): 816 + 60 + 1920 + 924 = 3720. The spectrum shifts
+    # 4 * 231 leaf entries, then 4 * 787 entries of the 120 prefix dicts and
+    # 4 * 594 of the 15: 816 + 924 + 3148 + 2376 = 7264.
     X = make_ground_set(range(1, 5), QQ)
-    count = count_det_rowblock(X, 3, 0, budget=4_204)
-    spec = det_spectrum(X, 3, "rowblock", budget=7_748)
+    count = count_det_rowblock(X, 3, 0, budget=3_720)
+    spec = det_spectrum(X, 3, "rowblock", budget=7_264)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=4_203)
+        count_det_rowblock(X, 3, 0, budget=3_719)
     with pytest.raises(BudgetExceededError):
-        det_spectrum(X, 3, "rowblock", budget=7_747)
+        det_spectrum(X, 3, "rowblock", budget=7_263)
 
 
 def test_class_walk_charges_each_wedge_level():
-    # interval 3, n = 4: C(6, 4) = 15 sorted first rows, one wedge step per
-    # first row and second row (15 * 3^4), then one per distinct level-2
-    # Pluecker vector and third row: 1024 * 3^4
+    # interval 3, n = 4: one 2 x 4 top block per multiset of 4 of the 3^2
+    # columns, C(12, 4) = 495 steps, whose 2-minors give 406 distinct
+    # level-2 Pluecker vectors; then one wedge step per vector and third
+    # row: 406 * 3^4
     X = make_ground_set(range(1, 4), QQ)
-    steps = 15 + 15 * 81 + 1024 * 81
+    steps = 495 + 406 * 81
     assert _class_table(X, 4, None, "test")[3] == steps
     mm = minor_multiplicity_map(X, 4, budget=steps)
     assert mm.total_mass() == 3**12
     with pytest.raises(BudgetExceededError):
         minor_multiplicity_map(X, 4, budget=steps - 1)
-    # the first wedge level is refused before it runs
+    # the top blocks are refused before they are walked
     with pytest.raises(BudgetExceededError):
-        minor_multiplicity_map(X, 4, budget=15 + 15 * 81 - 1)
+        minor_multiplicity_map(X, 4, budget=494)
 
 
 def test_n4_interval_3_count():

@@ -230,16 +230,17 @@ def test_energy_budget():
 
 
 def test_fast_energies_charge_their_tables():
-    # N walks U^3 and S walks U^4; T builds the pair-product table P from
-    # U^2 and then convolves P with itself
+    # N walks U^3; T and S build the pair-product table P from U^2, then T
+    # convolves P with itself and S correlates P with its negation
     U = gs(list(range(1, 13)))
     P = len(product_distribution(U).entries)
-    for fn, steps in ((energy_N, 12**3), (energy_S, 12**4), (energy_T, 12**2 + P * P)):
+    for fn, steps in ((energy_N, 12**3), (energy_S, 12**2 + P * P), (energy_T, 12**2 + P * P)):
         assert fn(U, budget=steps) == fn(U)
         with pytest.raises(BudgetExceededError):
             fn(U, budget=steps - 1)
-    with pytest.raises(BudgetExceededError):
-        energy_T(U, budget=12**2 - 1)
+    for fn in (energy_T, energy_S):
+        with pytest.raises(BudgetExceededError):
+            fn(U, budget=12**2 - 1)
 
 
 def test_bilinear_budget_is_tally_plus_kernel():

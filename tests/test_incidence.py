@@ -25,7 +25,7 @@ from detlab.incidence import (
     normalize_plane,
     planes_from_minors,
 )
-from detlab.scalars import make_ground_set
+from detlab.scalars import FieldSpec, make_ground_set
 
 from conftest import QQ, F7, fraction_ground_sets, int_ground_sets
 
@@ -35,6 +35,7 @@ X012 = make_ground_set([0, 1, 2], QQ)
 HALVES = make_ground_set([Fraction(1, 2), 1, Fraction(3, 2)], QQ)
 MIXED = make_ground_set([Fraction(1, 2), Fraction(2, 3), 2], QQ)
 Y124 = make_ground_set([1, 2, 4], F7)
+F5 = FieldSpec.prime(5)
 
 
 def fam(raw, field=QQ):
@@ -365,19 +366,24 @@ def _minor_triples(X) -> dict:
 )
 @example(make_ground_set(range(-1, 2), QQ), 1)
 @example(HALVES, Fraction(1, 2))
+@example(make_ground_set(range(5), F5), 0)
+@example(make_ground_set([0, 2, 3], F5), 1)
+@example(make_ground_set([0, 1, 3], F7), 3)
+@example(make_ground_set([0, 3, 5, 6], F7), 0)
 @settings(max_examples=30)
 def test_minor_planes_are_normal_forms_of_every_triple(X, d):
-    # each pair of classes takes one gcd over Q; every plane must be its own
-    # normal form, and the family the normalized triples with their weights
+    # each pair of classes takes one gcd over Q and one inverse per distinct
+    # nonzero entry over F_p; every plane must be its own normal form, and
+    # the family the normalized triples with their weights
     mp = planes_from_minors(X, d)
     expected: dict = {}
     for m, mu in _minor_triples(X).items():
         if any(m):
-            plane = normalize_plane(m, d, QQ)
+            plane = normalize_plane(m, d, X.field)
             expected[plane] = expected.get(plane, 0) + mu
     assert dict(zip(mp.family.planes, mp.weights)) == expected
     for coeffs, offset in mp.family:
-        assert normalize_plane(coeffs, offset, QQ) == (coeffs, offset)
+        assert normalize_plane(coeffs, offset, X.field) == (coeffs, offset)
 
 
 def test_planes_from_minors_spectrum_sweep():
