@@ -33,10 +33,13 @@ the |X|^2 columns in X^2, their 2-minors read from a table of the 2 x 2
 determinants of column pairs built once. A row swap negates a determinant,
 so the class of -m (`_mirror`) has the multiplicity of the class of m, and
 the walk returns one key per +- pair of classes with the pair's mass. The
-rowblock count maps its target into the lifted problem (L^n d, or the
-residue of d) and counts in ints; the rowblock spectrum builds an int
-histogram, mirrors it and lowers each distinct value to a field scalar at
-the end. At n >= 3 the p(c) permutations of a class c share its multiplicity
+swap maps a column (x, y) to (y, x): of a multiset and its swap the walk
+takes the one with more columns x < y than x > y, at twice the weight (a
+tie stands for itself), and at n >= 4 it merges each level vector with its
+negation before the next row. The rowblock count maps its target into the
+lifted problem (L^n d, or the residue of d) and counts in ints; the
+rowblock spectrum builds an int histogram, mirrors it and lowers each
+distinct value to a field scalar at the end. At n >= 3 the p(c) permutations of a class c share its multiplicity
 mu_c (`_perms` counts them): `energy.energy_Estar_mu` and
 `energy.dyadic_pyramid` read the pairs as they are, and
 `minor_multiplicity_map` and `incidence.planes_from_minors` expand them;
@@ -47,13 +50,14 @@ Every linear-form count in the package goes through one kernel:
 sorts each c, groups the forms by the prefix q = c[:-1], builds the
 distribution of <q, r> over r in X^len(q) once per distinct prefix from that
 of q[:-1] shifted by q[-1]*y for each y in X (`_shift_add`), and does |X|
-lookups per form. Its callers are `count_det_rowblock` (one form per pair
-key at d = 0 and two, at d and -d, otherwise, on lifted ints),
+lookups per form. Its callers are `count_det_rowblock` (on lifted ints,
+each pair key over Q divided by the gcd of its entries, as is the target,
+and one form per key at d = 0 and two, at d and -d, otherwise),
 `MinorPlanes.det_count_via_incidences` and the curve half of
 `incidence.curve_incidences_n3` (lifted ints, with the modulus over F_p),
 and `energy.count_bilinear` (field scalars). The rowblock spectrum folds the
-weighted pair keys over the same prefix trie, from the leaves up to the root
-(). The oracles those routes are checked against use neither the kernel,
+weighted pair keys over the same prefix trie, from the leaves up to the
+root. The oracles those routes are checked against use neither the kernel,
 the prefix fold, the class walk nor the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
@@ -287,17 +291,23 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     its columns are index multisets i_0 <= ... <= i_{n-1} over the |X|^2
     lifted columns in X^2, and its 2-minors are read from the table
     D[i][j] = det(col_i, col_j) (mod p over F_p), built once, the last index
-    running in bulk over row slices of D. At n = 3 these are the signed
-    cofactors (D[j][k], -D[i][k], D[i][j]); at n >= 4 they are the level-2
-    Pluecker vectors, and each further row u adds a level of minors, which
-    Laplace expansion along u makes linear forms in u. The last level emits
-    the signed cofactors sorted (reduced mod p first over F_p), one tally
-    per weight. A row swap maps m to -m, so a class c and its mirror share
-    a multiplicity mu_c: each tally is folded straight into one key per
-    pair, the smaller of c and `_mirror(c)`, whose value is the pair's mass
-    mu_c + mu_-c (mu_c when c is self-paired). The budget is charged
-    C(|X| + n - 1, n) first rows at n = 2, or C(|X|^2 + n - 1, n) top
-    blocks at n >= 3, then |level| * |X|^n before each further level."""
+    running in bulk over at most three row slices of D. Swapping the two
+    rows maps m to -m and each column (x, y) to (y, x). The columns are
+    ordered x before y in X, then x = y, then x after y, so the swap
+    exchanges a multiset's counts of first-run and last-run columns: the
+    walk takes a multiset with more in the first run at twice its weight, a
+    tie at its weight, and skips the rest. At n = 3 the 2-minors are the
+    signed cofactors (D[j][k], -D[i][k], D[i][j]); at n >= 4 they are the
+    level-2 Pluecker vectors, and each further row u adds a level of minors,
+    which Laplace expansion along u makes linear forms in u, so each level
+    vector v walks on merged with -v. The last level emits the signed
+    cofactors sorted (reduced mod p first over F_p), one tally per weight.
+    A class c and its mirror share a multiplicity mu_c: each tally is folded,
+    as soon as it is complete, into one key per pair, the smaller of c and
+    `_mirror(c)`, whose value is the pair's mass mu_c + mu_-c (mu_c when c
+    is self-paired). The budget is charged C(|X| + n - 1, n) first rows at
+    n = 2, or C(|X|^2 + n - 1, n) top blocks at n >= 3 (a bound on those
+    walked), then |X|^n per merged level vector before each further level."""
     if n < 2:
         raise PreconditionError("cofactor vectors need dimension >= 2")
     B = len(X)
@@ -314,35 +324,60 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
             v = (y[1], -y[0])
             tally[tuple(sorted([x % p for x in v] if p else v))] += _perms(y)
     else:
-        cols = list(itertools.product(elems, repeat=2))
+        # columns (x, y) with x before y in X, then (x, x), then (y, x): the
+        # row swap maps the first run onto the last and fixes the middle one
+        ups = list(itertools.combinations(elems, 2))
+        cols = [*ups, *zip(elems, elems), *[(y, x) for x, y in ups]]
         D = [[y * v - u * x for x, v in cols] for y, u in cols]
         if p:
             D = [[x % p for x in row] for row in D]
         # D is antisymmetric, so the rows of its transpose N are rows of -D
         N = [list(col) for col in zip(*D)]
         # minor (a, b) of the top block is D[i_a][i_b]; at n = 3 the middle
-        # cofactor is -D[i_0][i_2]; the last index runs over a row slice
+        # cofactor is -D[i_0][i_2]; the last index runs over row slices
         sources = [(a, b, N if (n, a, b) == (3, 0, 2) else D) for a, b in itertools.combinations(range(n), 2)]
+        h = len(ups)
+        runs = ((0, h, 1, 0), (h, h + B, 0, 0), (h + B, B * B, 0, 1))
         for idx in itertools.combinations_with_replacement(range(B * B), n - 1):
             j = idx[-1]
-            vectors = zip(
-                *[T[idx[a]][j:] if b == n - 1 else itertools.repeat(T[idx[a]][idx[b]]) for a, b, T in sources]
-            )
-            if n == 3:
-                vectors = map(tuple, map(sorted, vectors))
+            ahead = sum(i < h for i in idx) - sum(i >= h + B for i in idx)
             # a last index above j starts a run of its own, with n times the
             # orderings of idx; the first, equal to j, extends j's run of r
             # to r + 1, which divides that by r + 1
             w = _perms(idx) * n
-            tally = tallies.setdefault(w // (idx.count(j) + 1), Counter())
-            tally[next(vectors)] += 1
-            tallies.setdefault(w, Counter()).update(vectors)
+            for lo, hi, up, down in runs:
+                # x2 past a tie of first- and last-run columns, x1 at it, else 0
+                lead = ahead + up - down
+                f = (lead > 0) + (lead >= 0)
+                lo = max(lo, j)
+                if not f or lo >= hi:
+                    continue
+                vectors = zip(
+                    *[T[idx[a]][lo:hi] if b == n - 1 else itertools.repeat(T[idx[a]][idx[b]]) for a, b, T in sources]
+                )
+                if n == 3:
+                    vectors = map(tuple, map(sorted, vectors))
+                if lo == j:
+                    tally = tallies.setdefault(f * w // (idx.count(j) + 1), Counter())
+                    tally[next(vectors)] += 1
+                tallies.setdefault(f * w, Counter()).update(vectors)
+    pairs: dict = {}
+    get = pairs.get
+    def fold(w, tally):
+        # popping frees keys as they fold: interval 16 peaks at 167, not 185 MB
+        while tally:
+            c, a = tally.popitem()
+            m = _mirror(c, p) if p else tuple(map(neg, c[::-1]))
+            if m < c:
+                c = m
+            pairs[c] = get(c, 0) + w * a
     for k in range(2, n - 1):
+        # the wedge levels are linear in the level vector: v and -v merge
         level = Counter()
         while tallies:
             w, tally = tallies.popitem()
             for v, c in tally.items():
-                level[v] += w * c
+                level[min(v, tuple([-x % p for x in v]) if p else tuple(map(neg, v)))] += w * c
         spent += len(level) * B**n
         check_budget(spent, budget, what)
         minors = {S: i for i, S in enumerate(itertools.combinations(range(n), k))}
@@ -356,22 +391,24 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
             for i, s in enumerate(S):
                 form[s] = (sign * (-1) ** i, minors[S[:i] + S[i + 1 :]])
             forms.append(form)
+        by_weight: dict = {}
         for t, w in level.items():
-            coords = [map(sum, itertools.product(*[[a * t[i] * x for x in elems] for a, i in f])) for f in forms]
-            vectors = zip(*[map(p.__rmod__, c) for c in coords] if p else coords)
-            tallies.setdefault(w, Counter()).update(map(tuple, map(sorted, vectors)) if last else vectors)
+            by_weight.setdefault(w, []).append(t)
         del level
-    pairs: dict = {}
-    get = pairs.get
+        # one tally at a time: a last-level one folds as soon as it is done
+        while by_weight:
+            w, ts = by_weight.popitem()
+            tally = Counter()
+            for t in ts:
+                coords = [map(sum, itertools.product(*[[a * t[i] * x for x in elems] for a, i in f])) for f in forms]
+                vectors = zip(*[map(p.__rmod__, c) for c in coords] if p else coords)
+                tally.update(map(tuple, map(sorted, vectors)) if last else vectors)
+            if last:
+                fold(w, tally)
+            else:
+                tallies[w] = tally
     while tallies:
-        w, tally = tallies.popitem()
-        # popping frees keys as they fold: interval 16 peaks at 230, not 259 MB
-        while tally:
-            c, a = tally.popitem()
-            m = _mirror(c, p) if p else tuple(map(neg, c[::-1]))
-            if m < c:
-                c = m
-            pairs[c] = get(c, 0) + w * a
+        fold(*tallies.popitem())
     zero = pairs.pop((0,) * n, 0)
     for c, mass in pairs.items():
         if mass % 2 and _mirror(c, p) != c:
@@ -417,12 +454,17 @@ def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, via cofactor-vector multiplicities, all
-    in ints: as <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the
-    form (m, 0, w) of the linear-form kernel `_count_forms` at target 0, and
-    (m, t, w) and (m, -t, w), halved, at t != 0. The kernel charges the
-    budget on top of the table's blocks. At n = 2 the count is the product
-    correlation `count_det_conv_n2`. The table is walked in-process;
-    `threads` is the registry's signature."""
+    in ints. The row swap: as <-m, r> = t iff <m, r> = -t, a pair key m of
+    mass w is the form (m, 0, w) of the linear-form kernel `_count_forms` at
+    target 0, and (m, t, w) and (m, -t, w), halved, at t != 0. Integer
+    scaling, over Q: #{r : <g*m, r> = t} is #{r : <m, r> = t/g} when g | t
+    and 0 otherwise, so each key is divided by the gcd g of its entries and
+    the target by g, a key whose g does not divide the target is dropped,
+    and equal forms merge (the pairs are popped as they merge, so the two
+    dicts peak at the size of one). The kernel charges the budget on top of
+    the table's blocks. At n = 2 the count is the product correlation
+    `count_det_conv_n2`. The table is walked in-process; `threads` is the
+    registry's signature."""
     if n == 2:
         return count_det_conv_n2(X, d, budget=budget)
     what = "count_det_rowblock"
@@ -430,9 +472,16 @@ def count_det_rowblock(
     target = lift.target(d, n)
     if target is None:
         return 0
-    targets = (target, -target) if target else (0,)
-    forms = ((m, t, w) for m, w in pairs.items() for t in targets)
-    total = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent) // len(targets)
+    scaled: dict = {}
+    while pairs:
+        m, w = pairs.popitem()
+        g = 1 if lift.modulus else math.gcd(*m)
+        if target % g == 0:
+            key = (tuple([x // g for x in m]) if g > 1 else m, target // g)
+            scaled[key] = scaled.get(key, 0) + w
+    signs = (1, -1) if target else (1,)
+    forms = ((m, s * t, w) for (m, t), w in scaled.items() for s in signs)
+    total = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent) // len(signs)
     return total + (zero * len(X) ** n if not target else 0)
 
 

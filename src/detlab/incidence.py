@@ -221,10 +221,6 @@ class CellDecomposition:
     def total_population(self) -> int:
         return sum(self.population(c) for c in self.cell_indices())
 
-    def axis_bounds(self, i: int) -> list:
-        """Closed slab bounds along axis i; None encodes an unbounded side."""
-        return [None, *self.cuts[i], None]
-
 
 def cell_decompose(P: PointGrid, r: int) -> CellDecomposition:
     """Split every axis into r nearly equal groups; cuts at exact midpoints."""
@@ -280,35 +276,26 @@ def classify_incidences(
 
 
 def cells_hit(plane, D: CellDecomposition) -> int:
-    """Number of cells whose closed bounding slab meets the plane; always
-    at most k * r^(k-1). Cells exist over Q only, where a normalized plane's
-    coefficients are already ints."""
+    """Number of cells whose closed bounding slab meets the plane, asserted
+    to be at most k * r^(k-1). Cells exist over Q only, where a normalized plane's
+    coefficients are already ints. The slab test runs in ints: the cuts are
+    scaled once by the lcm L of their denominators and the slab's ends of
+    <a, x>*L are compared against b*L."""
     a, b = plane
     k = D.grid.k
-    bounds = [D.axis_bounds(i) for i in range(k)]
+    L = math.lcm(*(c.denominator for cuts in D.cuts for c in cuts))
+    # per axis and group, the low and high ends of a_i*x_i*L over the slab,
+    # None on an unbounded side
+    slabs = []
+    for ai, cuts in zip(a, D.cuts):
+        ends = [None, *(ai * c.numerator * (L // c.denominator) for c in cuts), None]
+        spans = list(zip(ends, ends[1:]) if ai > 0 else zip(ends[1:], ends))
+        slabs.append(spans if ai else [(0, 0)] * D.r)
+    target = b * L
     hit = 0
-    for cell in D.cell_indices():
-        lo_sum = hi_sum = 0
-        lo_inf = hi_inf = False
-        for i, g in enumerate(cell):
-            ai = a[i]
-            if not ai:
-                continue
-            lo_b = bounds[i][g]
-            hi_b = bounds[i][g + 1]
-            if ai > 0:
-                lo_side, hi_side = lo_b, hi_b
-            else:
-                lo_side, hi_side = hi_b, lo_b
-            if lo_side is None:
-                lo_inf = True
-            else:
-                lo_sum = lo_sum + ai * lo_side
-            if hi_side is None:
-                hi_inf = True
-            else:
-                hi_sum = hi_sum + ai * hi_side
-        if (lo_inf or lo_sum <= b) and (hi_inf or hi_sum >= b):
+    for cell in itertools.product(*slabs):
+        lows, highs = zip(*cell)
+        if (None in lows or sum(lows) <= target) and (None in highs or sum(highs) >= target):
             hit += 1
     bound = k * D.r ** (k - 1)
     if hit > bound:

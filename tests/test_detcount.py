@@ -272,12 +272,21 @@ def _class_cases(draw):
 @example((make_ground_set([-2, 0, 3], QQ), 3))
 @example((make_ground_set([0, 1, 2], FieldSpec.prime(3)), 3))
 @example((make_ground_set([0, 1], FieldSpec.prime(2)), 4))
+@example((make_ground_set([5], QQ), 3))
+@example((make_ground_set([0], QQ), 3))
+@example((make_ground_set([-1, 0, 1], QQ), 3))
+@example((make_ground_set([5], QQ), 4))
+@example((make_ground_set([0], QQ), 4))
+@example((make_ground_set([-1, 0, 1], QQ), 4))
 @settings(max_examples=40)
 def test_class_table_matches_sorted_tally(case):
     # the paired walk over top-block column multisets against every block's
     # cofactor vector, keyed by the smaller of its sorted form and that of
     # its negation; {1, 2} over F_3 has cofactors 3 = 0 mod 3, and with 0
-    # in the set, or all of a prime field, many 2-minors vanish
+    # in the set, or all of a prime field, many 2-minors vanish. A one-point
+    # set has only the tie column (x, x), and {-1, 0, 1} many multisets with
+    # as many columns before the ties as after them, which the row swap maps
+    # among themselves
     X, n = case
     pairs, zero, lift, _ = _class_table(X, n, None, "test")
     direct = _cofactor_tally(X, n)
@@ -344,6 +353,28 @@ def test_paired_rowblock_matches_brute(X, d):
         assert count_det_rowblock(X, 3, t) == sb.get(t)
 
 
+# every entry a multiple of s makes every cofactor a multiple of g = s^2:
+# the count divides each pair key by its gcd (g or a multiple of it) and
+# drops the forms whose gcd does not divide the target
+@st.composite
+def _shared_factor_cases(draw):
+    s = draw(st.sampled_from([2, 3]))
+    base = draw(st.one_of(st.just([1, 2, 4]), st.lists(st.integers(-3, 4), min_size=1, max_size=3, unique=True)))
+    g = s * s
+    return make_ground_set([s * x for x in base], QQ), draw(st.sampled_from([0, 1, g, -g, 2 * g]))
+
+
+@given(_shared_factor_cases())
+@example((make_ground_set([2, 4, 6], QQ), 4))
+@example((make_ground_set([2, 4, 8], QQ), 8))
+@example((make_ground_set([3, 6, 9], QQ), -9))
+@example((make_ground_set([3, 6, 9], QQ), 1))
+@settings(max_examples=25)
+def test_gcd_scaled_forms_match_brute(case):
+    X, d = case
+    assert count_det_rowblock(X, 3, d) == count_det_brute(X, 3, d)
+
+
 @pytest.mark.parametrize(
     "X",
     [
@@ -401,7 +432,7 @@ def test_budget_refusal():
 
 def test_budget_covers_solve_phase():
     # the class walk's C(4^2 + 2, 3) = 816 top blocks fit the budget, but
-    # the kernel (3,720 steps in all) and the fold (7,264) behind them do not
+    # the kernel (2,900 steps in all) and the fold (7,264) behind them do not
     X = make_ground_set(range(1, 5), QQ)
     with pytest.raises(BudgetExceededError):
         count_det_rowblock(X, 3, 0, budget=2048)
@@ -413,19 +444,21 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     # interval 4, n = 3: the class walk takes one 2 x 3 top block per
     # multiset of 3 of the 4^2 columns, C(18, 3) = 816 steps, giving 231
     # pair keys of sorted-key classes with 120 distinct prefixes (a, b) and
-    # 15 distinct (a). The count at d = 0 builds the 15 distributions of a*x
-    # from the root's one entry (4 * 15 steps), the 120 distributions of
-    # a*x + b*y from theirs (4 * 4 * 120 = 1920 steps), then does 4 lookups
-    # per pair key (924): 816 + 60 + 1920 + 924 = 3720. The spectrum shifts
-    # 4 * 231 leaf entries, then 4 * 787 entries of the 120 prefix dicts and
-    # 4 * 594 of the 15: 816 + 924 + 3148 + 2376 = 7264.
+    # 15 distinct (a). At d = 0 the count divides each key by the gcd of its
+    # entries, which leaves 146 forms with 90 distinct prefixes (a, b) and
+    # 15 distinct (a). It builds the 15 distributions of a*x from the root's
+    # one entry (4 * 15 steps), the 90 distributions of a*x + b*y from
+    # theirs (4 * 4 * 90 = 1440 steps), then does 4 lookups per form (584):
+    # 816 + 60 + 1440 + 584 = 2900. The spectrum shifts 4 * 231 leaf
+    # entries, then 4 * 787 entries of the 120 prefix dicts and 4 * 594 of
+    # the 15: 816 + 924 + 3148 + 2376 = 7264.
     X = make_ground_set(range(1, 5), QQ)
-    count = count_det_rowblock(X, 3, 0, budget=3_720)
+    count = count_det_rowblock(X, 3, 0, budget=2_900)
     spec = det_spectrum(X, 3, "rowblock", budget=7_264)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=3_719)
+        count_det_rowblock(X, 3, 0, budget=2_899)
     with pytest.raises(BudgetExceededError):
         det_spectrum(X, 3, "rowblock", budget=7_263)
 
@@ -433,10 +466,10 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
 def test_class_walk_charges_each_wedge_level():
     # interval 3, n = 4: one 2 x 4 top block per multiset of 4 of the 3^2
     # columns, C(12, 4) = 495 steps, whose 2-minors give 406 distinct
-    # level-2 Pluecker vectors; then one wedge step per vector and third
-    # row: 406 * 3^4
+    # level-2 Pluecker vectors, 231 classes once v and -v merge; then one
+    # wedge step per class and third row: 231 * 3^4
     X = make_ground_set(range(1, 4), QQ)
-    steps = 495 + 406 * 81
+    steps = 495 + 231 * 81
     assert _class_table(X, 4, None, "test")[3] == steps
     mm = minor_multiplicity_map(X, 4, budget=steps)
     assert mm.total_mass() == 3**12

@@ -322,6 +322,65 @@ def test_cells_hit_bound_random_planes():
             assert cells_hit(plane, D) <= 3 * r * r
 
 
+def _slab_hits(plane, D):
+    """Oracle: per cell, the range of <a, x> over its closed slab in
+    Fractions, straight from the cuts, against b."""
+    a, b = plane
+    hits = 0
+    for cell in D.cell_indices():
+        low = high = Fraction(0)
+        low_open = high_open = False
+        for ai, cuts, g in zip(a, D.cuts, cell):
+            left = cuts[g - 1] if g > 0 else None
+            right = cuts[g] if g < len(cuts) else None
+            if ai < 0:
+                left, right = right, left
+            if ai and left is None:
+                low_open = True
+            elif ai:
+                low += Fraction(ai) * left
+            if ai and right is None:
+                high_open = True
+            elif ai:
+                high += Fraction(ai) * right
+        hits += (low_open or low <= b) and (high_open or high >= b)
+    return hits
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [make_ground_set(range(1, 5), QQ)] * 3,
+        [make_ground_set(range(-3, 4), QQ)] * 2,
+        # halves: the midpoint cuts have denominator 4
+        [make_ground_set([Fraction(k, 2) for k in range(-1, 3)], QQ)] * 3,
+        [make_ground_set([Fraction(k, 2) for k in range(-3, 4)], QQ), make_ground_set(range(5), QQ)],
+    ],
+)
+def test_cells_hit_matches_fraction_slab_test(axes):
+    # the int slab test against the Fraction one, on the minor planes of a
+    # cube grid and on random planes, some through cut corners
+    grid = PointGrid(tuple(axes))
+    k = grid.k
+    planes = set(planes_from_minors(axes[0], 0).family) if k == 3 else set()
+    rng = random.Random(11)
+    for _ in range(200):
+        coeffs = [rng.randint(-4, 4) for _ in range(k)]
+        if any(coeffs):
+            planes.add(normalize_plane(coeffs, Fraction(rng.randint(-12, 12), rng.choice([1, 2, 4])), QQ))
+    for r in range(1, grid.min_size + 1):
+        D = cell_decompose(grid, r)
+        for plane in planes:
+            hits = _slab_hits(plane, D)
+            if hits > k * r ** (k - 1):
+                # a plane through a corner of cells meets every closed slab
+                # around it: x = y on a 3 x 3 split meets 7 cells, not 6
+                with pytest.raises(AssertionError):
+                    cells_hit(plane, D)
+            else:
+                assert cells_hit(plane, D) == hits, (r, plane)
+
+
 def test_planes_from_minors_degenerate_singleton():
     mp = planes_from_minors(make_ground_set([1], QQ), 5)
     assert len(mp.family) == 0
