@@ -9,8 +9,10 @@ brute incidence counting applies.
 A normalized plane <a, x> = b is plain ints in both fields: the coprime
 integer vector (a, b) with a positive lead over Q, the residues with lead one
 over F_p. The linear-form kernel runs on the lifted ground set
-(`scalars.int_lift`); the oracles `incidences_brute` and the direct half of
-`curve_incidences_n3` keep field arithmetic.
+(`scalars.int_lift`). The points on a plane and the direct half of
+`curve_incidences_n3` solve their linear equation for its last variable by a
+table lookup, in field arithmetic on the ground set's elements; the oracle
+`incidences_brute` tests every point.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -148,20 +151,20 @@ def incidences_brute(P: PointGrid, planes: HyperplaneFamily, *, budget: int | No
 
 
 def _points_on_plane(P: PointGrid, plane) -> list:
-    """The grid points p with <a, p> = b, in grid order. Shared by
-    classify_incidences and nondegeneracy_ratio; incidences_brute, the
-    oracle for the class tallies, keeps its own loop."""
+    """The grid points p with <a, p> = b, in grid order, in field arithmetic.
+    Each prefix of the first k-1 axes looks up b - <a', prefix> in the table
+    {a_k*y: [y, ...]} over the last axis ({0: whole axis} when a_k = 0).
+    Shared by classify_incidences and nondegeneracy_ratio; incidences_brute,
+    the oracle for the class tallies, keeps its own loop."""
     field = P.field
-    a = [field.coerce(c) for c in plane[0]]
-    b = field.coerce(plane[1])
-    on_plane = []
-    for point in P.points():
-        acc = a[0] * point[0]
-        for j in range(1, P.k):
-            acc = acc + a[j] * point[j]
-        if acc == b:
-            on_plane.append(point)
-    return on_plane
+    *a, a_k = (field.coerce(c) for c in plane[0])
+    last: dict = {}
+    for y in P.axes[-1].elements:
+        last.setdefault(a_k * y, []).append(y)
+    prefixes = [((), field.coerce(plane[1]))]
+    for ai, ax in zip(a, P.axes):
+        prefixes = [(pre + (x,), rest - ai * x) for pre, rest in prefixes for x in ax.elements]
+    return [(*pre, y) for pre, rest in prefixes for y in last.get(rest, ())]
 
 
 def _int_root(x: int, m: int) -> int:
@@ -249,10 +252,14 @@ def classify_incidences(
 ) -> CellDecomposition:
     """Assign every incidence to a class by the plane's trace in the point's cell:
     fewer than k points -> sparse; affine span equal to the plane -> spanning;
-    otherwise degenerate. Tallies always sum to the brute incidence count."""
+    otherwise degenerate. Tallies always sum to the brute incidence count.
+    Each plane's points come from `_points_on_plane`, which solves for the
+    last coordinate in field arithmetic; the budget is charged that solve per
+    plane: the table over the last axis plus one lookup per prefix."""
     if planes.k != P.k:
         raise PreconditionError("hyperplane dimension differs from grid dimension")
-    check_budget(P.npoints * len(planes), budget, "classify_incidences")
+    *rest, last = P.sizes
+    check_budget((last + math.prod(rest)) * len(planes), budget, "classify_incidences")
     D = cell_decompose(P, r)
     k = P.k
     i1 = i2 = i3 = 0
@@ -375,19 +382,28 @@ def planes_from_minors(
 
 def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of u1*(v2-w2) - u2*(v1-w1) + v1*w2 - v2*w1 = 0 over U^6,
-    counted both by direct enumeration and as point/quadratic-curve incidences:
-    each fixed (a, b, c, t) is the form ((t-c, b-a), t*b - a*c, 1) of the
-    linear-form kernel, which counts the (r, q) on that curve, on the lifted
-    set: the equation is homogeneous of degree 2, so scaling U by L keeps its
-    solutions. The budget is charged |U|^6 for the direct count, then the
+    counted both directly and as point/quadratic-curve incidences. The
+    direct half solves for u2 in field arithmetic on U's elements: for each
+    (v1, v2, w1, w2) and u1 it looks up u1*(v2-w2) + v1*w2 - v2*w1 in the
+    table {u*b: count} of b = v1 - w1, built once per distinct b (b = 0
+    gives {0: |U|}). The curve half makes each fixed (a, b, c, t) the form
+    ((t-c, b-a), t*b - a*c, 1) of the linear-form kernel, which counts the
+    (r, q) on that curve, on the lifted set: the equation is homogeneous of
+    degree 2, so scaling U by L keeps its solutions. The budget is charged
+    |U|^5 lookups and |U| steps per table before the direct half, then the
     kernel's steps. The two tallies must agree."""
     what = "curve_incidences_n3"
-    spent = len(U) ** 6
+    E = U.elements
+    diffs = {v - w for v in E for w in E}
+    spent = len(E) ** 5 + len(E) * len(diffs)
     check_budget(spent, budget, what)
+    tables = {b: Counter(u * b for u in E) for b in diffs}
     direct = 0
-    for u1, u2, v1, v2, w1, w2 in itertools.product(U.elements, repeat=6):
-        if not (u1 * (v2 - w2) - u2 * (v1 - w1) + v1 * w2 - v2 * w1):
-            direct += 1
+    for v1, w1 in itertools.product(E, repeat=2):
+        table = tables[v1 - w1]
+        for v2, w2 in itertools.product(E, repeat=2):
+            c, s = v2 - w2, v1 * w2 - v2 * w1
+            direct += sum([table.get(u1 * c + s, 0) for u1 in E])
     lift = int_lift(U)
     forms = (
         ((t - c, b - a), t * b - a * c, 1)

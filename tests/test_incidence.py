@@ -452,6 +452,50 @@ def test_planes_from_minors_spectrum_sweep():
         assert planes_from_minors(X, d).det_count_via_incidences() == expected
 
 
+def _curve_solutions(U) -> int:
+    """Oracle: the literal six-variable loop over U^6."""
+    return sum(
+        1
+        for u1, u2, v1, v2, w1, w2 in itertools.product(U.elements, repeat=6)
+        if not (u1 * (v2 - w2) - u2 * (v1 - w1) + v1 * w2 - v2 * w1)
+    )
+
+
+def _residue_sets(max_size=4):
+    return st.sampled_from([F5, F7]).flatmap(
+        lambda F: st.lists(
+            st.integers(0, F.modulus - 1), min_size=1, max_size=max_size, unique=True
+        ).map(lambda vals: make_ground_set(vals, F))
+    )
+
+
+@given(
+    st.one_of(
+        int_ground_sets(max_size=4, lo=-3, hi=3),
+        fraction_ground_sets(max_size=4),
+        _residue_sets(),
+    )
+)
+@example(make_ground_set([-2, 0, 1, 3], QQ))
+@example(make_ground_set([Fraction(-1, 2), 0, Fraction(1, 2), 1], QQ))
+@example(make_ground_set([0, 1, 2, 4], F5))
+@example(make_ground_set([0, 3, 5, 6], F7))
+@settings(max_examples=40)
+def test_curve_count_matches_six_variable_loop(U):
+    # the direct half solves for u2 by table lookup; the literal loop tries
+    # every u2, and the curve half must agree with both
+    assert curve_incidences_n3(U) == _curve_solutions(U)
+
+
+def test_curve_double_count_stays_live(monkeypatch):
+    # a curve half that is off by one must make the double count raise
+    count_forms = incidence._count_forms
+    monkeypatch.setattr(incidence, "_count_forms", lambda *args: count_forms(*args) + 1)
+    for U in (X012, HALVES, Y124):
+        with pytest.raises(AssertionError, match="curve double count disagrees"):
+            curve_incidences_n3(U)
+
+
 def test_curve_examples():
     assert curve_incidences_n3(make_ground_set([1], QQ)) == 1
     # frozen from the direct six-variable oracle; the function itself
@@ -459,6 +503,65 @@ def test_curve_examples():
     assert curve_incidences_n3(X01) == 40
     assert curve_incidences_n3(X12) == 40
     assert curve_incidences_n3(make_ground_set([1, 2], F7)) == 40
+
+
+def _dot(a, point):
+    acc = a[0] * point[0]
+    for ai, x in zip(a[1:], point[1:]):
+        acc = acc + ai * x
+    return acc
+
+
+def _literal_points_on_plane(P, plane):
+    """Oracle: every grid point tested against the plane."""
+    a = [P.field.coerce(c) for c in plane[0]]
+    b = P.field.coerce(plane[1])
+    return [point for point in P.points() if _dot(a, point) == b]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        PointGrid((X01, X012, make_ground_set([5], QQ))),
+        cube_grid(X012, 2),
+        cube_grid(make_ground_set([-2, 0, 1, 3], QQ), 3),
+        cube_grid(HALVES, 3),
+        PointGrid((MIXED, HALVES)),
+        cube_grid(make_ground_set([0, 1, 2, 4], F7), 3),
+        PointGrid((Y124, make_ground_set([0, 3, 5, 6], F7), Y124)),
+    ],
+)
+def test_points_on_plane_match_literal_filter(grid):
+    # the last coordinate is solved by table lookup; the literal filter
+    # tests every point. Planes of the form (0, ..., 0, c), with last
+    # coefficient 0, through grid points, and mostly with no point at all
+    rng = random.Random(5)
+    k, field = grid.k, grid.field
+    pts = list(grid.points())
+    raw = [((0,) * (k - 1) + (c,), e) for c in (1, 2, -3) for e in (0, 1, 3, 5)]
+    raw += [((1,) * (k - 1) + (0,), e) for e in (0, 1, 2, 3)]
+    for _ in range(30):
+        coeffs = [rng.randint(-3, 3) for _ in range(k)]
+        if rng.random() < 0.3:
+            coeffs[-1] = 0
+        if not any(coeffs):
+            coeffs[0] = 1
+        through = _dot([field.coerce(c) for c in coeffs], rng.choice(pts))
+        raw += [(coeffs, through), (coeffs, rng.randint(-9, 9))]
+    for coeffs, offset in raw:
+        plane = normalize_plane(coeffs, offset, field)
+        assert incidence._points_on_plane(grid, plane) == _literal_points_on_plane(grid, plane), plane
+
+
+def test_classify_sums_to_brute_on_halves_grid():
+    for X in (HALVES, make_ground_set([Fraction(k, 2) for k in range(-2, 3)], QQ)):
+        grid = cube_grid(X, 3)
+        for d in (0, Fraction(1, 2)):
+            planes = planes_from_minors(X, d).family
+            brute = incidences_brute(grid, planes)
+            for r in range(1, grid.min_size + 1):
+                out = classify_incidences(grid, planes, r)
+                assert out.i1 + out.i2 + out.i3 == brute, (X, d, r)
 
 
 def test_nondegeneracy_ratio():
@@ -517,14 +620,30 @@ def test_minor_plane_incidences_budget_is_the_kernel_charge():
 
 
 def test_curve_incidences_budget_is_direct_plus_kernel():
-    # interval 3: 3^6 = 729 direct tuples, then 81 curve forms whose sorted
-    # coefficient pairs (t-c, b-a) have 5 distinct first entries: 3 * 5
-    # steps for their distributions and 3 lookups per form (243).
+    # interval 3: the direct half does 3^5 = 243 lookups into the tables
+    # {u*b: count} of the 5 distinct differences b = v1 - w1, 3 steps each
+    # (258); then 81 curve forms whose sorted coefficient pairs (t-c, b-a)
+    # have 5 distinct first entries: 3 * 5 steps for their distributions
+    # and 3 lookups per form (258).
     U = make_ground_set([1, 2, 3], QQ)
-    count = curve_incidences_n3(U, budget=987)
+    count = curve_incidences_n3(U, budget=516)
     assert count == curve_incidences_n3(U)
     with pytest.raises(BudgetExceededError):
-        curve_incidences_n3(U, budget=986)
+        curve_incidences_n3(U, budget=515)
+
+
+def test_classify_budget_is_the_last_coordinate_solve():
+    # interval 4, d = 0: 825 planes over the 4^3 grid. Each plane builds
+    # the table of a_3*y over the 4 last-axis values, then does one lookup
+    # per prefix in 4^2: (4 + 16) * 825 steps
+    X = make_ground_set(range(1, 5), QQ)
+    grid = cube_grid(X, 3)
+    planes = planes_from_minors(X, 0).family
+    assert len(planes) == 825
+    out = classify_incidences(grid, planes, 2, budget=16_500)
+    assert out.i1 + out.i2 + out.i3 == incidences_brute(grid, planes)
+    with pytest.raises(BudgetExceededError):
+        classify_incidences(grid, planes, 2, budget=16_499)
 
 
 def test_prime_field_brute_only():
