@@ -39,9 +39,11 @@ tie stands for itself), and at n >= 4 it merges each level vector with its
 negation before the next row. The rowblock count maps its target into the
 lifted problem (L^n d, or the residue of d) and counts in ints; the
 rowblock spectrum builds an int histogram, mirrors it and lowers each
-distinct value to a field scalar at the end. At n >= 3 the p(c) permutations of a class c share its multiplicity
-mu_c (`_perms` counts them): `energy.energy_Estar_mu` and
-`energy.dyadic_pyramid` read the pairs as they are, and
+distinct value to a field scalar at the end. At n >= 3 the p(c)
+permutations of a class c share its multiplicity mu_c (`_perms` counts
+them). `energy.energy_Estar_mu` and `energy.dyadic_pyramid` read the pairs
+as they are and divide each pair's mass by its class size, which
+`_class_size` reads at n = 3 from the key's run pattern;
 `minor_multiplicity_map` and `incidence.planes_from_minors` expand them;
 only `minor_multiplicity_map` lowers its keys to field scalars.
 
@@ -277,9 +279,15 @@ def _mirror(key, p: int | None) -> tuple:
     return tuple(sorted([-x % p for x in key])) if p else tuple([-x for x in key[::-1]])
 
 
-def _pair_size(key, p: int | None) -> int:
-    """Classes in the +- pair of `key`: 1 if it is its own mirror, else 2."""
-    return 1 if _mirror(key, p) == key else 2
+def _class_size(key, p: int | None) -> int:
+    """Cofactor vectors in the +- pair of the sorted n = 3 key c = (a, b, d):
+    its 6, 3 or 1 permutations, times 2 unless c is its own mirror, which
+    over Q is a = -d and b = 0, and over F_p is p = 2 or a = 0 and
+    b + d = 0 mod p."""
+    a, b, d = key
+    perms = 6 if a != b != d else 3 if a != d else 1
+    own = (p == 2 or a == 0 and (b + d) % p == 0) if p else (b == 0 and a == -d)
+    return perms if own else 2 * perms
 
 
 def _class_table(X: GroundSet, n: int, budget: int | None, what: str):

@@ -5,6 +5,13 @@ Each energy has two routes: a value-distribution build (tables keyed by exact
 scalars, energies as sums of squared masses) and a literal tuple-by-tuple
 brute count kept for cross-validation. The brute routes compare enumerated
 values pairwise and never share the table machinery.
+
+T and S are one number: over the pair-product multiset P of any abelian
+group, #{a + b = c + e} = #{a - c = e - b}. Both build the sum table P * P
+with one update per unordered pair {t1, t2} of values of P, |P|(|P| + 1) / 2
+updates, and their budget charge |U|^2 + |P|^2 bounds that work. The cofactor
+energy E* and its dyadic pyramid read each +- pair of cofactor classes from
+`detcount._class_table` and its size from `detcount._class_size`.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _class_table, _count_forms, _pair_products, _pair_size, _perms
+from .detcount import _class_size, _class_table, _count_forms, _pair_products
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -41,36 +48,53 @@ def product_distribution(U: GroundSet) -> ValueDistribution:
     return ValueDistribution(_pair_products(U.elements), "pair-product")
 
 
-def _convolution(P: dict, Q: dict) -> dict:
-    """t -> sum over t1 + t2 = t of P(t1) * Q(t2)."""
+def _pair_sums(P: dict) -> dict:
+    """t -> sum over t1 + t2 = t of P(t1) * P(t2), one update per unordered
+    pair {t1, t2}: weight P(t1) * P(t2), doubled when t1 != t2."""
+    items = list(P.items())
     table: dict = {}
-    for t1, c1 in P.items():
-        for t2, c2 in Q.items():
+    get = table.get
+    for i, (t1, c1) in enumerate(items):
+        s = t1 + t1
+        table[s] = get(s, 0) + c1 * c1
+        c1 += c1
+        for t2, c2 in items[i + 1:]:
             s = t1 + t2
-            table[s] = table.get(s, 0) + c1 * c2
+            table[s] = get(s, 0) + c1 * c2
     return table
 
 
 def _cross_terms(P: dict) -> dict:
     """t -> #{a - b = t} over two independent pair products a and b: the
-    difference-correlation of P with itself."""
-    return _convolution(P, {-t: c for t, c in P.items()})
+    difference-correlation of P with itself, one update per ordered pair."""
+    table: dict = {}
+    for t1, c1 in P.items():
+        for t2, c2 in P.items():
+            s = t1 - t2
+            table[s] = table.get(s, 0) + c1 * c2
+    return table
 
 
 def r_distribution(U: GroundSet) -> ValueDistribution:
     """R(t) = #{u1*v1 + u2*v2 = t}; the sum-convolution of P with itself."""
+    return ValueDistribution(_pair_sums(_pair_products(U.elements)), "paired-product-sum")
+
+
+def _pair_sum_energy(U: GroundSet, budget: int | None, what: str) -> int:
+    """Sum of R(t)^2 over the sums table R = P * P of the pair products P.
+    The budget is charged |U|^2 for P, then |U|^2 + |P|^2 once |P| is known,
+    which bounds the |P|(|P| + 1) / 2 updates of `_pair_sums`."""
+    check_budget(len(U) ** 2, budget, what)
     P = _pair_products(U.elements)
-    return ValueDistribution(_convolution(P, P), "paired-product-sum")
+    check_budget(len(U) ** 2 + len(P) ** 2, budget, what)
+    return sum(c * c for c in _pair_sums(P).values())
 
 
 def energy_T(U: GroundSet, *, budget: int | None = None) -> int:
-    """Solutions of v1*u1 + v2*u2 = x1*y1 + x2*y2 over U^8, as sum of R(t)^2.
-    The budget is charged |U|^2 for the pair-product table P, then
-    |U|^2 + |P|^2 for its self-convolution once |P| is known."""
-    check_budget(len(U) ** 2, budget, "energy_T")
-    P = _pair_products(U.elements)
-    check_budget(len(U) ** 2 + len(P) ** 2, budget, "energy_T")
-    return sum(c * c for c in _convolution(P, P).values())
+    """Solutions of v1*u1 + v2*u2 = x1*y1 + x2*y2 over U^8, as sum of R(t)^2
+    over the sums table R = P * P, built one unordered pair of pair-product
+    values at a time. Charged |U|^2, then |U|^2 + |P|^2."""
+    return _pair_sum_energy(U, budget, "energy_T")
 
 
 def energy_T_brute(U: GroundSet, *, budget: int | None = None) -> int:
@@ -97,15 +121,13 @@ def energy_N_brute(U: GroundSet, *, budget: int | None = None) -> int:
 
 
 def energy_S(U: GroundSet, *, budget: int | None = None) -> int:
-    """Solutions of u1*v3 - u3*v1 = y1*z3 - y3*z1 over U^8, as sum of Q2(t)^2.
-    u1*v3 and u3*v1 are independent pair products, so Q2 is the
-    difference-correlation of P. The budget is charged |U|^2 for the
-    pair-product table P, then |U|^2 + |P|^2 for the correlation once |P|
-    is known."""
-    check_budget(len(U) ** 2, budget, "energy_S")
-    P = _pair_products(U.elements)
-    check_budget(len(U) ** 2 + len(P) ** 2, budget, "energy_S")
-    return sum(c * c for c in _cross_terms(P).values())
+    """Solutions of u1*v3 - u3*v1 = y1*z3 - y3*z1 over U^8. u1*v3 and u3*v1
+    are independent pair products a, c (and y1*z3, y3*z1 are b, e), so S
+    counts #{a - c = b - e} = #{a + e = b + c} over P^4: S equals T in any
+    abelian group, and is computed by the same unordered-pair sums table
+    (`cross_term_distribution` keeps the difference-correlation Q2).
+    Charged |U|^2, then |U|^2 + |P|^2."""
+    return _pair_sum_energy(U, budget, "energy_S")
 
 
 def cross_term_distribution(U: GroundSet) -> ValueDistribution:
@@ -191,12 +213,12 @@ def count_bilinear_brute(
 def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> int:
     """Solution count of the simultaneous equality of the two signed cofactor
     triples over X^12, computed as the sum of squared triple multiplicities
-    (the all-zero triple included): w^2 / k per pair of mass w spread over
-    k = pair size * p(c) triples. Walked in-process; `threads` is accepted
-    and unused."""
+    (the all-zero triple included): w^2 / k per +- pair c of mass w spread
+    over its k = `_class_size(c)` triples. Walked in-process; `threads` is
+    accepted and unused."""
     pairs, zero, lift, _ = _class_table(X, 3, budget, "energy_Estar_mu")
-    sizes = ((w, _pair_size(c, lift.modulus) * _perms(c)) for c, w in pairs.items())
-    return sum(w * w // k for w, k in sizes) + zero * zero
+    p = lift.modulus
+    return sum(w * w // _class_size(c, p) for c, w in pairs.items()) + zero * zero
 
 
 def energy_Estar_brute(X: GroundSet, *, budget: int | None = None) -> int:
@@ -226,17 +248,17 @@ class DyadicPyramid:
 
 
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:
-    """Dyadic census of the cofactor table, whose pair c of mass w holds
-    k = pair size * p(c) triples of multiplicity w / k (walked in-process)."""
+    """Dyadic census of the cofactor table, whose +- pair c of mass w holds
+    k = `_class_size(c)` triples of multiplicity w / k, each in the class of
+    the largest power of two w' <= w / k (walked in-process)."""
     pairs, zero, lift, _ = _class_table(X, 3, budget, "dyadic_pyramid")
-    mults = [(w // k, k) for c, w in pairs.items() for k in (_pair_size(c, lift.modulus) * _perms(c),)]
+    p = lift.modulus
+    mults = [(w // k, k) for c, w in pairs.items() for k in (_class_size(c, p),)]
     if zero:
         mults.append((zero, 1))
     by_class: dict = {}
     for mu, size in mults:
-        w = 1
-        while 2 * w <= mu:
-            w *= 2
+        w = 1 << (mu.bit_length() - 1)
         by_class[w] = by_class.get(w, 0) + size
     classes = tuple(sorted(by_class.items()))
     return DyadicPyramid(

@@ -10,10 +10,10 @@ import hypothesis.strategies as st
 import detlab.detcount as detcount
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.detcount import (
+    _class_size,
     _class_table,
     _count_forms,
     _mirror,
-    _pair_size,
     _perms,
     count_decomposition,
     count_det_brute,
@@ -308,23 +308,35 @@ def test_class_table_matches_sorted_tally(case):
         assert _perms(c) == perms
         assert c <= _mirror(c, lift.modulus)
         # the row swap gives every permutation of both classes one multiplicity
-        assert n == 2 or w % (perms * _pair_size(c, lift.modulus)) == 0
+        size = len({*itertools.permutations(c), *itertools.permutations(_mirror(c, lift.modulus))})
+        assert n == 2 or w % size == 0
+        assert n != 3 or _class_size(c, lift.modulus) == size
 
 
-def test_pair_size_over_q_and_fp():
+def test_class_size_over_q_and_fp():
     assert _mirror((-3, 1, 2), None) == (-2, -1, 3)
-    assert _pair_size((-3, 1, 2), None) == 2
-    assert _pair_size((-2, 0, 2), None) == 1
-    assert _pair_size((-1, -1, 1, 1), None) == 1
-    assert _pair_size((-1, 1, 1), None) == 2
+    assert _class_size((-3, 1, 2), None) == 12
+    assert _class_size((-2, 0, 2), None) == 6
+    assert _class_size((-1, 1, 1), None) == 6
+    assert _class_size((0, 0, 0), None) == 1
+    assert _mirror((-1, -1, 1, 1), None) == (-1, -1, 1, 1)
     # over F_5, -(0, 1, 4) is (0, 4, 1): self-paired with c[0] + c[-1] != 0
     assert _mirror((0, 1, 4), 5) == (0, 1, 4)
-    assert _pair_size((0, 1, 4), 5) == 1
+    assert _class_size((0, 1, 4), 5) == 6
     assert _mirror((0, 1, 2), 5) == (0, 3, 4)
-    assert _pair_size((0, 1, 2), 5) == 2
-    assert _pair_size((0, 0), 7) == 1
+    assert _class_size((0, 1, 2), 5) == 12
+    assert _class_size((0, 0, 0), 7) == 1
+    assert _class_size((0, 0, 3), 7) == 6
     # over F_2 every residue is its own negation
-    assert _pair_size((0, 1, 1), 2) == 1
+    assert _class_size((0, 1, 1), 2) == 3
+
+
+def test_class_size_matches_permutation_sets():
+    # every sorted n = 3 key over Q with entries in -6..6 and over F_2, ..., F_13
+    for p, entries in [(None, range(-6, 7))] + [(p, range(p)) for p in (2, 3, 5, 7, 11, 13)]:
+        for c in itertools.combinations_with_replacement(entries, 3):
+            oracle = {*itertools.permutations(c), *itertools.permutations(_mirror(c, p))}
+            assert _class_size(c, p) == len(oracle), (c, p)
 
 
 # sets symmetric about 0, where self-paired classes such as (-1, 0, 1)

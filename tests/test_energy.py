@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,9 +25,9 @@ from detlab.energy import (
     r_distribution,
 )
 from detlab.matrices import Matrix, identity
-from detlab.scalars import make_ground_set, scale_set
+from detlab.scalars import FieldSpec, make_ground_set, scale_set
 
-from conftest import QQ, F7, int_ground_sets, small_fractions
+from conftest import QQ, F7, fraction_ground_sets, int_ground_sets, small_fractions
 
 U01 = make_ground_set([0, 1], QQ)
 U12 = make_ground_set([1, 2], QQ)
@@ -114,11 +116,24 @@ def test_dilation_invariance(U, c):
     assert energy_S(cU) == energy_S(U)
 
 
+@given(st.one_of(int_ground_sets(max_size=5), fraction_ground_sets(max_size=4)))
+@settings(max_examples=40)
+def test_energy_T_equals_energy_S(U):
+    # #{a + b = c + e} = #{a - c = e - b} over the pair products
+    assert energy_T(U) == energy_S(U)
+
+
 def test_prime_field_energies():
-    Up = make_ground_set([1, 2, 4], F7)
-    assert energy_T(Up) == energy_T_brute(Up)
-    assert energy_N(Up) == energy_N_brute(Up)
-    assert energy_S(Up) == energy_S_brute(Up)
+    # every subset of size <= 4 of F_2, F_3, F_5 and F_7, where an argument
+    # that leans on the order of Q (positive differences only) fails
+    for p in (2, 3, 5, 7):
+        F = F7 if p == 7 else FieldSpec.prime(p)
+        for k in range(1, 5):
+            for vals in itertools.combinations(range(p), k):
+                Up = make_ground_set(vals, F)
+                assert energy_T(Up) == energy_T_brute(Up), (p, vals)
+                assert energy_N(Up) == energy_N_brute(Up), (p, vals)
+                assert energy_S(Up) == energy_S_brute(Up), (p, vals)
 
 
 def test_bilinear_examples():
@@ -200,6 +215,31 @@ def test_bilinear_prime_field():
 def test_Estar_mu_matches_brute(vals):
     U = gs(vals)
     assert energy_Estar_mu(U) == energy_Estar_brute(U)
+
+
+_ESTAR_PRIME_SETS = [((0, 1), 2), ((0, 1, 2), 3), ((0, 1, 3), 5), ((1, 2, 4), 7)]
+
+
+@pytest.mark.parametrize("vals, p", _ESTAR_PRIME_SETS)
+def test_Estar_mu_and_pyramid_over_prime_fields(vals, p):
+    X = make_ground_set(vals, FieldSpec.prime(p))
+    assert energy_Estar_mu(X) == energy_Estar_brute(X)
+    # the pyramid's oracle: every cofactor triple of X^6, binned by the
+    # largest power of two at most its multiplicity
+    mults = Counter(
+        (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
+        for y1, y2, y3, z1, z2, z3 in itertools.product(X.elements, repeat=6)
+    ).values()
+    by_class = Counter()
+    for mu in mults:
+        w = 1
+        while 2 * w <= mu:
+            w *= 2
+        by_class[w] += 1
+    pyramid = dyadic_pyramid(X)
+    assert pyramid.classes == tuple(sorted(by_class.items()))
+    assert pyramid.total_mass == len(X) ** 6
+    assert pyramid.max_weighted == max(w * w * c for w, c in by_class.items())
 
 
 def test_Estar_examples():
