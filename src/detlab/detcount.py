@@ -9,49 +9,36 @@ its negation, and counts the first rows per pair by a fold over the trie of
 pair keys.
 
 Each enumeration is one walk over itertools.product. Only the brute oracle
-shards its walk, in `_brute_histogram`: `_brute_walk` restricts the leading
-coordinate (the top-left entry) to a shard of the ground set, workers of a
-process pool take contiguous shards and their histograms merge by key-wise
-addition, so totals are identical for any worker count. The cofactor table
-is walked in one process at any worker count: shipping each worker's table
-back cost more than the walk it saved.
+shards its walk over a process pool (`_brute_histogram`), and its totals are
+identical for any worker count. The cofactor table is walked in one process
+at any worker count: shipping each worker's table back cost more than the
+walk it saved.
 
-At n = 2 the rowblock count is the product correlation `count_det_conv_n2`:
-the cofactor vector of the bottom row (y1, y2) is (y2, -y1), so
-D_2(X, d) = sum_t P(t) * P(t - d) over the pair-product distribution P,
-|X|^2 steps where the linear-form kernel takes |X|^3. It lifts X like the
-table below and correlates int pair products against L^2 d (or the residue
-of d). The n = 2 spectrum reads the classes of the bottom rows, and the
-n = 2 `minor_multiplicity_map` tallies the |X|^2 vectors (b, -a) directly.
+At n = 2 the rowblock count is the product correlation `count_det_conv_n2`
+(the cofactor vector of the bottom row (y1, y2) is (y2, -y1)), |X|^2 steps
+on the lifted set where the linear-form kernel takes |X|^3. The n = 2
+spectrum reads the classes of the bottom rows, and the n = 2
+`minor_multiplicity_map` tallies the |X|^2 vectors (b, -a) directly.
 
 The one cofactor walk is `_class_table`: on the set lifted to plain ints by
 `scalars.int_lift` (L*X over Q, residues over F_p) it tallies the signed
-cofactor vectors by sorted-key class, with the zero vector apart. Permuting
-columns permutes the cofactor vector up to sign, so it walks one top block
-per multiset of columns: at n >= 3 the first two rows, as multisets of n of
-the |X|^2 columns in X^2, their 2-minors read from a table of the 2 x 2
-determinants of column pairs built once. A row swap negates a determinant,
-so the class of -m (`_mirror`) has the multiplicity of the class of m, and
-the walk returns one key per +- pair of classes with the pair's mass. The
-swap maps a column (x, y) to (y, x): of a multiset and its swap the walk
-takes the one with more columns x < y than x > y, at twice the weight (a
-tie stands for itself), and at n >= 4 it merges each level vector with its
-negation before the next row. The rowblock count maps its target into the
-lifted problem (L^n d, or the residue of d) and counts in ints; the
-rowblock spectrum builds an int histogram, mirrors it and lowers each
-distinct value to a field scalar at the end. At n >= 3 the p(c)
-permutations of a class c share its multiplicity mu_c (`_perms` counts
-them). `energy.energy_Estar_mu` and `energy.dyadic_pyramid` read the pairs
-as they are and divide each pair's mass by its class size, which
-`_class_size` reads at n = 3 from the key's run pattern;
-`minor_multiplicity_map` and `incidence.planes_from_minors` expand them;
-only `minor_multiplicity_map` lowers its keys to field scalars.
+cofactor vectors by sorted-key class, with the zero vector apart. It walks
+one top block per column multiset (at n >= 3 the first two rows, read from a
+table of the 2 x 2 determinants of column pairs), the last two column
+indices in bulk with one `Counter.update` per pair of column runs, and by
+the row swap returns one key per +- pair of classes (`_mirror`) with the
+pair's mass. The rowblock count maps its target into the lifted problem
+(L^n d, or the residue of d) and counts in ints; the rowblock spectrum
+builds an int histogram, mirrors it and lowers each distinct value to a
+field scalar at the end. `energy.energy_Estar_mu` and
+`energy.dyadic_pyramid` divide each pair's mass by its class size
+(`_class_size`); `minor_multiplicity_map` and `incidence.planes_from_minors`
+expand the pairs into their vectors, and only `minor_multiplicity_map`
+lowers its keys to field scalars.
 
-Every linear-form count in the package goes through one kernel:
-`_count_forms` sums w * #{r in X^k : <c, r> = t} over forms (c, t, w). It
-sorts each c, groups the forms by the prefix q = c[:-1], builds the
-distribution of <q, r> over r in X^len(q) once per distinct prefix from that
-of q[:-1] shifted by q[-1]*y for each y in X (`_shift_add`), and does |X|
+Every linear-form count in the package goes through one kernel,
+`_count_forms`: it sums w * #{r in X^k : <c, r> = t} over forms (c, t, w),
+with one value distribution per distinct sorted prefix c[:-1] and |X|
 lookups per form. Its callers are `count_det_rowblock` (on lifted ints,
 each pair key over Q divided by the gcd of its entries, as is the target,
 and one form per key at d = 0 and two, at d and -d, otherwise),
@@ -71,10 +58,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import neg
+from itertools import chain, repeat
+from operator import getitem, neg
 
 from .errors import PreconditionError, check_budget
 from .matrices import Matrix, _det_rows, _rank_rows
@@ -297,25 +285,27 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     multiset, weighted by its distinct orderings (`_perms`). At n = 2 the
     top block is the first row alone. At n >= 3 it is the first two rows:
     its columns are index multisets i_0 <= ... <= i_{n-1} over the |X|^2
-    lifted columns in X^2, and its 2-minors are read from the table
-    D[i][j] = det(col_i, col_j) (mod p over F_p), built once, the last index
-    running in bulk over at most three row slices of D. Swapping the two
-    rows maps m to -m and each column (x, y) to (y, x). The columns are
-    ordered x before y in X, then x = y, then x after y, so the swap
+    lifted columns in X^2, in three runs (x before y in X, x = y, x after
+    y), and its 2-minors are read from the table D[i][j] = det(col_i, col_j)
+    (mod p over F_p), built once. Swapping the two rows maps m to -m and
     exchanges a multiset's counts of first-run and last-run columns: the
     walk takes a multiset with more in the first run at twice its weight, a
-    tie at its weight, and skips the rest. At n = 3 the 2-minors are the
-    signed cofactors (D[j][k], -D[i][k], D[i][j]); at n >= 4 they are the
-    level-2 Pluecker vectors, and each further row u adds a level of minors,
-    which Laplace expansion along u makes linear forms in u, so each level
-    vector v walks on merged with -v. The last level emits the signed
-    cofactors sorted (reduced mod p first over F_p), one tally per weight.
-    A class c and its mirror share a multiplicity mu_c: each tally is folded,
-    as soon as it is complete, into one key per pair, the smaller of c and
-    `_mirror(c)`, whose value is the pair's mass mu_c + mu_-c (mu_c when c
-    is self-paired). The budget is charged C(|X| + n - 1, n) first rows at
-    n = 2, or C(|X|^2 + n - 1, n) top blocks at n >= 3 (a bound on those
-    walked), then |X|^n per merged level vector before each further level."""
+    tie at its weight, and skips the rest. It loops over the prefixes P of
+    n - 2 indices and runs the last two, j <= k, in bulk: per pair of runs
+    of j and k, the blocks with P[-1] < j < k share one weight and are one
+    update over row slices of D, and k = j, j = P[-1] and both are one zip
+    over a single row slice each. At n = 3 the 2-minors are the signed
+    cofactors (D[j][k], -D[i][k], D[i][j]); at n >= 4 they are the level-2
+    Pluecker vectors, and each further row u adds a level of minors, which
+    Laplace expansion along u makes linear forms in u, so each level vector
+    v walks on merged with -v. The last level emits the signed cofactors
+    sorted (reduced mod p first over F_p), one tally per weight. A class c
+    and its mirror share a multiplicity mu_c: each tally is folded into one
+    key per pair, the smaller of c and `_mirror(c)`, whose value is the
+    pair's mass mu_c + mu_-c (mu_c when c is self-paired). The budget is
+    charged C(|X| + n - 1, n) first rows at n = 2, or C(|X|^2 + n - 1, n)
+    top blocks at n >= 3 (a bound on those walked), then |X|^n per merged
+    level vector before each further level."""
     if n < 2:
         raise PreconditionError("cofactor vectors need dimension >= 2")
     B = len(X)
@@ -324,9 +314,9 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     lift = int_lift(X)
     elems, p = lift.elements, lift.modulus
 
-    tallies: dict = {}
+    tallies: dict = defaultdict(Counter)
     if n == 2:
-        tally = tallies[1] = Counter()
+        tally = tallies[1]
         for y in itertools.combinations_with_replacement(elems, 2):
             # the cofactor vector of the row (a, b) is (b, -a)
             v = (y[1], -y[0])
@@ -341,34 +331,45 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
             D = [[x % p for x in row] for row in D]
         # D is antisymmetric, so the rows of its transpose N are rows of -D
         N = [list(col) for col in zip(*D)]
-        # minor (a, b) of the top block is D[i_a][i_b]; at n = 3 the middle
-        # cofactor is -D[i_0][i_2]; the last index runs over row slices
+        # minor (a, b) of the block P + (j, k) is T[i_a][i_b]: T is N for the
+        # n = 3 middle cofactor -D[i_0][i_2], else D
         sources = [(a, b, N if (n, a, b) == (3, 0, 2) else D) for a, b in itertools.combinations(range(n), 2)]
-        h = len(ups)
-        runs = ((0, h, 1, 0), (h, h + B, 0, 0), (h + B, B * B, 0, 1))
-        for idx in itertools.combinations_with_replacement(range(B * B), n - 1):
-            j = idx[-1]
-            ahead = sum(i < h for i in idx) - sum(i >= h + B for i in idx)
-            # a last index above j starts a run of its own, with n times the
-            # orderings of idx; the first, equal to j, extends j's run of r
-            # to r + 1, which divides that by r + 1
-            w = _perms(idx) * n
-            for lo, hi, up, down in runs:
+        m, h = n - 2, len(ups)
+        # each run with its count toward the swap's lead: +1 first, -1 last
+        runs = ((0, h, 1), (h, h + B, 0), (h + B, B * B, -1))
+        # per run of j, with its lead: k = j (t = 2, no slices), then k > j in each run from j's on
+        blocks = [(lo, hi, 2 * s, 2, None) for lo, hi, s in runs]
+        blocks += [(lo, hi, s + s2, 1, [slice(max(lo2, j + 1), hi2) for j in range(lo, hi)])
+                   for J, (lo, hi, s) in enumerate(runs) for lo2, hi2, s2 in runs[J:]]
+
+        def block(P, j0, j1, sl):
+            # the vectors of P + (j, k) for j0 <= j < j1 and k in sl[j - j0],
+            # or k = j when there are no slices
+            if sl is None:
+                parts = [repeat(T[P[a]][P[b]]) if b < m else repeat(0) if a == m else T[P[a]][j0:j1]
+                         for a, b, T in sources]
+                vectors = zip(*parts)
+            else:
+                parts = [repeat(repeat(T[P[a]][P[b]])) if b < m else map(getitem, D[j0:j1], sl) if a == m
+                         else map(repeat, T[P[a]][j0:j1]) if b == m else map(getitem, repeat(T[P[a]]), sl)
+                         for a, b, T in sources]
+                vectors = chain.from_iterable(map(zip, *parts))
+            return map(tuple, map(sorted, vectors)) if n == 3 else vectors
+
+        for P in itertools.combinations_with_replacement(range(B * B), m):
+            # j <= k run in bulk above x = P[-1]: rows j > x have perms(P)·n(n-1)/t! orderings,
+            # and the row j = x extends x's run of r in P by t, dividing that by (r+1)..(r+t)
+            x = P[-1]
+            ahead = sum([(i < h) - (i >= h + B) for i in P])
+            r = P.count(x)
+            w = _perms(P) * n * (n - 1)
+            for lo, hi, s, t, sl in blocks:
                 # x2 past a tie of first- and last-run columns, x1 at it, else 0
-                lead = ahead + up - down
+                lead = ahead + s
                 f = (lead > 0) + (lead >= 0)
-                lo = max(lo, j)
-                if not f or lo >= hi:
-                    continue
-                vectors = zip(
-                    *[T[idx[a]][lo:hi] if b == n - 1 else itertools.repeat(T[idx[a]][idx[b]]) for a, b, T in sources]
-                )
-                if n == 3:
-                    vectors = map(tuple, map(sorted, vectors))
-                if lo == j:
-                    tally = tallies.setdefault(f * w // (idx.count(j) + 1), Counter())
-                    tally[next(vectors)] += 1
-                tallies.setdefault(f * w, Counter()).update(vectors)
+                for j0, j1, c in ((max(lo, x + 1), hi, 0), (x, x + 1, r)):
+                    if f and lo <= j0 < j1 <= hi:
+                        tallies[f * w // math.perm(c + t, t)].update(block(P, j0, j1, sl and sl[j0 - lo :]))
     pairs: dict = {}
     get = pairs.get
     def fold(w, tally):
@@ -406,17 +407,16 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
         # one tally at a time: a last-level one folds as soon as it is done
         while by_weight:
             w, ts = by_weight.popitem()
-            tally = Counter()
+            tally = Counter() if last else tallies[w]
             for t in ts:
                 coords = [map(sum, itertools.product(*[[a * t[i] * x for x in elems] for a, i in f])) for f in forms]
                 vectors = zip(*[map(p.__rmod__, c) for c in coords] if p else coords)
                 tally.update(map(tuple, map(sorted, vectors)) if last else vectors)
             if last:
                 fold(w, tally)
-            else:
-                tallies[w] = tally
-    while tallies:
-        fold(*tallies.popitem())
+    # largest first: a popped dict does not shrink until it is dropped
+    for w in sorted(tallies, key=lambda w: len(tallies[w]), reverse=True):
+        fold(w, tallies.pop(w))
     zero = pairs.pop((0,) * n, 0)
     for c, mass in pairs.items():
         if mass % 2 and _mirror(c, p) != c:

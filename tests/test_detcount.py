@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -180,6 +181,39 @@ def test_count_rank_examples():
         count_rank(X12, 3, 2, 1)
 
 
+def _gl_order(q: int, n: int) -> int:
+    """|GL_n(F_q)| = prod_{i<n} (q^n - q^i)."""
+    return math.prod(q**n - q**i for i in range(n))
+
+
+@pytest.mark.parametrize("p, n", [(p, 3) for p in (2, 3, 5, 7, 11, 13)] + [(p, 4) for p in (2, 3, 5)])
+def test_spectrum_over_whole_prime_field_matches_closed_form(p, n):
+    # over all of F_p every d != 0 has |SL_n(F_p)| = |GL_n(F_p)| / (p - 1)
+    # matrices and the rest are singular; the formulas share nothing with the
+    # class walk or the prefix fold
+    X = make_ground_set(range(p), FieldSpec.prime(p))
+    gl = _gl_order(p, n)
+    spec = det_spectrum(X, n, "rowblock")
+    assert spec.get(0) == p ** (n * n) - gl
+    assert [spec.get(d) for d in range(1, p)] == [gl // (p - 1)] * (p - 1)
+    assert spec.distinct_count() == p
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+def test_count_rank_matches_closed_form(q, m, n):
+    # rank-r m x n matrices over F_q: prod_{i<r} (q^m - q^i)(q^n - q^i) / (q^r - q^i)
+    X = make_ground_set(range(q), FieldSpec.prime(q))
+    counts = [count_rank(X, m, n, r) for r in range(m + 1)]
+    expected = [
+        math.prod((q**m - q**i) * (q**n - q**i) for i in range(r)) // math.prod(q**r - q**i for i in range(r))
+        for r in range(m + 1)
+    ]
+    assert counts == expected
+    if q == 3:
+        assert counts == ([1, 104, 624] if m == 2 else [1, 338, 8112, 11232])
+
+
 @given(int_ground_sets(max_size=3, lo=-3, hi=3), st.sampled_from([2, 3]))
 @settings(max_examples=25)
 def test_rank_partition(X, n):
@@ -278,6 +312,10 @@ def _class_cases(draw):
 @example((make_ground_set([5], QQ), 4))
 @example((make_ground_set([0], QQ), 4))
 @example((make_ground_set([-1, 0, 1], QQ), 4))
+@example((make_ground_set([-2, -1, 0, 1, 2], QQ), 3))
+@example((make_ground_set([0, 1, 3, 7], QQ), 3))
+@example((make_ground_set(range(5), FieldSpec.prime(5)), 3))
+@example((make_ground_set([Fraction(1, 2), Fraction(2, 3), 2, 3], QQ), 3))
 @settings(max_examples=40)
 def test_class_table_matches_sorted_tally(case):
     # the paired walk over top-block column multisets against every block's
@@ -286,7 +324,9 @@ def test_class_table_matches_sorted_tally(case):
     # in the set, or all of a prime field, many 2-minors vanish. A one-point
     # set has only the tie column (x, x), and {-1, 0, 1} many multisets with
     # as many columns before the ties as after them, which the row swap maps
-    # among themselves
+    # among themselves. At |X| = 4 and 5 each run holds 4 to 10 columns, so
+    # the walk's blocks of j < k above a prefix span several rows, and the
+    # diagonal cases j = P[-1], k = j and both meet runs of every kind
     X, n = case
     pairs, zero, lift, _ = _class_table(X, n, None, "test")
     direct = _cofactor_tally(X, n)
