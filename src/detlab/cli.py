@@ -221,14 +221,9 @@ def _cmd_energy(args) -> None:
         fn = count_bilinear_brute if args.engine == "brute" else count_bilinear
         cnt = fn(M, X, C, omega, budget=args.budget)
         out.update({"k": M.rows, "omega": format_scalar(omega), "C": len(C)})
-    elif kind == "Estar":
-        if args.engine == "brute":
-            cnt = energy_Estar_brute(X, budget=args.budget)
-        else:
-            cnt = energy_Estar_mu(X, budget=args.budget)
     else:
-        table = {"N": (energy_N, energy_N_brute), "T": (energy_T, energy_T_brute), "S": (energy_S, energy_S_brute)}
-        fast, brute = table[kind]
+        fast, brute = {"N": (energy_N, energy_N_brute), "T": (energy_T, energy_T_brute),
+                       "S": (energy_S, energy_S_brute), "Estar": (energy_Estar_mu, energy_Estar_brute)}[kind]
         cnt = (brute if args.engine == "brute" else fast)(X, budget=args.budget)
     out["engine"] = args.engine
     out["count"] = str(cnt)

@@ -9,9 +9,10 @@ values pairwise and never share the table machinery.
 T and S are one number: over the pair-product multiset P of any abelian
 group, #{a + b = c + e} = #{a - c = e - b}. Both build the sum table P * P
 with one update per unordered pair {t1, t2} of values of P, |P|(|P| + 1) / 2
-updates, and their budget charge |U|^2 + |P|^2 bounds that work. The cofactor
-energy E* and its dyadic pyramid read each +- pair of cofactor classes from
-`detcount._class_table` and its size from `detcount._class_size`.
+updates, and their budget charge |U|^2 + |P|^2 bounds that work. The
+difference-correlation Q2 of P is D_2(U, .), from `detcount.det_spectrum`.
+The cofactor energy E* and its dyadic pyramid read each +- pair of cofactor
+classes from `detcount._class_table` and its size from `detcount._class_size`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError, check_budget
-from .detcount import _class_size, _class_table, _count_forms, _pair_products
+from .detcount import _class_size, _class_table, _count_forms, _pair_products, det_spectrum
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -61,17 +62,6 @@ def _pair_sums(P: dict) -> dict:
         for t2, c2 in items[i + 1:]:
             s = t1 + t2
             table[s] = get(s, 0) + c1 * c2
-    return table
-
-
-def _cross_terms(P: dict) -> dict:
-    """t -> #{a - b = t} over two independent pair products a and b: the
-    difference-correlation of P with itself, one update per ordered pair."""
-    table: dict = {}
-    for t1, c1 in P.items():
-        for t2, c2 in P.items():
-            s = t1 - t2
-            table[s] = table.get(s, 0) + c1 * c2
     return table
 
 
@@ -124,15 +114,15 @@ def energy_S(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of u1*v3 - u3*v1 = y1*z3 - y3*z1 over U^8. u1*v3 and u3*v1
     are independent pair products a, c (and y1*z3, y3*z1 are b, e), so S
     counts #{a - c = b - e} = #{a + e = b + c} over P^4: S equals T in any
-    abelian group, and is computed by the same unordered-pair sums table
-    (`cross_term_distribution` keeps the difference-correlation Q2).
+    abelian group, and is computed by the same unordered-pair sums table.
     Charged |U|^2, then |U|^2 + |P|^2."""
     return _pair_sum_energy(U, budget, "energy_S")
 
 
 def cross_term_distribution(U: GroundSet) -> ValueDistribution:
-    """Q2(t) = #{(u1, u3, v1, v3) in U^4 : u1*v3 - u3*v1 = t}; mass |U|^4."""
-    return ValueDistribution(_cross_terms(_pair_products(U.elements)), "two-by-two-cross")
+    """Q2(t) = #{(u1, u3, v1, v3) in U^4 : u1*v3 - u3*v1 = t}; mass |U|^4.
+    Q2 is D_2(U, t), the rowblock engine's pair-product correlation."""
+    return ValueDistribution(det_spectrum(U, 2, "rowblock").entries, "two-by-two-cross")
 
 
 def energy_S_brute(U: GroundSet, *, budget: int | None = None) -> int:

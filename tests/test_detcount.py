@@ -52,8 +52,15 @@ def test_rowblock_examples():
 
 
 def test_rowblock_rejects_n1():
-    with pytest.raises(PreconditionError):
-        count_det_rowblock(X12, 1, 0)
+    # the cofactor walk starts at n = 3; each rowblock engine checks its own
+    # bound n >= 2
+    for n in (0, 1):
+        with pytest.raises(PreconditionError, match="n >= 2"):
+            count_det_rowblock(X12, n, 0)
+        with pytest.raises(PreconditionError, match="n >= 2"):
+            det_spectrum(X12, n, "rowblock")
+        with pytest.raises(PreconditionError, match="n >= 2"):
+            minor_multiplicity_map(X12, n)
 
 
 def test_conv_examples():
@@ -186,11 +193,16 @@ def _gl_order(q: int, n: int) -> int:
     return math.prod(q**n - q**i for i in range(n))
 
 
-@pytest.mark.parametrize("p, n", [(p, 3) for p in (2, 3, 5, 7, 11, 13)] + [(p, 4) for p in (2, 3, 5)])
+@pytest.mark.parametrize(
+    "p, n",
+    [(p, 2) for p in (2, 3, 5, 7, 11, 13, 101)]
+    + [(p, 3) for p in (2, 3, 5, 7, 11, 13)]
+    + [(p, 4) for p in (2, 3, 5)],
+)
 def test_spectrum_over_whole_prime_field_matches_closed_form(p, n):
     # over all of F_p every d != 0 has |SL_n(F_p)| = |GL_n(F_p)| / (p - 1)
     # matrices and the rest are singular; the formulas share nothing with the
-    # class walk or the prefix fold
+    # pair-product correlation, the class walk or the prefix fold
     X = make_ground_set(range(p), FieldSpec.prime(p))
     gl = _gl_order(p, n)
     spec = det_spectrum(X, n, "rowblock")
@@ -286,9 +298,10 @@ def test_minor_map_mass():
 
 @st.composite
 def _class_cases(draw):
-    """(X, n): an int, Fraction or F_p set with n in {2, 3, 4}; n = 4 only
-    at |X| <= 2, where the oracle walks 2^12 blocks."""
-    n = draw(st.sampled_from([2, 3, 4]))
+    """(X, n): an int, Fraction or F_p set with n in {3, 4}, the dimensions
+    the class walk serves; n = 4 only at |X| <= 2, where the oracle walks
+    2^12 blocks."""
+    n = draw(st.sampled_from([3, 4]))
     size = 2 if n == 4 else 3
     kind = draw(st.sampled_from(["int", "fraction", "fp"]))
     if kind == "int":
@@ -335,9 +348,8 @@ def test_class_table_matches_sorted_tally(case):
         by_class[tuple(sorted(m))] += mu
     for c, mu in by_class.items():
         assert by_class[tuple(sorted(-x for x in c))] == mu
-    if n > 2:
-        # the row swap maps each vector to its negation
-        assert all(direct[tuple(-x for x in m)] == mu for m, mu in direct.items())
+    # the row swap maps each vector to its negation
+    assert all(direct[tuple(-x for x in m)] == mu for m, mu in direct.items())
     assert zero == direct.pop((X.field.zero(),) * n, 0)
     oracle = Counter()
     for m, mu in direct.items():
@@ -349,7 +361,7 @@ def test_class_table_matches_sorted_tally(case):
         assert c <= _mirror(c, lift.modulus)
         # the row swap gives every permutation of both classes one multiplicity
         size = len({*itertools.permutations(c), *itertools.permutations(_mirror(c, lift.modulus))})
-        assert n == 2 or w % size == 0
+        assert w % size == 0
         assert n != 3 or _class_size(c, lift.modulus) == size
 
 
@@ -513,6 +525,20 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
         count_det_rowblock(X, 3, 0, budget=2_899)
     with pytest.raises(BudgetExceededError):
         det_spectrum(X, 3, "rowblock", budget=7_263)
+
+
+def test_n2_spectrum_budget_is_pair_products_then_correlation():
+    # interval 40, n = 2: the pair-product table P takes 40^2 = 1,600 steps
+    # and has 517 distinct products, and the difference-correlation does one
+    # update per ordered pair of them: 1,600 + 517^2 = 268,889
+    X = make_ground_set(range(1, 41), QQ)
+    spec = det_spectrum(X, 2, "rowblock", budget=268_889)
+    assert spec.total_mass() == 40**4
+    with pytest.raises(BudgetExceededError):
+        det_spectrum(X, 2, "rowblock", budget=268_888)
+    # the pair-product table is refused before it is built
+    with pytest.raises(BudgetExceededError):
+        det_spectrum(X, 2, "rowblock", budget=1_599)
 
 
 def test_class_walk_charges_each_wedge_level():

@@ -4,9 +4,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from detlab.detcount import det_spectrum
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.energy import (
     count_bilinear,
@@ -99,6 +100,24 @@ def test_energy_S_examples():
     assert cross_term_distribution(U01).entries == {0: 10, -1: 3, 1: 3}
     assert energy_S(U01) == 9 + 100 + 9
     assert energy_S_brute(U01) == energy_S(U01)
+
+
+@st.composite
+def _prime_field_sets(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    vals = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4, unique=True))
+    return make_ground_set(vals, FieldSpec.prime(p))
+
+
+@given(st.one_of(int_ground_sets(max_size=4), fraction_ground_sets(max_size=4), _prime_field_sets()))
+@example(make_ground_set([Fraction(1, 2), 1, Fraction(3, 2)], QQ))
+@example(make_ground_set(range(7), F7))
+@settings(max_examples=40)
+def test_cross_term_distribution_is_the_n2_spectrum(U):
+    # Q2 comes from the rowblock engine's pair-product correlation, whose
+    # keys over F_p are differences of residues reduced mod p; the brute
+    # oracle enumerates the |U|^4 determinants in field scalars
+    assert cross_term_distribution(U).entries == det_spectrum(U, 2, "brute").entries
 
 
 @pytest.mark.parametrize("vals", SMALL_SETS)
