@@ -37,11 +37,14 @@ expand the pairs into their vectors, and only `minor_multiplicity_map`
 lowers its keys to field scalars.
 
 Every linear-form count in the package goes through one kernel,
-`_count_forms`: it sums w * #{r in X^k : <c, r> = t} over forms (c, t, w),
-with one value distribution per distinct sorted prefix c[:-1] and |X|
-lookups per form. Its callers are `count_det_rowblock` (on lifted ints,
-each pair key over Q divided by the gcd of its entries, as is the target,
-and one form per key at d = 0 and two, at d and -d, otherwise),
+`_count_forms`: it sums w * #{r in X^k : <c, r> = t} over forms (c, t, w).
+It looks up one entry of each sorted c (over Q, after negating (c, t) when
+need be, the entry of largest absolute value; over F_p the last residue),
+merges equal forms, and builds one value distribution per distinct prefix
+of the other entries, then does |X| lookups per merged form. Its callers
+are `count_det_rowblock` (on lifted ints, each pair key over Q divided by
+the gcd of its entries, as is the target, and one form per key at d = 0
+and two, at d and -d, otherwise, streamed into the kernel),
 `MinorPlanes.det_count_via_incidences` and the curve half of
 `incidence.curve_incidences_n3` (lifted ints, with the modulus over F_p),
 and `energy.count_bilinear` (field scalars). The rowblock spectrum at
@@ -59,10 +62,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import getitem, neg
+from operator import add, getitem, neg
 
 from .errors import PreconditionError, check_budget
 from .matrices import Matrix, _det_rows, _rank_rows
@@ -89,21 +91,38 @@ def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dic
 
 def _count_forms(forms, elems, modulus: int | None, budget: int | None, what: str, spent: int = 0) -> int:
     """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w), all
-    of one length k >= 1. The count does not change when c is permuted, so
-    each c is sorted and the forms are grouped by their prefix q = c[:-1].
-    The value distribution of <q, r> over r in X^len(q) is built from that of
+    of one length k >= 1. The count does not change when c is permuted, nor
+    when (c, t) is negated, so each c is sorted and one entry a of it is
+    looked up: with a `modulus` (residues, t reduced mod that prime) the last
+    one; without, the first, after the form is negated when its last entry
+    exceeds minus its first, which over Q puts the entry of largest absolute
+    value first, negative. The other entries are the form's prefix q, and
+    equal forms merge, their weights added, keyed by (a, t) per prefix. The
+    value distribution of <q, r> over r in X^len(q) is built from that of
     q[:-1] by shifting with q[-1]*y for each y in X (`_shift_add`), once per
     distinct prefix, from the root {t - t: 1} (a zero of the forms' own
-    scalar type: int, Fraction or Mod); a form then needs |X| lookups of
-    t - c[-1]*x. With a `modulus`, every key is reduced mod that prime. The
-    budget is charged on top of `spent`, level by level before the level
-    runs: |X| per parent entry for each prefix built, and |X| per form with
-    the last level. An all-zero c counts |X|^k when t = 0 and 0 otherwise."""
+    scalar type: int, Fraction or Mod); a merged form then needs |X| lookups
+    of t - a*x, from one list of -a*x per distinct a. With a `modulus`, every
+    key is reduced mod that prime. The budget is charged on top of `spent`,
+    level by level before the level runs: |X| per parent entry for each
+    prefix built, and |X| per merged form with the last level. An all-zero c
+    counts |X|^k when t = 0 and 0 otherwise."""
     B = len(elems)
     groups: dict = {}
     for c, t, w in forms:
         c = sorted(c)
-        groups.setdefault(tuple(c[:-1]), []).append((c[-1], t, w))
+        if modulus:
+            t %= modulus
+            a, q = c[-1], tuple(c[:-1])
+        else:
+            if c[-1] > -c[0]:
+                c, t = sorted(map(neg, c)), -t
+            a, q = c[0], tuple(c[1:])
+        members = groups.get(q)
+        if members is None:
+            members = groups[q] = {}
+        key = (a, t)
+        members[key] = members.get(key, 0) + w
     if not groups:
         return 0
     k = len(next(iter(groups))) + 1
@@ -117,15 +136,20 @@ def _count_forms(forms, elems, modulus: int | None, budget: int | None, what: st
     # peak memory of a GP 10 count from 110 to 133 MB
     spent += B * sum(len(dists[q[:-1]]) for q in groups if q)
     check_budget(spent + B * sum(map(len, groups.values())), budget, what)
+    multiples: dict = {}
     total = 0
     for q, members in groups.items():
         dist = _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus) if q else dists[()]
         get = dist.get
-        for c, t, w in members:
-            keys = [t - c * x for x in elems]
-            if modulus:
-                keys = [v % modulus for v in keys]
-            total += w * sum(get(v, 0) for v in keys)
+        for (a, t), w in members.items():
+            keys = multiples.get(a)
+            if keys is None:
+                keys = multiples[a] = [-a * x % modulus for x in elems] if modulus else [-a * x for x in elems]
+            if t:
+                keys = map(add, keys, repeat(t))
+                if modulus:
+                    keys = map(modulus.__rmod__, keys)
+            total += w * sum(map(get, keys, repeat(0)))
     return total
 
 
@@ -229,6 +253,9 @@ def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, wha
     if threads <= 1 or total < _MIN_PARALLEL_ITEMS:
         parts = [_brute_walk(elems, n, 0, B)]
     else:
+        # imported here, at the one use of a pool: the import is a sixth of `import detlab`
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(threads, B)
         cuts = [B * i // workers for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -460,8 +487,9 @@ def count_det_rowblock(
     scaling, over Q: #{r : <g*m, r> = t} is #{r : <m, r> = t/g} when g | t
     and 0 otherwise, so each key is divided by the gcd g of its entries and
     the target by g, a key whose g does not divide the target is dropped,
-    and equal forms merge (the pairs are popped as they merge, so the two
-    dicts peak at the size of one). The kernel charges the budget on top of
+    and the forms stream into the kernel, which merges equal ones (the pairs
+    are popped as they stream, so the pairs and the kernel's merged forms
+    peak at about the size of one). The kernel charges the budget on top of
     the table's blocks. At n = 2 the count is the product correlation
     `count_det_conv_n2`. The table is walked in-process; `threads` is the
     registry's signature."""
@@ -474,16 +502,21 @@ def count_det_rowblock(
     target = lift.target(d, n)
     if target is None:
         return 0
-    scaled: dict = {}
-    while pairs:
-        m, w = pairs.popitem()
-        g = 1 if lift.modulus else math.gcd(*m)
-        if target % g == 0:
-            key = (tuple([x // g for x in m]) if g > 1 else m, target // g)
-            scaled[key] = scaled.get(key, 0) + w
+    p = lift.modulus
     signs = (1, -1) if target else (1,)
-    forms = ((m, s * t, w) for (m, t), w in scaled.items() for s in signs)
-    total = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent) // len(signs)
+
+    def forms():
+        # popping frees each pair as the kernel merges its forms
+        while pairs:
+            m, w = pairs.popitem()
+            g = 1 if p else math.gcd(*m)
+            if target % g == 0:
+                if g > 1:
+                    m = tuple([x // g for x in m])
+                for s in signs:
+                    yield m, s * target // g, w
+
+    total = _count_forms(forms(), lift.elements, p, budget, what, spent) // len(signs)
     return total + (zero * len(X) ** n if not target else 0)
 
 

@@ -23,6 +23,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 
 from .errors import PreconditionError, check_budget
 from .detcount import _class_table, _count_forms, _mirror
@@ -385,25 +387,28 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     counted both directly and as point/quadratic-curve incidences. The
     direct half solves for u2 in field arithmetic on U's elements: for each
     (v1, v2, w1, w2) and u1 it looks up u1*(v2-w2) + v1*w2 - v2*w1 in the
-    table {u*b: count} of b = v1 - w1, built once per distinct b (b = 0
-    gives {0: |U|}). The curve half makes each fixed (a, b, c, t) the form
+    table {u*b: count} of b = v1 - w1 (b = 0 gives {0: |U|}), shifting the
+    list [u1*c for u1 in U] of c = v2 - w2; both are built once per distinct
+    difference. The curve half makes each fixed (a, b, c, t) the form
     ((t-c, b-a), t*b - a*c, 1) of the linear-form kernel, which counts the
     (r, q) on that curve, on the lifted set: the equation is homogeneous of
     degree 2, so scaling U by L keeps its solutions. The budget is charged
-    |U|^5 lookups and |U| steps per table before the direct half, then the
-    kernel's steps. The two tallies must agree."""
+    |U|^5 lookups and 2|U| steps per distinct difference (its table and its
+    list) before the direct half, then the kernel's steps. The two tallies
+    must agree."""
     what = "curve_incidences_n3"
     E = U.elements
     diffs = {v - w for v in E for w in E}
-    spent = len(E) ** 5 + len(E) * len(diffs)
+    spent = len(E) ** 5 + 2 * len(E) * len(diffs)
     check_budget(spent, budget, what)
     tables = {b: Counter(u * b for u in E) for b in diffs}
+    multiples = {c: [u * c for u in E] for c in diffs}
     direct = 0
     for v1, w1 in itertools.product(E, repeat=2):
-        table = tables[v1 - w1]
+        get = tables[v1 - w1].get
         for v2, w2 in itertools.product(E, repeat=2):
-            c, s = v2 - w2, v1 * w2 - v2 * w1
-            direct += sum([table.get(u1 * c + s, 0) for u1 in E])
+            s = v1 * w2 - v2 * w1
+            direct += sum(map(get, map(add, multiples[v2 - w2], repeat(s)), repeat(0)))
     lift = int_lift(U)
     forms = (
         ((t - c, b - a), t * b - a * c, 1)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import random
@@ -509,20 +510,22 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     # multiset of 3 of the 4^2 columns, C(18, 3) = 816 steps, giving 231
     # pair keys of sorted-key classes with 120 distinct prefixes (a, b) and
     # 15 distinct (a). At d = 0 the count divides each key by the gcd of its
-    # entries, which leaves 146 forms with 90 distinct prefixes (a, b) and
-    # 15 distinct (a). It builds the 15 distributions of a*x from the root's
-    # one entry (4 * 15 steps), the 90 distributions of a*x + b*y from
-    # theirs (4 * 4 * 90 = 1440 steps), then does 4 lookups per form (584):
-    # 816 + 60 + 1440 + 584 = 2900. The spectrum shifts 4 * 231 leaf
-    # entries, then 4 * 787 entries of the 120 prefix dicts and 4 * 594 of
-    # the 15: 816 + 924 + 3148 + 2376 = 7264.
+    # entries, which leaves 146 merged forms (a, b, e). Every pair key has
+    # e <= -a, so no form is negated, and each looks up its first entry a
+    # over its prefix (b, e): 69 distinct (b, e) and 15 distinct (b). The
+    # kernel builds the 15 distributions of b*x from the root's one entry
+    # (4 * 15 steps), the 69 of b*x + e*y from theirs, 4 entries each but 1
+    # for the 3 with b = 0 (4 * (66 * 4 + 3) = 1068 steps), then does 4
+    # lookups per merged form (584): 816 + 60 + 1068 + 584 = 2528. The
+    # spectrum shifts 4 * 231 leaf entries, then 4 * 787 entries of the 120
+    # prefix dicts and 4 * 594 of the 15: 816 + 924 + 3148 + 2376 = 7264.
     X = make_ground_set(range(1, 5), QQ)
-    count = count_det_rowblock(X, 3, 0, budget=2_900)
+    count = count_det_rowblock(X, 3, 0, budget=2_528)
     spec = det_spectrum(X, 3, "rowblock", budget=7_264)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=2_899)
+        count_det_rowblock(X, 3, 0, budget=2_527)
     with pytest.raises(BudgetExceededError):
         det_spectrum(X, 3, "rowblock", budget=7_263)
 
@@ -608,7 +611,7 @@ def test_cofactor_table_never_starts_a_pool(monkeypatch):
     ]
     serial = [call(1) for call in calls]
     monkeypatch.setattr(detcount, "_MIN_PARALLEL_ITEMS", 1)
-    monkeypatch.setattr(detcount, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert [call(4) for call in calls] == serial
 
 
@@ -652,17 +655,23 @@ def _linear_forms(draw):
     return X, forms
 
 
-@settings(max_examples=300)
-@given(_linear_forms())
-def test_count_forms_matches_enumeration(case):
-    X, forms = case
+def _forms_by_enumeration(X, forms) -> int:
+    """Sum of w * #{r in X^k : <c, r> = t} over the forms, by trying every r."""
     zero = X.field.zero()
-    direct = sum(
+    return sum(
         w
         for coeffs, target, w in forms
         for r in itertools.product(X.elements, repeat=len(coeffs))
         if sum((c * x for c, x in zip(coeffs, r)), zero) == target
     )
+
+
+@settings(max_examples=300)
+@given(_linear_forms())
+def test_count_forms_matches_enumeration(case):
+    X, forms = case
+    zero = X.field.zero()
+    direct = _forms_by_enumeration(X, forms)
     assert _count_forms(forms, X.elements, None, None, "test") == direct
     if not X.field.is_rational:
         # the same forms on residues, each key reduced mod 7
@@ -672,3 +681,34 @@ def test_count_forms_matches_enumeration(case):
     zeros = [zero] * k
     assert _count_forms([(zeros, zero, 2)], X.elements, None, None, "test") == 2 * len(X) ** k
     assert _count_forms([(zeros, X.field.one(), 2)], X.elements, None, None, "test") == 0
+
+
+@settings(max_examples=200)
+@given(_linear_forms(), st.data())
+def test_count_forms_is_invariant_under_form_symmetries(case, data):
+    # the kernel negates and sorts each form and merges equal ones: negating
+    # a form to (-c, -t), permuting c or splitting its weight must leave the
+    # count as it was, and a duplicate (negated and permuted) must add that
+    # form's own count once more, on field scalars and on residues mod 7
+    X, forms = case
+    i = data.draw(st.integers(0, len(forms) - 1), label="form")
+    c, t, w = forms[i]
+    rest = forms[:i] + forms[i + 1 :]
+    negated = ([-x for x in c], -t, w)
+    permuted = (data.draw(st.permutations(c), label="permutation"), t, w)
+    w1 = data.draw(st.integers(0, w), label="split")
+    split = [(c, t, w1), (c, t, w - w1)]
+    twin = (data.draw(st.permutations(negated[0]), label="twin"), -t, w)
+    direct = _forms_by_enumeration(X, forms)
+    variants = [
+        (rest + [negated], direct),
+        (rest + [permuted], direct),
+        (rest + split, direct),
+        (forms + [twin], direct + _forms_by_enumeration(X, [forms[i]])),
+    ]
+    for variant, want in variants:
+        assert _forms_by_enumeration(X, variant) == want
+        assert _count_forms(variant, X.elements, None, None, "test") == want
+        if not X.field.is_rational:
+            residues = [([x.residue for x in cs], ts.residue, ws) for cs, ts, ws in variant]
+            assert _count_forms(residues, [e.residue for e in X], 7, None, "test") == want

@@ -303,9 +303,11 @@ def test_fast_energies_charge_their_tables():
 
 
 def test_bilinear_budget_is_tally_plus_kernel():
-    # M = [[1, 2], [0, 1]] over {1, 2, 3}: 3^2 = 9 vectors M*b, all distinct,
-    # whose sorted entries have 3 distinct first entries: 3 * 3 steps for
-    # their distributions and 3 lookups per vector (27)
+    # M = [[1, 2], [0, 1]] over {1, 2, 3}: 3^2 = 9 vectors M*b = (u, v),
+    # all distinct with 0 < v < u, so each form (M*b, 3) is negated to
+    # ((-u, -v), -3) and looks up -u over the prefix -v, which takes 3
+    # values: 3 * 3 steps for their distributions and 3 lookups per vector
+    # (27): 9 + 9 + 27 = 45
     U = gs([1, 2, 3])
     M = Matrix.from_rows([[1, 2], [0, 1]], QQ)
     assert count_bilinear(M, U, U, 3, budget=45) == count_bilinear_brute(M, U, U, 3)

@@ -606,30 +606,35 @@ def test_incidence_budget():
 
 
 def test_minor_plane_incidences_budget_is_the_kernel_charge():
-    # interval 4, d = 0: 825 planes, all with target 0, whose sorted
-    # coefficient vectors have 15 distinct (a) and 114 distinct (a, b)
-    # prefixes. The kernel builds the 15 distributions of a*x from the root's
-    # one entry (4 * 15 steps), the 114 of a*x + b*y from theirs (1824
-    # steps), then does 4 lookups per plane (3300).
+    # interval 4, d = 0: 825 planes, all with target 0. Each sorted
+    # coefficient vector (a, b, e), negated when e > -a, looks up a over the
+    # prefix (b, e), and equal vectors merge: 151 merged forms over 69
+    # distinct (b, e) and 15 distinct (b). The kernel builds the 15
+    # distributions of b*x from the root's one entry (4 * 15 steps), the 69
+    # of b*x + e*y from theirs, 4 entries each but 1 for the 3 with b = 0
+    # (4 * (66 * 4 + 3) = 1068 steps), then does 4 lookups per merged form
+    # (604): 60 + 1068 + 604 = 1732.
     X = make_ground_set(range(1, 5), QQ)
     mp = planes_from_minors(X, 0)
     assert len(mp.family) == 825
-    assert mp.det_count_via_incidences(budget=5_184) == count_det_brute(X, 3, 0)
+    assert mp.det_count_via_incidences(budget=1_732) == count_det_brute(X, 3, 0)
     with pytest.raises(BudgetExceededError):
-        mp.det_count_via_incidences(budget=5_183)
+        mp.det_count_via_incidences(budget=1_731)
 
 
 def test_curve_incidences_budget_is_direct_plus_kernel():
-    # interval 3: the direct half does 3^5 = 243 lookups into the tables
-    # {u*b: count} of the 5 distinct differences b = v1 - w1, 3 steps each
-    # (258); then 81 curve forms whose sorted coefficient pairs (t-c, b-a)
-    # have 5 distinct first entries: 3 * 5 steps for their distributions
-    # and 3 lookups per form (258).
+    # interval 3: the direct half does 3^5 = 243 lookups, after building
+    # for each of the 5 distinct differences its table {u*b: count} and its
+    # list [u*c], 3 steps each (243 + 30 = 273); then 81 curve forms
+    # ((t-c, b-a), t*b - a*c), each sorted, negated when its larger entry
+    # exceeds minus its smaller, merge into 19 forms whose prefixes take 5
+    # distinct values: 3 * 5 steps for their distributions and 3 lookups
+    # per merged form (57): 273 + 15 + 57 = 345.
     U = make_ground_set([1, 2, 3], QQ)
-    count = curve_incidences_n3(U, budget=516)
+    count = curve_incidences_n3(U, budget=345)
     assert count == curve_incidences_n3(U)
     with pytest.raises(BudgetExceededError):
-        curve_incidences_n3(U, budget=515)
+        curve_incidences_n3(U, budget=344)
 
 
 def test_classify_budget_is_the_last_coordinate_solve():
