@@ -441,14 +441,11 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     return pairs, zero, lift, spent
 
 
-def _expand_classes(pairs: dict, p: int | None) -> dict:
-    """The cofactor table m -> mu of the pairs at n >= 3, where the row swap
-    gives all permutations of a class and of its mirror one multiplicity."""
-    table: dict = {}
-    for c, mass in pairs.items():
-        perms = {*itertools.permutations(c), *itertools.permutations(_mirror(c, p))}
-        table.update(dict.fromkeys(perms, mass // len(perms)))
-    return table
+def _pair_vectors(key, p: int | None) -> set:
+    """The cofactor vectors of the +- pair of the sorted key: every
+    permutation of it and of its mirror, which the row swap gives one
+    multiplicity, the pair's mass over their number."""
+    return {*itertools.permutations(key), *itertools.permutations(_mirror(key, p))}
 
 
 def minor_multiplicity_map(
@@ -467,7 +464,10 @@ def minor_multiplicity_map(
         z = X.field.zero()
         return MinorMultiplicityMap(n, X, table, table.pop((z, z), 0))
     pairs, zero, lift, _ = _class_table(X, n, budget, "minor_multiplicity_map")
-    table = _expand_classes(pairs, lift.modulus)
+    table: dict = {}
+    for c, mass in pairs.items():
+        vectors = _pair_vectors(c, lift.modulus)
+        table.update(dict.fromkeys(vectors, mass // len(vectors)))
     if not lift.is_identity:
         table = {tuple(lift.lower(c, n - 1) for c in m): mu for m, mu in table.items()}
     return MinorMultiplicityMap(n, X, table, zero)

@@ -221,7 +221,8 @@ def run_scan(
     cache: ResultCache | None = None,
 ) -> list[ScanRow]:
     """One row per size, cached by content key; budget misses are recorded as
-    rows with budget_hit set and the scan continues."""
+    rows with budget_hit set and the scan continues. The key holds no budget,
+    so refused rows are neither cached nor served from the cache."""
     sizes = list(sizes)
     if not sizes:
         raise PreconditionError("no sizes to scan")
@@ -246,7 +247,8 @@ def run_scan(
         )
         if cache is not None:
             hit = cache.get(key)
-            if hit is not None:
+            # a refused row says nothing about a scan with a larger budget
+            if hit is not None and not hit.budget_hit:
                 rows.append(hit)
                 continue
         X = generate(spec, field)
@@ -270,7 +272,7 @@ def run_scan(
             elapsed_ms=elapsed,
             budget_hit=budget_hit,
         )
-        if cache is not None:
+        if cache is not None and not budget_hit:
             cache.put(key, row)
         rows.append(row)
     return rows

@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import add
 
 from .errors import PreconditionError, check_budget
-from .detcount import _class_table, _count_forms, _mirror
+from .detcount import _class_table, _count_forms, _pair_vectors
 from .matrices import _rank_rows
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -366,7 +366,7 @@ def planes_from_minors(
     merged: dict = {}
     for c, w in pairs.items():
         a, b = (c, offset) if p else normalize_plane(c, offset, X.field)
-        triples = {*itertools.permutations(a), *itertools.permutations(_mirror(a, p))}
+        triples = _pair_vectors(a, p)
         if p:
             # a triple's lead is an entry x of c or its negation, and
             # 1/(-x) = -(1/x): one inverse per distinct nonzero entry

@@ -198,7 +198,8 @@ def _gl_order(q: int, n: int) -> int:
     "p, n",
     [(p, 2) for p in (2, 3, 5, 7, 11, 13, 101)]
     + [(p, 3) for p in (2, 3, 5, 7, 11, 13)]
-    + [(p, 4) for p in (2, 3, 5)],
+    + [(p, 4) for p in (2, 3, 5)]
+    + [(2, 5), (3, 5), (2, 6)],
 )
 def test_spectrum_over_whole_prime_field_matches_closed_form(p, n):
     # over all of F_p every d != 0 has |SL_n(F_p)| = |GL_n(F_p)| / (p - 1)
@@ -210,6 +211,14 @@ def test_spectrum_over_whole_prime_field_matches_closed_form(p, n):
     assert spec.get(0) == p ** (n * n) - gl
     assert [spec.get(d) for d in range(1, p)] == [gl // (p - 1)] * (p - 1)
     assert spec.distinct_count() == p
+
+
+def test_singular_binary_counts_match_oeis_a046747():
+    # singular n x n {0, 1} matrices, n = 2..6, as published in OEIS A046747;
+    # n = 5 and 6 run the wedge levels below the last one
+    X = make_ground_set([0, 1], QQ)
+    counts = [count_det_rowblock(X, n, 0) for n in range(2, 7)]
+    assert counts == [10, 338, 42_976, 21_040_112, 39_882_864_736]
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -132,6 +132,23 @@ def test_cache_warm_scan_identical_and_no_recompute(tmp_path, monkeypatch):
     assert second == first  # elapsed times included: rows come back verbatim
 
 
+def test_cache_does_not_serve_budget_refusals(tmp_path):
+    # the key holds no budget: a refusal under budget=100 must not answer a
+    # later scan without one, nor may a refused row an older cache file holds
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    spec = FamilySpec("interval", 4)
+    refused = run_scan(spec, [4], QQ, 3, "zero", "rowblock", budget=100, cache=cache)[0]
+    assert refused.budget_hit and refused.count is None
+    want = count_det_brute(make_ground_set([1, 2, 3, 4], QQ), 3, 0)
+    row = run_scan(spec, [4], QQ, 3, "zero", "rowblock", cache=cache)[0]
+    assert not row.budget_hit and row.count == want
+    key = scan_key("interval", {}, None, 4, 3, "zero", "0", "rowblock", "rational")
+    assert cache.get(key) == row
+    ResultCache(cache.path).put(key, refused)
+    row = run_scan(spec, [4], QQ, 3, "zero", "rowblock", cache=ResultCache(cache.path))[0]
+    assert not row.budget_hit and row.count == want
+
+
 def test_cache_key_separates_fields(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
     spec = FamilySpec("interval", 3)
