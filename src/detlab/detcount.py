@@ -23,18 +23,23 @@ tallies the |X|^2 vectors (b, -a) directly.
 The one cofactor walk is `_class_table`, at n >= 3: on the set lifted to
 plain ints by `scalars.int_lift` (L*X over Q, residues over F_p) it tallies
 the signed cofactor vectors by sorted-key class, with the zero vector apart.
-It walks one top block of two rows per column multiset (read from a table
-of the 2 x 2 determinants of column pairs), the last two column
-indices in bulk with one `Counter.update` per pair of column runs, and by
-the row swap returns one key per +- pair of classes (`_mirror`) with the
-pair's mass. The rowblock count maps its target into the lifted problem
-(L^n d, or the residue of d) and counts in ints; the rowblock spectrum
-builds an int histogram, mirrors it and lowers each distinct value to a
-field scalar at the end. `energy.energy_Estar_mu` and
-`energy.dyadic_pyramid` divide each pair's mass by its class size
-(`_class_size`); `minor_multiplicity_map` and `incidence.planes_from_minors`
-expand the pairs into their vectors, and only `minor_multiplicity_map`
-lowers its keys to field scalars.
+It is one stream of (weight, tally) chunks through three stages. `_seed`
+walks one top block of two rows per column multiset (read from a table of
+the 2 x 2 determinants of column pairs), the last two column indices in
+bulk with one `Counter.update` per pair of column runs. At n >= 4 each
+further row of the (n - 1)-row block is one `_wedge` level, a Laplace
+expansion of the level vectors below, merged with their negations first.
+`_fold` is the one weighted merge: by the row swap it keys each vector by
+the smaller of it and its negation, so the walk returns one key per +-
+pair of classes (`_mirror`) with the pair's mass. The rowblock count maps
+its target into the lifted problem (L^n d, or the residue of d) and counts
+in ints; the rowblock spectrum builds an int histogram, mirrors it and
+lowers each distinct value to a field scalar at the end.
+`energy.energy_Estar_mu` and `energy.dyadic_pyramid` divide each pair's
+mass by its class size (`_class_size`); `minor_multiplicity_map` and
+`incidence.planes_from_minors` expand the pairs into their vectors
+(`_pair_vectors`), and only `minor_multiplicity_map` lowers its keys to
+field scalars.
 
 Every linear-form count in the package goes through one kernel,
 `_count_forms`: it sums w * #{r in X^k : <c, r> = t} over forms (c, t, w).
@@ -291,7 +296,7 @@ def _perms(key) -> int:
 
 def _mirror(key, p: int | None) -> tuple:
     """Sorted key of -c for the sorted key c (negated residues over F_p)."""
-    return tuple(sorted([-x % p for x in key])) if p else tuple([-x for x in key[::-1]])
+    return tuple(sorted([-x % p for x in key])) if p else tuple(map(neg, key[::-1]))
 
 
 def _class_size(key, p: int | None) -> int:
@@ -305,39 +310,30 @@ def _class_size(key, p: int | None) -> int:
     return perms if own else 2 * perms
 
 
-def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
-    """+- pairs of the lifted set's cofactor classes at n >= 3, the zero
-    count, the lift and the steps charged. A column permutation s maps the
-    cofactor vector m to sgn(s)*s(m), so the walk takes one top block per
-    column multiset, weighted by its distinct orderings (`_perms`). The top
-    block is the first two rows: its columns are index multisets
-    i_0 <= ... <= i_{n-1} over the |X|^2 lifted columns in X^2, in three
-    runs (x before y in X, x = y, x after y), and its 2-minors are read from
-    the table D[i][j] = det(col_i, col_j) (mod p over F_p), built once.
-    Swapping the two rows maps m to -m and exchanges a multiset's counts of
-    first-run and last-run columns: the walk takes a multiset with more in
-    the first run at twice its weight, a tie at its weight, and skips the
-    rest. It loops over the prefixes P of n - 2 indices and runs the last
-    two, j <= k, in bulk: per pair of runs of j and k, the blocks with
-    P[-1] < j < k share one weight and are one update over row slices of D,
-    and k = j, j = P[-1] and both are one zip over a single row slice each.
-    At n = 3 the 2-minors are the signed cofactors
-    (D[j][k], -D[i][k], D[i][j]); at n >= 4 they are the level-2 Pluecker
-    vectors, and each further row u adds a level of minors, which Laplace
-    expansion along u makes linear forms in u, so each level vector v walks
-    on merged with -v. The last level emits the signed cofactors sorted
-    (reduced mod p first over F_p), one tally per weight. A class c and its
-    mirror share a multiplicity mu_c: each tally is folded into one key per
-    pair, the smaller of c and `_mirror(c)`, whose value is the pair's mass
-    mu_c + mu_-c (mu_c when c is self-paired). The budget is charged
-    C(|X|^2 + n - 1, n) top blocks (a bound on those walked), then |X|^n per
-    merged level vector before each further level."""
-    B = len(X)
-    spent = math.comb(B * B + n - 1, n)
-    check_budget(spent, budget, what)
-    lift = int_lift(X)
-    elems, p = lift.elements, lift.modulus
+def _negate(v, p: int | None) -> tuple:
+    """-v entry by entry (negated residues over F_p)."""
+    return tuple([-x % p for x in v]) if p else tuple(map(neg, v))
 
+
+def _seed(elems, p: int | None, n: int):
+    """The top blocks of the class walk, as (weight, tally) chunks, the
+    largest tally first. A column permutation s maps the cofactor vector m
+    to sgn(s)*s(m), so the walk takes one top block per column multiset,
+    weighted by its distinct orderings (`_perms`). The top block is the
+    first two rows: its columns are index multisets i_0 <= ... <= i_{n-1}
+    over the |X|^2 lifted columns in X^2, in three runs (x before y in X,
+    x = y, x after y), and its 2-minors are read from the table
+    D[i][j] = det(col_i, col_j) (mod p over F_p), built once. Swapping the
+    two rows maps m to -m and exchanges a multiset's counts of first-run and
+    last-run columns: the walk takes a multiset with more in the first run
+    at twice its weight, a tie at its weight, and skips the rest. It loops
+    over the prefixes P of n - 2 indices and runs the last two, j <= k, in
+    bulk: per pair of runs of j and k, the blocks with P[-1] < j < k share
+    one weight and are one update over row slices of D, and so are those
+    with k = j (one-entry slices) and those with j = P[-1]. At n = 3 the
+    tallies hold the signed cofactors (D[j][k], -D[i][k], D[i][j]) sorted;
+    at n >= 4 the level-2 Pluecker vectors."""
+    B = len(elems)
     tallies: dict = defaultdict(Counter)
     # columns (x, y) with x before y in X, then (x, x), then (y, x): the
     # row swap maps the first run onto the last and fixes the middle one
@@ -354,25 +350,10 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
     m, h = n - 2, len(ups)
     # each run with its count toward the swap's lead: +1 first, -1 last
     runs = ((0, h, 1), (h, h + B, 0), (h + B, B * B, -1))
-    # per run of j, with its lead: k = j (t = 2, no slices), then k > j in each run from j's on
-    blocks = [(lo, hi, 2 * s, 2, None) for lo, hi, s in runs]
+    # per run of j, its lead and each j's slice of k: k = j (t = 2), then k > j in each run from j's on
+    blocks = [(lo, hi, 2 * s, 2, [slice(j, j + 1) for j in range(lo, hi)]) for lo, hi, s in runs]
     blocks += [(lo, hi, s + s2, 1, [slice(max(lo2, j + 1), hi2) for j in range(lo, hi)])
                for J, (lo, hi, s) in enumerate(runs) for lo2, hi2, s2 in runs[J:]]
-
-    def block(P, j0, j1, sl):
-        # the vectors of P + (j, k) for j0 <= j < j1 and k in sl[j - j0],
-        # or k = j when there are no slices
-        if sl is None:
-            parts = [repeat(T[P[a]][P[b]]) if b < m else repeat(0) if a == m else T[P[a]][j0:j1]
-                     for a, b, T in sources]
-            vectors = zip(*parts)
-        else:
-            parts = [repeat(repeat(T[P[a]][P[b]])) if b < m else map(getitem, D[j0:j1], sl) if a == m
-                     else map(repeat, T[P[a]][j0:j1]) if b == m else map(getitem, repeat(T[P[a]]), sl)
-                     for a, b, T in sources]
-            vectors = chain.from_iterable(map(zip, *parts))
-        return map(tuple, map(sorted, vectors)) if n == 3 else vectors
-
     for P in itertools.combinations_with_replacement(range(B * B), m):
         # j <= k run in bulk above x = P[-1]: rows j > x have perms(P)·n(n-1)/t! orderings,
         # and the row j = x extends x's run of r in P by t, dividing that by (r+1)..(r+t)
@@ -386,54 +367,91 @@ def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
             f = (lead > 0) + (lead >= 0)
             for j0, j1, c in ((max(lo, x + 1), hi, 0), (x, x + 1, r)):
                 if f and lo <= j0 < j1 <= hi:
-                    tallies[f * w // math.perm(c + t, t)].update(block(P, j0, j1, sl and sl[j0 - lo :]))
-    pairs: dict = {}
-    get = pairs.get
-    def fold(w, tally):
-        # popping frees keys as they fold: interval 16 peaks at 167, not 185 MB
-        while tally:
-            c, a = tally.popitem()
-            m = _mirror(c, p) if p else tuple(map(neg, c[::-1]))
-            if m < c:
-                c = m
-            pairs[c] = get(c, 0) + w * a
-    for k in range(2, n - 1):
-        # the wedge levels are linear in the level vector: v and -v merge
-        level = Counter()
-        while tallies:
-            w, tally = tallies.popitem()
-            for v, c in tally.items():
-                level[min(v, tuple([-x % p for x in v]) if p else tuple(map(neg, v)))] += w * c
-        spent += len(level) * B**n
-        check_budget(spent, budget, what)
-        minors = {S: i for i, S in enumerate(itertools.combinations(range(n), k))}
-        last = k == n - 2
-        # the coefficient of u_s in the new minor S is a sign times the minor
-        # S without s; the last level's S leaves out column n(n-1)/2 - sum(S)
-        forms = []
-        for S in itertools.combinations(range(n), k + 1):
-            sign = (-1) ** (k + last * (n * (n - 1) // 2 - sum(S)))
-            form = [(0, 0)] * n
-            for i, s in enumerate(S):
-                form[s] = (sign * (-1) ** i, minors[S[:i] + S[i + 1 :]])
-            forms.append(form)
-        by_weight: dict = {}
-        for t, w in level.items():
-            by_weight.setdefault(w, []).append(t)
-        del level
-        # one tally at a time: a last-level one folds as soon as it is done
-        while by_weight:
-            w, ts = by_weight.popitem()
-            tally = Counter() if last else tallies[w]
-            for t in ts:
-                coords = [map(sum, itertools.product(*[[a * t[i] * x for x in elems] for a, i in f])) for f in forms]
-                vectors = zip(*[map(p.__rmod__, c) for c in coords] if p else coords)
-                tally.update(map(tuple, map(sorted, vectors)) if last else vectors)
-            if last:
-                fold(w, tally)
+                    # the vectors of P + (j, k) for j0 <= j < j1 and k in the slice of j
+                    ks = sl[j0 - lo :]
+                    vectors = chain.from_iterable(map(zip, *[
+                        repeat(repeat(T[P[a]][P[b]])) if b < m else map(getitem, D[j0:j1], ks) if a == m
+                        else map(repeat, T[P[a]][j0:j1]) if b == m else map(getitem, repeat(T[P[a]]), ks)
+                        for a, b, T in sources]))
+                    tallies[f * w // math.perm(c + t, t)].update(map(tuple, map(sorted, vectors)) if n == 3 else vectors)
     # largest first: a popped dict does not shrink until it is dropped
-    for w in sorted(tallies, key=lambda w: len(tallies[w]), reverse=True):
-        fold(w, tallies.pop(w))
+    for _, w in sorted(zip(map(len, tallies.values()), tallies), reverse=True):
+        yield w, tallies.pop(w)
+
+
+def _wedge(level: dict, k: int, n: int, elems, p: int | None):
+    """One Laplace level of the class walk at n >= 4: each merged level-k
+    vector v (one of v and -v, with its mass) and each further row u give
+    the level-(k+1) minors, which expansion along u makes linear forms in
+    u. Yields one tally per mass (the chunk's weight), built only when
+    asked for, so a fold holds one at a time; the last level's vectors are
+    the signed cofactors sorted (reduced mod p first over F_p). Empties
+    `level`."""
+    minors = {S: i for i, S in enumerate(itertools.combinations(range(n), k))}
+    last = k == n - 2
+    # the coefficient of u_s in the new minor S is a sign times the minor
+    # S without s; the last level's S leaves out column n(n-1)/2 - sum(S)
+    forms = []
+    for S in itertools.combinations(range(n), k + 1):
+        sign = (-1) ** (k + last * (n * (n - 1) // 2 - sum(S)))
+        form = [(0, 0)] * n
+        for i, s in enumerate(S):
+            form[s] = (sign * (-1) ** i, minors[S[:i] + S[i + 1 :]])
+        forms.append(form)
+    by_weight: dict = {}
+    for t, w in level.items():
+        by_weight.setdefault(w, []).append(t)
+    level.clear()
+    while by_weight:
+        w, ts = by_weight.popitem()
+        tally = Counter()
+        for t in ts:
+            coords = [map(sum, itertools.product(*[[a * t[i] * x for x in elems] for a, i in f])) for f in forms]
+            vectors = zip(*[map(p.__rmod__, c) for c in coords] if p else coords)
+            tally.update(map(tuple, map(sorted, vectors)) if last else vectors)
+        yield w, tally
+
+
+def _fold(chunks, canon, p: int | None) -> dict:
+    """The one weighted merge of the class walk: pops each (weight, tally)
+    chunk's tally and adds weight times each count under the smaller of the
+    vector v and canon(v, p), its negation: `_negate` for level vectors,
+    `_mirror` for sorted cofactor keys."""
+    merged: dict = {}
+    get = merged.get
+    for w, tally in chunks:
+        # popping frees keys as they fold: interval 16 peaks at 165, not 182 MB
+        for v, a in map(dict.popitem, repeat(tally, len(tally))):
+            u = canon(v, p)
+            if u < v:
+                v = u
+            merged[v] = get(v, 0) + w * a
+    return merged
+
+
+def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
+    """+- pairs of the lifted set's cofactor classes at n >= 3, the zero
+    count, the lift and the steps charged, from one stream of
+    (weight, tally) chunks: the two-row top blocks (`_seed`), at n >= 4
+    one Laplace level per further row of the (n - 1)-row block (`_wedge`,
+    each level vector merged with its negation by `_fold` first, since the
+    levels are linear in it), and the fold of the sorted cofactor keys. A
+    class c and its mirror share a multiplicity mu_c, so each key is the
+    smaller of c and `_mirror(c)`, whose value is the pair's mass
+    mu_c + mu_-c (mu_c when c is self-paired). The budget is charged
+    C(|X|^2 + n - 1, n) top blocks (a bound on those walked) before the
+    walk, then |X|^n per merged level vector before each further level."""
+    spent = math.comb(len(X) ** 2 + n - 1, n)
+    check_budget(spent, budget, what)
+    lift = int_lift(X)
+    elems, p = lift.elements, lift.modulus
+    chunks = _seed(elems, p, n)
+    for k in range(2, n - 1):
+        level = _fold(chunks, _negate, p)
+        spent += len(level) * len(X) ** n
+        check_budget(spent, budget, what)
+        chunks = _wedge(level, k, n, elems, p)
+    pairs = _fold(chunks, _mirror, p)
     zero = pairs.pop((0,) * n, 0)
     for c, mass in pairs.items():
         if mass % 2 and _mirror(c, p) != c:
