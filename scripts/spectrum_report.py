@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from detlab.cli import resolve_threads
-from detlab.detcount import SPECTRUM_ENGINES, count_rank, det_spectrum, dsup
+from detlab.detcount import SPECTRUM_ENGINES, count_rank, det_spectrum
 from detlab.families import FamilySpec, generate
 from detlab.scalars import FieldSpec, format_scalar, read_ground_set_file
 
@@ -61,7 +61,7 @@ def main():
           f"{spec.distinct_count()} distinct determinant values")
 
     d0 = spec.entries.get(field.coerce(0), 0)
-    dstar, cstar = dsup(X, n, True, engine=args.engine, budget=args.budget, threads=threads)
+    dstar, cstar = spec.argmax(True)
     print(f"D_n(X, 0) = {d0}")
     print(f"sup over nonzero d: D_n(X, {format_scalar(dstar)}) = {cstar}")
 

@@ -60,6 +60,10 @@ the fold, the class walk, the pair-product correlation or the lift:
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
 of `curve_incidences_n3`.
+
+Each public call makes one `errors.Meter`, named for itself, and passes it
+to the class walk, the kernel and the brute histogram; every phase charges
+its own steps to it before it runs, so a refusal reports the call's total.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, getitem, neg
 
-from .errors import PreconditionError, check_budget
+from .errors import Meter, PreconditionError
 from .matrices import Matrix, _det_rows, _rank_rows
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -94,7 +98,7 @@ def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dic
     return into
 
 
-def _count_forms(forms, elems, modulus: int | None, budget: int | None, what: str, spent: int = 0) -> int:
+def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
     """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w), all
     of one length k >= 1. The count does not change when c is permuted, nor
     when (c, t) is negated, so each c is sorted and one entry a of it is
@@ -108,10 +112,10 @@ def _count_forms(forms, elems, modulus: int | None, budget: int | None, what: st
     distinct prefix, from the root {t - t: 1} (a zero of the forms' own
     scalar type: int, Fraction or Mod); a merged form then needs |X| lookups
     of t - a*x, from one list of -a*x per distinct a. With a `modulus`, every
-    key is reduced mod that prime. The budget is charged on top of `spent`,
-    level by level before the level runs: |X| per parent entry for each
-    prefix built, and |X| per merged form with the last level. An all-zero c
-    counts |X|^k when t = 0 and 0 otherwise."""
+    key is reduced mod that prime. The `meter` is charged level by level
+    before the level runs: |X| per parent entry for each prefix built, and
+    |X| per merged form with the last level. An all-zero c counts |X|^k when
+    t = 0 and 0 otherwise."""
     B = len(elems)
     groups: dict = {}
     for c, t, w in forms:
@@ -134,13 +138,11 @@ def _count_forms(forms, elems, modulus: int | None, budget: int | None, what: st
     dists = {(): {t - t: 1}}
     for j in range(1, k - 1):
         prefixes = {q[:j] for q in groups}
-        spent += B * sum(len(dists[q[:-1]]) for q in prefixes)
-        check_budget(spent, budget, what)
+        meter.charge(B * sum(len(dists[q[:-1]]) for q in prefixes))
         dists = {q: _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus) for q in prefixes}
     # one last-level distribution at a time: holding them all raised the
     # peak memory of a GP 10 count from 110 to 133 MB
-    spent += B * sum(len(dists[q[:-1]]) for q in groups if q)
-    check_budget(spent + B * sum(map(len, groups.values())), budget, what)
+    meter.charge(B * (sum(len(dists[q[:-1]]) for q in groups if q) + sum(map(len, groups.values()))))
     multiples: dict = {}
     total = 0
     for q, members in groups.items():
@@ -185,6 +187,23 @@ class SpectrumHistogram:
 
     def witness(self, d) -> Matrix | None:
         return find_witness(self.ground_set, self.n, d)
+
+    def argmax(self, exclude_zero: bool) -> tuple[Scalar, int]:
+        """The most frequent determinant and its count, ties resolved to the
+        smallest |d| then positive sign over the rationals, and to the
+        smallest residue over a prime field."""
+        items = self.entries.items()
+        if exclude_zero:
+            items = [(k, v) for k, v in items if k]
+            if not items:
+                raise PreconditionError("spectrum has no nonzero determinant values")
+        best = max(v for _, v in items)
+        candidates = [k for k, v in items if v == best]
+        if self.ground_set.field.is_rational:
+            d = min(candidates, key=lambda k: (abs(k), 0 if k >= 0 else 1))
+        else:
+            d = min(candidates)
+        return d, best
 
 
 @dataclass(frozen=True)
@@ -242,17 +261,18 @@ def _brute_walk(elems, n, start, stop) -> Counter:
 _MIN_PARALLEL_ITEMS = 1 << 18
 
 
-def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, what: str) -> Counter:
+def _brute_histogram(X: GroundSet, n: int, meter: Meter, threads: int) -> Counter:
     """Determinant histogram of X^(n x n), keyed by canonical field scalars.
     From `_MIN_PARALLEL_ITEMS` matrices on, `threads` workers walk contiguous
     shards of the leading coordinate's values (at most |X| of them) and their
     partials are summed key-wise. Over F_p the walk multiplies residues as
-    plain ints, and ints that share a residue are summed into one key."""
+    plain ints, and ints that share a residue are summed into one key. The
+    `meter` is charged one step per matrix before the walk."""
     if n < 1:
         raise PreconditionError("dimension must be >= 1")
     B = len(X)
     total = B ** (n * n)
-    check_budget(total, budget, what)
+    meter.charge(total)
     field = X.field
     elems = X.elements if field.is_rational else tuple(e.residue for e in X)
     if threads <= 1 or total < _MIN_PARALLEL_ITEMS:
@@ -276,7 +296,7 @@ def _brute_histogram(X: GroundSet, n: int, budget: int | None, threads: int, wha
 
 def count_det_brute(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
     """Number of n x n matrices over X with determinant d, by full enumeration."""
-    hist = _brute_histogram(X, n, budget, threads, "count_det_brute")
+    hist = _brute_histogram(X, n, Meter(budget, "count_det_brute"), threads)
     return hist.get(X.field.coerce(d), 0)
 
 
@@ -430,34 +450,32 @@ def _fold(chunks, p: int | None, sorted_keys: bool) -> dict:
     return merged
 
 
-def _class_table(X: GroundSet, n: int, budget: int | None, what: str):
+def _class_table(X: GroundSet, n: int, meter: Meter):
     """+- pairs of the lifted set's cofactor classes at n >= 3, the zero
-    count, the lift and the steps charged, from one stream of
-    (weight, tally) chunks: the two-row top blocks (`_seed`), at n >= 4
-    one Laplace level per further row of the (n - 1)-row block (`_wedge`,
-    each level vector merged with its negation by `_fold` first, since the
-    levels are linear in it), and the fold of the sorted cofactor keys. A
+    count and the lift, from one stream of (weight, tally) chunks: the
+    two-row top blocks (`_seed`), at n >= 4 one Laplace level per further
+    row of the (n - 1)-row block (`_wedge`, each level vector merged with
+    its negation by `_fold` first, since the levels are linear in it), and
+    the fold of the sorted cofactor keys. A
     class c and its mirror share a multiplicity mu_c, so each key is the
     smaller of c and `_mirror(c)`, whose value is the pair's mass
-    mu_c + mu_-c (mu_c when c is self-paired). The budget is charged
+    mu_c + mu_-c (mu_c when c is self-paired). The `meter` is charged
     C(|X|^2 + n - 1, n) top blocks (a bound on those walked) before the
     walk, then |X|^n per merged level vector before each further level."""
-    spent = math.comb(len(X) ** 2 + n - 1, n)
-    check_budget(spent, budget, what)
+    meter.charge(math.comb(len(X) ** 2 + n - 1, n))
     lift = int_lift(X)
     elems, p = lift.elements, lift.modulus
     chunks = _seed(elems, p, n)
     for k in range(2, n - 1):
         level = _fold(chunks, p, False)
-        spent += len(level) * len(X) ** n
-        check_budget(spent, budget, what)
+        meter.charge(len(level) * len(X) ** n)
         chunks = _wedge(level, k, n, elems, p)
     pairs = _fold(chunks, p, True)
     zero = pairs.pop((0,) * n, 0)
     for c, mass in pairs.items():
         if mass % 2 and _mirror(c, p) != c:
             raise AssertionError(f"the pair of {c} has an odd mass {mass}")
-    return pairs, zero, lift, spent
+    return pairs, zero, lift
 
 
 def _pair_vectors(key, p: int | None) -> set:
@@ -478,11 +496,11 @@ def minor_multiplicity_map(
     if n < 2:
         raise PreconditionError("minor_multiplicity_map needs n >= 2")
     if n == 2:
-        check_budget(len(X) ** 2, budget, "minor_multiplicity_map")
+        Meter(budget, "minor_multiplicity_map").charge(len(X) ** 2)
         table = Counter((b, -a) for a, b in itertools.product(X.elements, repeat=2))
         z = X.field.zero()
         return MinorMultiplicityMap(n, X, table, table.pop((z, z), 0))
-    pairs, zero, lift, _ = _class_table(X, n, budget, "minor_multiplicity_map")
+    pairs, zero, lift = _class_table(X, n, Meter(budget, "minor_multiplicity_map"))
     table: dict = {}
     for c, mass in pairs.items():
         vectors = _pair_vectors(c, lift.modulus)
@@ -508,16 +526,16 @@ def count_det_rowblock(
     the target by g, a key whose g does not divide the target is dropped,
     and the forms stream into the kernel, which merges equal ones (the pairs
     are popped as they stream, so the pairs and the kernel's merged forms
-    peak at about the size of one). The kernel charges the budget on top of
-    the table's blocks. At n = 2 the count is the product correlation
+    peak at about the size of one). One meter runs through the walk and the
+    kernel. At n = 2 the count is the product correlation
     `count_det_conv_n2`. The table is walked in-process; `threads` is the
     registry's signature."""
     if n < 2:
         raise PreconditionError("count_det_rowblock needs n >= 2")
     if n == 2:
         return count_det_conv_n2(X, d, budget=budget)
-    what = "count_det_rowblock"
-    pairs, zero, lift, spent = _class_table(X, n, budget, what)
+    meter = Meter(budget, "count_det_rowblock")
+    pairs, zero, lift = _class_table(X, n, meter)
     target = lift.target(d, n)
     if target is None:
         return 0
@@ -535,7 +553,7 @@ def count_det_rowblock(
                 for s in signs:
                     yield m, s * target // g, w
 
-    total = _count_forms(forms(), lift.elements, p, budget, what, spent) // len(signs)
+    total = _count_forms(forms(), lift.elements, p, meter) // len(signs)
     return total + (zero * len(X) ** n if not target else 0)
 
 
@@ -561,16 +579,16 @@ def count_det_conv_n2(X: GroundSet, d, *, budget: int | None = None) -> int:
     """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d),
     in ints over the lifted set (target L^2 d, 0 when that is not an integer;
     over F_p the pair products are reduced mod p once). The budget is charged
-    |X|^2 for the pair-product table P, then |X|^2 + |P| for the lookups."""
-    what = "count_det_conv_n2"
-    check_budget(len(X) ** 2, budget, what)
+    |X|^2 for the pair-product table P, then |P| for the lookups."""
+    meter = Meter(budget, "count_det_conv_n2")
+    meter.charge(len(X) ** 2)
     lift = int_lift(X)
     target = lift.target(d, 2)
     if target is None:
         return 0
     p = lift.modulus
     prod = _pair_products(lift.elements, p)
-    check_budget(len(X) ** 2 + len(prod), budget, what)
+    meter.charge(len(prod))
     return sum(c * prod.get((t - target) % p if p else t - target, 0) for t, c in prod.items())
 
 
@@ -583,13 +601,13 @@ COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock}
 
 
 def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
-    return dict(_brute_histogram(X, n, budget, threads, "det_spectrum[brute]"))
+    return dict(_brute_histogram(X, n, Meter(budget, "det_spectrum[brute]"), threads))
 
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
     """The spectrum in lifted ints, each lowered to its field scalar at the
     end, one to one: k / L^n over Q, a residue over F_p. At n = 2 it is
-    `_cross_terms` of the pair products P, charged |X|^2, then |X|^2 + |P|^2.
+    `_cross_terms` of the pair products P, charged |X|^2, then |P|^2.
     At n >= 3 it comes from the int histogram h of <m, r> over r in X^n,
     summed over the cofactor classes m with their multiplicities, by a fold
     over the trie of pair keys. Each starts as the dict {0: mass}; at every
@@ -600,22 +618,21 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     budget is charged |X| per entry of the dicts it will shift (|X| per pair
     key at the leaf level). A class and its mirror give v and -v the same
     counts, so the spectrum is (h(v) + h(-v)) / 2 (-v mod p over F_p)."""
-    what = "det_spectrum[rowblock]"
+    meter = Meter(budget, "det_spectrum[rowblock]")
     B = len(X)
     if n < 2:
-        raise PreconditionError(f"{what} needs n >= 2")
+        raise PreconditionError(f"{meter.what} needs n >= 2")
     if n == 2:
-        check_budget(B * B, budget, what)
+        meter.charge(B * B)
         lift = int_lift(X)
         P = _pair_products(lift.elements, lift.modulus)
-        check_budget(B * B + len(P) ** 2, budget, what)
+        meter.charge(len(P) ** 2)
         return {k if lift.is_identity else lift.lower(k, 2): v for k, v in _cross_terms(P, lift.modulus).items()}
-    pairs, zero, lift, spent = _class_table(X, n, budget, what)
+    pairs, zero, lift = _class_table(X, n, meter)
     elems, p = lift.elements, lift.modulus
     nodes = {m: {0: w} for m, w in pairs.items()}
     for _ in range(n):
-        spent += B * sum(map(len, nodes.values()))
-        check_budget(spent, budget, what)
+        meter.charge(B * sum(map(len, nodes.values())))
         parents: dict = {}
         for q, dist in nodes.items():
             _shift_add(parents.setdefault(q[:-1], {}), dist, [q[-1] * x for x in elems], p)
@@ -651,28 +668,15 @@ def dsup(
     budget: int | None = None,
     threads: int = 1,
 ) -> tuple[Scalar, int]:
-    """Argmax of the spectrum; ties resolved to the smallest |d| then positive
-    sign over the rationals, and to the smallest residue over a prime field."""
+    """Argmax of the spectrum, by `SpectrumHistogram.argmax`."""
     if n < 2 and engine == "rowblock":
         engine = "brute"
-    spec = det_spectrum(X, n, engine, budget=budget, threads=threads)
-    items = spec.entries.items()
-    if exclude_zero:
-        items = [(k, v) for k, v in items if k]
-        if not items:
-            raise PreconditionError("spectrum has no nonzero determinant values")
-    best = max(v for _, v in items)
-    candidates = [k for k, v in items if v == best]
-    if X.field.is_rational:
-        d = min(candidates, key=lambda k: (abs(k), 0 if k >= 0 else 1))
-    else:
-        d = min(candidates)
-    return d, best
+    return det_spectrum(X, n, engine, budget=budget, threads=threads).argmax(exclude_zero)
 
 
 def find_witness(X: GroundSet, n: int, d, *, budget: int | None = None) -> Matrix | None:
     """First enumerated matrix with determinant d, or None."""
-    check_budget(len(X) ** (n * n), budget, "find_witness")
+    Meter(budget, "find_witness").charge(len(X) ** (n * n))
     target = X.field.coerce(d)
     for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=n):
         if _det_rows(rows) == target:
@@ -688,7 +692,7 @@ def count_rank(X: GroundSet, m: int, n: int, r: int, *, budget: int | None = Non
     """Number of m x n matrices over X with rank exactly r."""
     if not (0 <= r <= m <= n):
         raise PreconditionError("need 0 <= r <= m <= n")
-    check_budget(len(X) ** (m * n), budget, "count_rank")
+    Meter(budget, "count_rank").charge(len(X) ** (m * n))
     count = 0
     for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=m):
         if _rank_rows(rows) == r:
@@ -703,7 +707,7 @@ def count_decomposition(
     x = 0, then x != 0 split by whether the leading (n-1) block is singular."""
     if n < 2:
         raise PreconditionError("decomposition needs dimension >= 2")
-    check_budget(len(X) ** (n * n), budget, "count_decomposition")
+    Meter(budget, "count_decomposition").charge(len(X) ** (n * n))
     target = X.field.coerce(d)
     x_zero = y_sing = y_reg = 0
     for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=n):

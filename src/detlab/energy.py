@@ -9,7 +9,7 @@ values pairwise and never share the table machinery.
 T and S are one number: over the pair-product multiset P of any abelian
 group, #{a + b = c + e} = #{a - c = e - b}. Both build the sum table P * P
 with one update per unordered pair {t1, t2} of values of P, |P|(|P| + 1) / 2
-updates, and their budget charge |U|^2 + |P|^2 bounds that work. The
+updates, and their budget charges, |U|^2 and then |P|^2, bound that work. The
 difference-correlation Q2 of P is D_2(U, .), from `detcount.det_spectrum`.
 The cofactor energy E* and its dyadic pyramid read each +- pair of cofactor
 classes from `detcount._class_table` and its size from `detcount._class_size`.
@@ -21,7 +21,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import PreconditionError, check_budget
+from .errors import Meter, PreconditionError
 from .detcount import _class_size, _class_table, _count_forms, _pair_products, det_spectrum
 from .matrices import Matrix, det
 from .scalars import GroundSet
@@ -70,25 +70,25 @@ def r_distribution(U: GroundSet) -> ValueDistribution:
     return ValueDistribution(_pair_sums(_pair_products(U.elements)), "paired-product-sum")
 
 
-def _pair_sum_energy(U: GroundSet, budget: int | None, what: str) -> int:
+def _pair_sum_energy(U: GroundSet, meter: Meter) -> int:
     """Sum of R(t)^2 over the sums table R = P * P of the pair products P.
-    The budget is charged |U|^2 for P, then |U|^2 + |P|^2 once |P| is known,
-    which bounds the |P|(|P| + 1) / 2 updates of `_pair_sums`."""
-    check_budget(len(U) ** 2, budget, what)
+    The `meter` is charged |U|^2 for P, then |P|^2 once |P| is known, which
+    bounds the |P|(|P| + 1) / 2 updates of `_pair_sums`."""
+    meter.charge(len(U) ** 2)
     P = _pair_products(U.elements)
-    check_budget(len(U) ** 2 + len(P) ** 2, budget, what)
+    meter.charge(len(P) ** 2)
     return sum(c * c for c in _pair_sums(P).values())
 
 
 def energy_T(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of v1*u1 + v2*u2 = x1*y1 + x2*y2 over U^8, as sum of R(t)^2
     over the sums table R = P * P, built one unordered pair of pair-product
-    values at a time. Charged |U|^2, then |U|^2 + |P|^2."""
-    return _pair_sum_energy(U, budget, "energy_T")
+    values at a time. Charged |U|^2, then |P|^2."""
+    return _pair_sum_energy(U, Meter(budget, "energy_T"))
 
 
 def energy_T_brute(U: GroundSet, *, budget: int | None = None) -> int:
-    check_budget(len(U) ** 8, budget, "energy_T_brute")
+    Meter(budget, "energy_T_brute").charge(len(U) ** 8)
     vals = [u1 * v1 + u2 * v2 for u1, u2, v1, v2 in itertools.product(U.elements, repeat=4)]
     return sum(1 for a in vals for b in vals if a == b)
 
@@ -96,7 +96,7 @@ def energy_T_brute(U: GroundSet, *, budget: int | None = None) -> int:
 def energy_N(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of v1*(u1 - w1) = v2*(u2 - w2) over U^6, as sum of Q(t)^2;
     charged |U|^3 steps."""
-    check_budget(len(U) ** 3, budget, "energy_N")
+    Meter(budget, "energy_N").charge(len(U) ** 3)
     table: dict = {}
     for v, u, w in itertools.product(U.elements, repeat=3):
         t = v * (u - w)
@@ -105,7 +105,7 @@ def energy_N(U: GroundSet, *, budget: int | None = None) -> int:
 
 
 def energy_N_brute(U: GroundSet, *, budget: int | None = None) -> int:
-    check_budget(len(U) ** 6, budget, "energy_N_brute")
+    Meter(budget, "energy_N_brute").charge(len(U) ** 6)
     vals = [v * (u - w) for v, u, w in itertools.product(U.elements, repeat=3)]
     return sum(1 for a in vals for b in vals if a == b)
 
@@ -115,8 +115,8 @@ def energy_S(U: GroundSet, *, budget: int | None = None) -> int:
     are independent pair products a, c (and y1*z3, y3*z1 are b, e), so S
     counts #{a - c = b - e} = #{a + e = b + c} over P^4: S equals T in any
     abelian group, and is computed by the same unordered-pair sums table.
-    Charged |U|^2, then |U|^2 + |P|^2."""
-    return _pair_sum_energy(U, budget, "energy_S")
+    Charged |U|^2, then |P|^2."""
+    return _pair_sum_energy(U, Meter(budget, "energy_S"))
 
 
 def cross_term_distribution(U: GroundSet) -> ValueDistribution:
@@ -126,7 +126,7 @@ def cross_term_distribution(U: GroundSet) -> ValueDistribution:
 
 
 def energy_S_brute(U: GroundSet, *, budget: int | None = None) -> int:
-    check_budget(len(U) ** 8, budget, "energy_S_brute")
+    Meter(budget, "energy_S_brute").charge(len(U) ** 8)
     vals = [u1 * v3 - u3 * v1 for u1, u3, v1, v3 in itertools.product(U.elements, repeat=4)]
     return sum(1 for a in vals for b in vals if a == b)
 
@@ -151,22 +151,22 @@ def count_bilinear(
     """#{(b, c) in B^k x C^k : <M b, c> = omega}: the vectors M*b are tallied
     with multiplicity (|B|^k steps), and each distinct one is a form
     (M*b, omega, mu) of the linear-form kernel over C^k, which charges its
-    own steps on top; omega = 0 falls outside the counted regime and is
+    steps to the same meter; omega = 0 falls outside the counted regime and is
     rejected."""
     omega_s = B.field.coerce(omega)
     if not omega_s:
         raise PreconditionError("omega must be nonzero")
     k = M.rows
     rows = _prepared_matrix(M, B, C)
-    spent = len(B) ** k
-    check_budget(spent, budget, "count_bilinear")
+    meter = Meter(budget, "count_bilinear")
+    meter.charge(len(B) ** k)
     z = B.field.zero()
     vectors = Counter(
         tuple(sum((a * x for a, x in zip(row, b)), z) for row in rows)
         for b in itertools.product(B.elements, repeat=k)
     )
     forms = ((v, omega_s, mu) for v, mu in vectors.items())
-    return _count_forms(forms, C.elements, None, budget, "count_bilinear", spent)
+    return _count_forms(forms, C.elements, None, meter)
 
 
 def count_bilinear_brute(
@@ -178,7 +178,7 @@ def count_bilinear_brute(
         raise PreconditionError("omega must be nonzero")
     k = M.rows
     rows = _prepared_matrix(M, B, C)
-    check_budget((len(B) * len(C)) ** k, budget, "count_bilinear_brute")
+    Meter(budget, "count_bilinear_brute").charge((len(B) * len(C)) ** k)
     total = 0
     for b in itertools.product(B.elements, repeat=k):
         v = []
@@ -206,14 +206,14 @@ def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1
     (the all-zero triple included): w^2 / k per +- pair c of mass w spread
     over its k = `_class_size(c)` triples. Walked in-process; `threads` is
     accepted and unused."""
-    pairs, zero, lift, _ = _class_table(X, 3, budget, "energy_Estar_mu")
+    pairs, zero, lift = _class_table(X, 3, Meter(budget, "energy_Estar_mu"))
     p = lift.modulus
     return sum(w * w // _class_size(c, p) for c, w in pairs.items()) + zero * zero
 
 
 def energy_Estar_brute(X: GroundSet, *, budget: int | None = None) -> int:
     """Literal 12-tuple check of the three bilinear equations, pair by pair."""
-    check_budget(len(X) ** 12, budget, "energy_Estar_brute")
+    Meter(budget, "energy_Estar_brute").charge(len(X) ** 12)
     triples = [
         (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
         for y1, y2, y3, z1, z2, z3 in itertools.product(X.elements, repeat=6)
@@ -241,7 +241,7 @@ def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1)
     """Dyadic census of the cofactor table, whose +- pair c of mass w holds
     k = `_class_size(c)` triples of multiplicity w / k, each in the class of
     the largest power of two w' <= w / k (walked in-process)."""
-    pairs, zero, lift, _ = _class_table(X, 3, budget, "dyadic_pyramid")
+    pairs, zero, lift = _class_table(X, 3, Meter(budget, "dyadic_pyramid"))
     p = lift.modulus
     mults = [(w // k, k) for c, w in pairs.items() for k in (_class_size(c, p),)]
     if zero:

@@ -1,4 +1,4 @@
-"""Shared exception types and the enumeration budget knob."""
+"""Shared exception types and the enumeration budget meter."""
 
 from __future__ import annotations
 
@@ -19,8 +19,18 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-def check_budget(estimated: int, budget: int | None, what: str) -> None:
-    """Refuse up front when an enumeration would take more than `budget` steps."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if estimated > limit:
-        raise BudgetExceededError(what, estimated, limit)
+class Meter:
+    """One call's running step total against its budget (`DEFAULT_BUDGET`
+    when None), named `what` in a refusal."""
+
+    def __init__(self, budget: int | None, what: str):
+        self.budget = DEFAULT_BUDGET if budget is None else budget
+        self.what = what
+        self.spent = 0
+
+    def charge(self, steps: int) -> None:
+        """Add one phase's steps before the phase runs, and refuse once the
+        total exceeds the budget."""
+        self.spent += steps
+        if self.spent > self.budget:
+            raise BudgetExceededError(self.what, self.spent, self.budget)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add
 
-from .errors import PreconditionError, check_budget
+from .errors import Meter, PreconditionError
 from .detcount import _class_table, _count_forms, _pair_vectors
 from .matrices import _rank_rows
 from .scalars import GroundSet, Scalar, int_lift
@@ -137,7 +137,7 @@ def incidences_brute(P: PointGrid, planes: HyperplaneFamily, *, budget: int | No
     """Exact #{(p, pi) : p on pi} by direct inner products."""
     if planes.k != P.k:
         raise PreconditionError("hyperplane dimension differs from grid dimension")
-    check_budget(P.npoints * len(planes), budget, "incidences_brute")
+    Meter(budget, "incidences_brute").charge(P.npoints * len(planes))
     field = P.field
     total = 0
     for coeffs, offset in planes:
@@ -261,7 +261,7 @@ def classify_incidences(
     if planes.k != P.k:
         raise PreconditionError("hyperplane dimension differs from grid dimension")
     *rest, last = P.sizes
-    check_budget((last + math.prod(rest)) * len(planes), budget, "classify_incidences")
+    Meter(budget, "classify_incidences").charge((last + math.prod(rest)) * len(planes))
     D = cell_decompose(P, r)
     k = P.k
     i1 = i2 = i3 = 0
@@ -338,7 +338,7 @@ class MinorPlanes:
             for (coeffs, offset), w in zip(self.family, self.weights)
             if (target := lift.target(offset, 1)) is not None
         )
-        total = _count_forms(forms, lift.elements, lift.modulus, budget, "minor-plane incidences")
+        total = _count_forms(forms, lift.elements, lift.modulus, Meter(budget, "det_count_via_incidences"))
         if not self.d:
             total += self.zero_multiplicity * len(self.base_set) ** 3
         return total
@@ -359,7 +359,7 @@ def planes_from_minors(
     a pair takes one inverse per distinct nonzero entry of its key, and each
     triple and d are scaled by the inverse of the triple's lead. Walked
     in-process; `threads` is accepted and unused."""
-    pairs, zero, lift, _ = _class_table(X, 3, budget, "planes_from_minors")
+    pairs, zero, lift = _class_table(X, 3, Meter(budget, "planes_from_minors"))
     d_s = X.field.coerce(d)
     p = lift.modulus
     offset = d_s.residue if p else X.field.coerce(d_s * lift.scale**2)
@@ -394,13 +394,12 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     (r, q) on that curve, on the lifted set: the equation is homogeneous of
     degree 2, so scaling U by L keeps its solutions. The budget is charged
     |U|^5 lookups and 2|U| steps per distinct difference (its table and its
-    list) before the direct half, then the kernel's steps. The two tallies
-    must agree."""
-    what = "curve_incidences_n3"
+    list) before the direct half, then the kernel's steps on the same meter.
+    The two tallies must agree."""
+    meter = Meter(budget, "curve_incidences_n3")
     E = U.elements
     diffs = {v - w for v in E for w in E}
-    spent = len(E) ** 5 + 2 * len(E) * len(diffs)
-    check_budget(spent, budget, what)
+    meter.charge(len(E) ** 5 + 2 * len(E) * len(diffs))
     tables = {b: Counter(u * b for u in E) for b in diffs}
     multiples = {c: [u * c for u in E] for c in diffs}
     direct = 0
@@ -414,7 +413,7 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
         ((t - c, b - a), t * b - a * c, 1)
         for a, b, c, t in itertools.product(lift.elements, repeat=4)
     )
-    via_curves = _count_forms(forms, lift.elements, lift.modulus, budget, what, spent)
+    via_curves = _count_forms(forms, lift.elements, lift.modulus, meter)
     if direct != via_curves:
         raise AssertionError(
             f"curve double count disagrees: direct {direct}, curves {via_curves}"

@@ -275,3 +275,18 @@ def test_incidence_census_exits_1_on_mismatch(monkeypatch, capsys):
         runpy.run_path(str(SCRIPTS / "incidence_census.py"), run_name="__main__")
     assert exc.value.code == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_spectrum_report_computes_the_spectrum_once(monkeypatch, capsys):
+    # the sup over nonzero d is read from the spectrum the report already holds
+    import detlab.detcount
+
+    engine, calls = detlab.detcount.SPECTRUM_ENGINES["rowblock"], []
+    monkeypatch.setitem(detlab.detcount.SPECTRUM_ENGINES, "rowblock", lambda *a, **k: calls.append(a) or engine(*a, **k))
+    argv = ["spectrum_report.py", "--family", "gp", "--ratio", "2", "--size", "4", "--n", "3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "spectrum_report.py"), run_name="__main__")
+    assert exc.value.code == 0
+    assert len(calls) == 1
+    assert "sup over nonzero d: D_n(X, 192) = 6318" in capsys.readouterr().out

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import detlab.detcount as detcount
-from detlab.errors import BudgetExceededError, PreconditionError
+from detlab.errors import BudgetExceededError, Meter, PreconditionError
 from detlab.detcount import (
     _class_size,
     _class_table,
@@ -351,7 +351,7 @@ def test_class_table_matches_sorted_tally(case):
     # the walk's blocks of j < k above a prefix span several rows, and the
     # diagonal cases j = P[-1], k = j and both meet runs of every kind
     X, n = case
-    pairs, zero, lift, _ = _class_table(X, n, None, "test")
+    pairs, zero, lift = _class_table(X, n, Meter(None, "test"))
     direct = _cofactor_tally(X, n)
     by_class = Counter()
     for m, mu in direct.items():
@@ -533,10 +533,13 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     spec = det_spectrum(X, 3, "rowblock", budget=7_264)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
-    with pytest.raises(BudgetExceededError):
+    # the refusal at pin - 1 reports the whole call's total, walk and kernel
+    with pytest.raises(BudgetExceededError) as exc:
         count_det_rowblock(X, 3, 0, budget=2_527)
-    with pytest.raises(BudgetExceededError):
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (2_528, 2_527, "count_det_rowblock")
+    with pytest.raises(BudgetExceededError) as exc:
         det_spectrum(X, 3, "rowblock", budget=7_263)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (7_264, 7_263, "det_spectrum[rowblock]")
 
 
 def test_n2_spectrum_budget_is_pair_products_then_correlation():
@@ -560,11 +563,14 @@ def test_class_walk_charges_each_wedge_level():
     # wedge step per class and third row: 231 * 3^4
     X = make_ground_set(range(1, 4), QQ)
     steps = 495 + 231 * 81
-    assert _class_table(X, 4, None, "test")[3] == steps
+    meter = Meter(None, "test")
+    _class_table(X, 4, meter)
+    assert meter.spent == steps
     mm = minor_multiplicity_map(X, 4, budget=steps)
     assert mm.total_mass() == 3**12
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         minor_multiplicity_map(X, 4, budget=steps - 1)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (steps, steps - 1, "minor_multiplicity_map")
     # the top blocks are refused before they are walked
     with pytest.raises(BudgetExceededError):
         minor_multiplicity_map(X, 4, budget=494)
@@ -681,15 +687,15 @@ def test_count_forms_matches_enumeration(case):
     X, forms = case
     zero = X.field.zero()
     direct = _forms_by_enumeration(X, forms)
-    assert _count_forms(forms, X.elements, None, None, "test") == direct
+    assert _count_forms(forms, X.elements, None, Meter(None, "test")) == direct
     if not X.field.is_rational:
         # the same forms on residues, each key reduced mod 7
         residues = [([c.residue for c in coeffs], t.residue, w) for coeffs, t, w in forms]
-        assert _count_forms(residues, [e.residue for e in X], 7, None, "test") == direct
+        assert _count_forms(residues, [e.residue for e in X], 7, Meter(None, "test")) == direct
     k = len(forms[0][0])
     zeros = [zero] * k
-    assert _count_forms([(zeros, zero, 2)], X.elements, None, None, "test") == 2 * len(X) ** k
-    assert _count_forms([(zeros, X.field.one(), 2)], X.elements, None, None, "test") == 0
+    assert _count_forms([(zeros, zero, 2)], X.elements, None, Meter(None, "test")) == 2 * len(X) ** k
+    assert _count_forms([(zeros, X.field.one(), 2)], X.elements, None, Meter(None, "test")) == 0
 
 
 @settings(max_examples=200)
@@ -717,7 +723,7 @@ def test_count_forms_is_invariant_under_form_symmetries(case, data):
     ]
     for variant, want in variants:
         assert _forms_by_enumeration(X, variant) == want
-        assert _count_forms(variant, X.elements, None, None, "test") == want
+        assert _count_forms(variant, X.elements, None, Meter(None, "test")) == want
         if not X.field.is_rational:
             residues = [([x.residue for x in cs], ts.residue, ws) for cs, ts, ws in variant]
-            assert _count_forms(residues, [e.residue for e in X], 7, None, "test") == want
+            assert _count_forms(residues, [e.residue for e in X], 7, Meter(None, "test")) == want

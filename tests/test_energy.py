@@ -311,8 +311,10 @@ def test_bilinear_budget_is_tally_plus_kernel():
     U = gs([1, 2, 3])
     M = Matrix.from_rows([[1, 2], [0, 1]], QQ)
     assert count_bilinear(M, U, U, 3, budget=45) == count_bilinear_brute(M, U, U, 3)
-    with pytest.raises(BudgetExceededError):
+    # the refusal at pin - 1 reports the tally's and the kernel's total
+    with pytest.raises(BudgetExceededError) as exc:
         count_bilinear(M, U, U, 3, budget=44)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (45, 44, "count_bilinear")
 
 
 def test_distribution_provenance_and_order():

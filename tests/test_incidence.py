@@ -618,8 +618,9 @@ def test_minor_plane_incidences_budget_is_the_kernel_charge():
     mp = planes_from_minors(X, 0)
     assert len(mp.family) == 825
     assert mp.det_count_via_incidences(budget=1_732) == count_det_brute(X, 3, 0)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         mp.det_count_via_incidences(budget=1_731)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (1_732, 1_731, "det_count_via_incidences")
 
 
 def test_curve_incidences_budget_is_direct_plus_kernel():
@@ -633,8 +634,10 @@ def test_curve_incidences_budget_is_direct_plus_kernel():
     U = make_ground_set([1, 2, 3], QQ)
     count = curve_incidences_n3(U, budget=345)
     assert count == curve_incidences_n3(U)
-    with pytest.raises(BudgetExceededError):
+    # the refusal at pin - 1 reports both halves' total
+    with pytest.raises(BudgetExceededError) as exc:
         curve_incidences_n3(U, budget=344)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (345, 344, "curve_incidences_n3")
 
 
 def test_classify_budget_is_the_last_coordinate_solve():
