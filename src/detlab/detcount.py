@@ -76,7 +76,7 @@ from itertools import chain, repeat
 from operator import add, getitem, neg
 
 from .errors import Meter, PreconditionError
-from .matrices import Matrix, _det_rows, _rank_rows
+from .matrices import Matrix, _det_rows, _eliminate
 from .scalars import GroundSet, Scalar, int_lift
 
 
@@ -532,9 +532,9 @@ def count_det_rowblock(
     registry's signature."""
     if n < 2:
         raise PreconditionError("count_det_rowblock needs n >= 2")
-    if n == 2:
-        return count_det_conv_n2(X, d, budget=budget)
     meter = Meter(budget, "count_det_rowblock")
+    if n == 2:
+        return _conv_n2(X, d, meter)
     pairs, zero, lift = _class_table(X, n, meter)
     target = lift.target(d, n)
     if target is None:
@@ -580,7 +580,10 @@ def count_det_conv_n2(X: GroundSet, d, *, budget: int | None = None) -> int:
     in ints over the lifted set (target L^2 d, 0 when that is not an integer;
     over F_p the pair products are reduced mod p once). The budget is charged
     |X|^2 for the pair-product table P, then |P| for the lookups."""
-    meter = Meter(budget, "count_det_conv_n2")
+    return _conv_n2(X, d, Meter(budget, "count_det_conv_n2"))
+
+
+def _conv_n2(X: GroundSet, d, meter: Meter) -> int:
     meter.charge(len(X) ** 2)
     lift = int_lift(X)
     target = lift.target(d, 2)
@@ -695,7 +698,7 @@ def count_rank(X: GroundSet, m: int, n: int, r: int, *, budget: int | None = Non
     Meter(budget, "count_rank").charge(len(X) ** (m * n))
     count = 0
     for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=m):
-        if _rank_rows(rows) == r:
+        if _eliminate(rows)[0] == r:
             count += 1
     return count
 

@@ -197,16 +197,6 @@ class ResultCache:
         self._load()[key] = row
 
 
-def _compute(X, n, dmode, d, engine, threads, budget):
-    if dmode in (DMODE_FIXED, DMODE_ZERO):
-        target = X.field.coerce(0 if dmode == DMODE_ZERO else d)
-        cnt = COUNT_ENGINES[engine](X, n, target, budget=budget, threads=threads)
-        return cnt, format_scalar(target)
-    exclude = dmode == DMODE_SUP_NONZERO
-    dval, cnt = dsup(X, n, exclude, engine=engine, budget=budget, threads=threads)
-    return cnt, format_scalar(dval)
-
-
 def run_scan(
     template: FamilySpec,
     sizes,
@@ -232,12 +222,11 @@ def run_scan(
         raise PreconditionError("fixed d-mode needs a determinant value")
     if engine not in COUNT_ENGINES:
         raise PreconditionError(f"unknown engine {engine!r}")
-    if dmode == DMODE_ZERO:
-        d_text = format_scalar(field.coerce(0))
-    elif d is not None:
-        d_text = format_scalar(field.coerce(d))
-    else:
-        d_text = None
+    # d enters the key and the row only where the count is taken at d
+    target = None
+    if dmode in (DMODE_FIXED, DMODE_ZERO):
+        target = field.coerce(0 if dmode == DMODE_ZERO else d)
+    d_text = None if target is None else format_scalar(target)
     rows = []
     for size in sizes:
         spec = replace(template, size=size)
@@ -253,11 +242,16 @@ def run_scan(
                 continue
         X = generate(spec, field)
         t0 = time.perf_counter()
+        row_d, budget_hit = d_text, False
         try:
-            count, row_d = _compute(X, n, dmode, d, engine, threads, budget)
-            budget_hit = False
+            if target is None:
+                exclude = dmode == DMODE_SUP_NONZERO
+                dval, count = dsup(X, n, exclude, engine=engine, budget=budget, threads=threads)
+                row_d = format_scalar(dval)
+            else:
+                count = COUNT_ENGINES[engine](X, n, target, budget=budget, threads=threads)
         except BudgetExceededError:
-            count, row_d, budget_hit = None, d_text, True
+            count, budget_hit = None, True
         elapsed = (time.perf_counter() - t0) * 1000.0
         row = ScanRow(
             family=spec.kind,
@@ -333,11 +327,18 @@ def write_jsonl(rows, stream) -> None:
 
 
 def read_jsonl(stream) -> list[ScanRow]:
+    """Scan rows of a JSONL report; a line that is not one raises
+    PreconditionError naming the file and line."""
     rows = []
-    for line in stream:
+    for lineno, line in enumerate(stream, 1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             rows.append(ScanRow.from_json_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError):
+            name = getattr(stream, "name", "report")
+            raise PreconditionError(f"{name}:{lineno}: not a scan row") from None
     return rows
 
 

@@ -28,7 +28,7 @@ from operator import add
 
 from .errors import Meter, PreconditionError
 from .detcount import _class_table, _count_forms, _pair_vectors
-from .matrices import _rank_rows
+from .matrices import _eliminate
 from .scalars import GroundSet, Scalar, int_lift
 
 
@@ -277,7 +277,7 @@ def classify_incidences(
             diffs = tuple(
                 tuple(p[i] - base[i] for i in range(k)) for p in pts[1:]
             )
-            if _rank_rows(diffs) == k - 1:
+            if _eliminate(diffs)[0] == k - 1:
                 i2 += len(pts)
             else:
                 i3 += len(pts)

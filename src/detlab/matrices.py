@@ -1,9 +1,13 @@
 """Exact dense matrix kernel: determinant, adjugate, rank, Schur bordering value.
 
-Two determinant routes are kept on purpose: fraction-free Bareiss elimination
-(`det`) and first-row cofactor expansion (`det_cofactor`), so each can serve
-as an oracle for the other. All routines are pure functions on immutable
-matrices and work for rational and prime-field scalars alike.
+One fraction-free (Bareiss) elimination with full pivoting, `_eliminate`,
+returns a matrix's rank and its signed last pivot: `rank` is the first, and
+`det` is the second at full rank. `detcount.count_rank` and
+`incidence.classify_incidences` call it on row tuples. First-row cofactor
+expansion (`det_cofactor`, `adjugate`) is kept on purpose as a second route
+that shares no code with it, so each determinant can serve as an oracle for
+the other. All routines are pure functions on immutable matrices and work for
+rational and prime-field scalars alike.
 """
 
 from __future__ import annotations
@@ -114,46 +118,69 @@ def _det_rows(rows) -> Scalar:
     return total
 
 
-def det(M: Matrix) -> Scalar:
-    """Exact determinant by fraction-free (Bareiss) elimination with row swaps."""
+def _require_square(M: Matrix, what: str) -> None:
     if not M.is_square or M.rows == 0:
-        raise PreconditionError("det requires a nonempty square matrix")
-    n = M.rows
-    if n == 1:
-        return M.entries[0]
-    a = [list(M.row_tuple(i)) for i in range(n)]
-    flip = False
+        raise PreconditionError(f"{what} requires a nonempty square matrix")
+
+
+def _eliminate(rows) -> tuple:
+    """Fraction-free (Bareiss) elimination with deterministic full pivoting:
+    the pivot is the first nonzero entry in row-major order over the remaining
+    submatrix. Returns (rank, last pivot negated once per row or column swap);
+    for a square matrix of full rank that pivot is the determinant."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    cols = list(range(n))
     prev = None
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
+    flip = False
+    r = 0
+    while r < m and r < n:
+        piv = None
+        for i in range(r, m):
+            for jj in range(r, n):
+                if a[i][cols[jj]]:
+                    piv = (i, jj)
+                    break
+            if piv:
+                break
         if piv is None:
-            return M.field.zero()
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            break
+        i, jj = piv
+        if i != r:
+            a[r], a[i] = a[i], a[r]
             flip = not flip
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                v = ri[j] * pk - aik * rk[j]
-                ri[j] = v if prev is None else _exact_div(v, prev)
+        if jj != r:
+            cols[r], cols[jj] = cols[jj], cols[r]
+            flip = not flip
+        rk = a[r]
+        pk = rk[cols[r]]
+        for ri in a[r + 1 :]:
+            aik = ri[cols[r]]
+            for cj in cols[r + 1 :]:
+                v = ri[cj] * pk - aik * rk[cj]
+                ri[cj] = v if prev is None else _exact_div(v, prev)
         prev = pk
-    d = a[n - 1][n - 1]
-    return -d if flip else d
+        r += 1
+    return r, (-prev if flip else prev)
+
+
+def det(M: Matrix) -> Scalar:
+    """Exact determinant: the signed last pivot of `_eliminate` at full rank."""
+    _require_square(M, "det")
+    r, pivot = _eliminate(M.to_rows())
+    return pivot if r == M.rows else M.field.zero()
 
 
 def det_cofactor(M: Matrix) -> Scalar:
     """Cofactor-expansion determinant; independent cross-check for `det`."""
-    if not M.is_square or M.rows == 0:
-        raise PreconditionError("det requires a nonempty square matrix")
+    _require_square(M, "det")
     return _det_rows(M.to_rows())
 
 
 def adjugate(M: Matrix) -> Matrix:
     """Transposed cofactor matrix; satisfies M * adjugate(M) = det(M) * I exactly."""
-    if not M.is_square or M.rows == 0:
-        raise PreconditionError("adjugate requires a nonempty square matrix")
+    _require_square(M, "adjugate")
     n = M.rows
     if n == 1:
         return identity(1, M.field)
@@ -171,60 +198,25 @@ def adjugate(M: Matrix) -> Matrix:
     return Matrix(n, n, tuple(v for r in out for v in r), M.field)
 
 
-def _rank_rows(rows) -> int:
-    """Rank by fraction-free elimination; pivot is the first nonzero entry in
-    row-major order over the remaining submatrix (deterministic full pivoting)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    cols = list(range(n))
-    prev = None
-    r = 0
-    while r < m and r < n:
-        piv = None
-        for i in range(r, m):
-            for jj in range(r, n):
-                if a[i][cols[jj]]:
-                    piv = (i, jj)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i, jj = piv
-        if i != r:
-            a[r], a[i] = a[i], a[r]
-        if jj != r:
-            cols[r], cols[jj] = cols[jj], cols[r]
-        pk = a[r][cols[r]]
-        for i in range(r + 1, m):
-            aik = a[i][cols[r]]
-            for jj in range(r + 1, n):
-                cj = cols[jj]
-                v = a[i][cj] * pk - aik * a[r][cj]
-                a[i][cj] = v if prev is None else _exact_div(v, prev)
-            a[i][cols[r]] = pk - pk
-        prev = pk
-        r += 1
-    return r
-
-
 def rank(M: Matrix) -> int:
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    return _rank_rows(M.to_rows())
+    return _eliminate(M.to_rows())[0]
+
+
+def _border(Y: Matrix, y: Sequence, z: Sequence, x) -> tuple:
+    """(y, z, x) coerced into Y's field, y and z checked to have length Y.rows."""
+    y = [Y.field.coerce(v) for v in y]
+    z = [Y.field.coerce(v) for v in z]
+    if len(y) != Y.rows or len(z) != Y.rows:
+        raise PreconditionError("border vectors must have length matching the corner block")
+    return y, z, Y.field.coerce(x)
 
 
 def assemble_bordered(Y: Matrix, y: Sequence, z: Sequence, x) -> Matrix:
     """Block matrix [[Y, y^t], [z, x]] with y, z row vectors of length Y.rows."""
     if not Y.is_square:
         raise PreconditionError("corner block must be square")
+    y, z, x = _border(Y, y, z, x)
     k = Y.rows
-    y = [Y.field.coerce(v) for v in y]
-    z = [Y.field.coerce(v) for v in z]
-    if len(y) != k or len(z) != k:
-        raise PreconditionError("border vectors must have length matching the corner block")
-    x = Y.field.coerce(x)
     ent = []
     for i in range(k):
         ent.extend(Y.row_tuple(i))
@@ -238,18 +230,13 @@ def schur_value(Y: Matrix, y: Sequence, z: Sequence, x) -> Scalar:
     """x*det(Y) - z*Adj(Y)*y^t; identical as a polynomial to det of the bordered matrix."""
     if not Y.is_square or Y.rows == 0:
         raise PreconditionError("corner block must be a nonempty square matrix")
-    k = Y.rows
-    y = [Y.field.coerce(v) for v in y]
-    z = [Y.field.coerce(v) for v in z]
-    if len(y) != k or len(z) != k:
-        raise PreconditionError("border vectors must have length matching the corner block")
-    x = Y.field.coerce(x)
+    y, z, x = _border(Y, y, z, x)
     adj = adjugate(Y)
     acc = x * det(Y)
-    for i in range(k):
+    for i in range(Y.rows):
         zi = z[i]
         if not zi:
             continue
-        for j in range(k):
+        for j in range(Y.rows):
             acc = acc - zi * adj.at(i, j) * y[j]
     return acc

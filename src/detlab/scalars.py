@@ -42,7 +42,10 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; trial division beyond the proven MR range."""
+    """Deterministic primality test, proven below `_MR_LIMIT`; at or past that
+    bound it raises PreconditionError rather than guess or trial-divide."""
+    if n >= _MR_LIMIT:
+        raise PreconditionError(f"{n} is at or past the proven primality bound {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -50,8 +53,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n >= _MR_LIMIT:
-        return _trial_division(n)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -66,15 +67,6 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
-
-
-def _trial_division(n: int) -> bool:
-    f = 41
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
     return True
 
 

@@ -221,6 +221,17 @@ def test_exit_code_io(capsys, tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("line", ['{"X": 4}', "not json", "[]"])
+def test_fit_rejects_malformed_report(capsys, tmp_path, line):
+    path = tmp_path / "report.jsonl"
+    good = {"family": "interval", "X": 2, "n": 2, "dmode": "zero", "engine": "rowblock", "count": "6"}
+    path.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+    rc = main(["fit", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {path}:2: not a scan row\n"
+
+
 @pytest.mark.parametrize(
     "callee,kind",
     [("curve_incidences_n3", "curves"), ("cells_hit", "classify")],

@@ -221,6 +221,70 @@ def test_singular_binary_counts_match_oeis_a046747():
     assert counts == [10, 338, 42_976, 21_040_112, 39_882_864_736]
 
 
+def _singular_n3_by_projection(elems, p=None) -> int:
+    """D_3(X, 0) in plain ints, by projecting along the top row t. For t != 0
+    with t_k != 0 and the other indices a, b, the functionals
+    alpha = t_k e_a - t_a e_k and beta = t_k e_b - t_b e_k vanish exactly on
+    the span of t, so [t; u; r] is singular iff (alpha, beta) maps u and r onto
+    one line through the origin. With J the tally of (alpha(u), beta(u)) over
+    u in X^3, Z = J(0, 0) and M_l its mass on each line l, t contributes
+    2 Z |X|^3 - Z^2 + sum_l M_l^2, and t = 0 contributes |X|^6. A line is a
+    gcd-reduced direction with positive first nonzero entry over Q, scaled by
+    the inverse of that entry over F_p (when `p` is given)."""
+    size = len(elems)
+    cube = list(itertools.product(elems, repeat=3))
+    total = 0
+    for t in cube:
+        k = next((i for i in range(3) if (t[i] % p if p else t[i])), None)
+        if k is None:
+            total += size**6
+            continue
+        a, b = (i for i in range(3) if i != k)
+        J = Counter()
+        for u in cube:
+            x = t[k] * u[a] - t[a] * u[k]
+            y = t[k] * u[b] - t[b] * u[k]
+            J[(x % p, y % p) if p else (x, y)] += 1
+        Z = J.pop((0, 0), 0)
+        lines = Counter()
+        for (x, y), w in J.items():
+            if p:
+                inv = pow(x or y, -1, p)
+                lines[(x * inv % p, y * inv % p)] += w
+            else:
+                g = math.gcd(x, y) if (x or y) > 0 else -math.gcd(x, y)
+                lines[(x // g, y // g)] += w
+        total += 2 * Z * size**3 - Z * Z + sum(m * m for m in lines.values())
+    return total
+
+
+@pytest.mark.parametrize(
+    "elems, expected",
+    [
+        (range(1, 5), 29_104),
+        (range(1, 7), 436_818),
+        (range(1, 9), 2_790_818),
+        ([2**i for i in range(1, 7)], 713_064),
+        ([-3, -1, 0, 2, 5], 203_309),
+    ],
+)
+def test_singular_n3_matches_projection_route(elems, expected):
+    # a second route to D_3(X, 0) that shares nothing with the class walk,
+    # the linear-form kernel or int_lift
+    X = make_ground_set(elems, QQ)
+    assert _singular_n3_by_projection(list(elems)) == expected == count_det_rowblock(X, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "p, elems, expected",
+    [(p, range(p), p**9 - _gl_order(p, 3)) for p in (2, 3, 5, 7)] + [(7, [1, 2, 4], 7_533)],
+)
+def test_singular_n3_over_fp_matches_projection_route(p, elems, expected):
+    # all of F_p against the closed form, and {1, 2, 4} in F_7 against brute's count
+    X = make_ground_set(elems, FieldSpec.prime(p))
+    assert _singular_n3_by_projection(list(elems), p) == expected == count_det_rowblock(X, 3, 0)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
 def test_count_rank_matches_closed_form(q, m, n):
@@ -540,6 +604,23 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     with pytest.raises(BudgetExceededError) as exc:
         det_spectrum(X, 3, "rowblock", budget=7_263)
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (7_264, 7_263, "det_spectrum[rowblock]")
+
+
+def test_rowblock_n2_refusal_is_named_for_the_call():
+    # the n = 2 count charges 40^2 for the pair products, then the 517
+    # distinct ones, to the rowblock call's own meter (pins as in
+    # tests/test_cli.py::test_rowblock_n2_charges_pair_table)
+    X = make_ground_set(range(1, 41), QQ)
+    for budget, estimated in ((40**2 - 1, 40**2), (40**2 + 516, 40**2 + 517)):
+        with pytest.raises(BudgetExceededError) as exc:
+            count_det_rowblock(X, 2, 1, budget=budget)
+        assert (exc.value.estimated, exc.value.budget, exc.value.what) == (
+            estimated, budget, "count_det_rowblock"
+        )
+        with pytest.raises(BudgetExceededError) as exc:
+            count_det_conv_n2(X, 1, budget=budget)
+        assert exc.value.what == "count_det_conv_n2"
+    assert count_det_rowblock(X, 2, 1, budget=40**2 + 517) == 1878
 
 
 def test_n2_spectrum_budget_is_pair_products_then_correlation():

@@ -149,6 +149,19 @@ def test_cache_does_not_serve_budget_refusals(tmp_path):
     assert not row.budget_hit and row.count == want
 
 
+def test_sup_scan_neither_keys_nor_labels_rows_by_d(tmp_path):
+    # the sup modes never read d: a refused row carries none, and a scan
+    # with d and one without share one cache line
+    spec = FamilySpec("gp", 4, ratio=2)
+    refused = run_scan(spec, [4], QQ, 3, "sup_nonzero", "rowblock", d=5, budget=1)[0]
+    assert refused.budget_hit and refused.d is None
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    first = run_scan(spec, [4], QQ, 3, "sup_nonzero", "rowblock", d=5, cache=cache)[0]
+    second = run_scan(spec, [4], QQ, 3, "sup_nonzero", "rowblock", cache=cache)[0]
+    assert second == first and (first.d, first.count) == ("192", 6318)
+    assert len(cache.path.read_text().splitlines()) == 1
+
+
 def test_cache_key_separates_fields(tmp_path):
     cache = ResultCache(tmp_path / "cache.jsonl")
     spec = FamilySpec("interval", 3)

@@ -111,7 +111,7 @@ def test_rank_examples(rows, expected):
 @given(st.integers(1, 4).flatmap(square_entries))
 def test_rank_full_iff_nonzero_det(rows):
     M = mat(rows)
-    assert (rank(M) == M.rows) == (det(M) != 0)
+    assert (rank(M) == M.rows) == (det_cofactor(M) != 0)
 
 
 @given(

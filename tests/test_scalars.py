@@ -235,7 +235,7 @@ def test_field_spec_validation():
 def test_field_spec_parse():
     for field in (QQ, F7):
         assert FieldSpec.parse(field.label()) == field
-    for text in ("rationals", "fp:x", "fp:6", "F7"):
+    for text in ("rationals", "fp:x", "fp:6", "F7", "fp:3317044064679887385962123"):
         with pytest.raises(PreconditionError):
             FieldSpec.parse(text)
 
@@ -246,6 +246,13 @@ def test_field_spec_parse():
 )
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+def test_modulus_past_proven_primality_bound_is_refused():
+    # 3317044064679887385962123 is past the bound below which the Miller-Rabin
+    # bases are a proof; the field is refused rather than left unproven
+    with pytest.raises(PreconditionError, match="proven primality bound"):
+        FieldSpec.prime(3317044064679887385962123)
 
 
 def test_coerce_rejects_cross_field():
