@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from detlab.cli import resolve_threads
+from detlab.cli import guarded, resolve_threads
 from detlab.detcount import COUNT_ENGINES
 from detlab.families import FamilySpec
 from detlab.harness import ResultCache, fit_exponent, parse_sizes, run_scan
@@ -75,4 +75,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guarded(main))

@@ -16,9 +16,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from detlab.cli import add_set_source, guarded, resolve_set
 from detlab.detcount import count_det_rowblock
 from detlab.energy import dyadic_pyramid, energy_Estar_mu
-from detlab.families import FamilySpec, generate
 from detlab.incidence import (
     cell_decompose,
     cells_hit,
@@ -29,29 +29,20 @@ from detlab.incidence import (
     nondegeneracy_ratio,
     planes_from_minors,
 )
-from detlab.scalars import FieldSpec, format_scalar, parse_scalar, read_ground_set_file
+from detlab.scalars import FieldSpec, format_scalar, parse_scalar
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--set", dest="set_path", default=None)
-    ap.add_argument("--family", default="interval", choices=("interval", "gp", "random"))
-    ap.add_argument("--size", type=int, default=3)
-    ap.add_argument("--ratio", default="2")
-    ap.add_argument("--seed", type=int, default=0)
+    add_set_source(ap)
+    ap.set_defaults(family="interval", size=3)
     ap.add_argument("--d", default="1", help="determinant value indexing the plane family")
     ap.add_argument("--r", type=int, default=None, help="override the slicing parameter")
     ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args()
 
     field = FieldSpec.rationals()
-    if args.set_path:
-        X = read_ground_set_file(args.set_path, field)
-    else:
-        kw = {"ratio": args.ratio} if args.family == "gp" else (
-            {"seed": args.seed} if args.family == "random" else {}
-        )
-        X = generate(FamilySpec(args.family, args.size, **kw), field)
+    X = resolve_set(args, field)
     d = parse_scalar(args.d, field)
 
     print(f"set: {{{', '.join(format_scalar(e) for e in X)}}}, d = {format_scalar(d)}")
@@ -99,4 +90,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guarded(main))

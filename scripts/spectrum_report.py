@@ -14,21 +14,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from detlab.cli import resolve_threads
+from detlab.cli import add_set_source, guarded, resolve_set, resolve_threads
 from detlab.detcount import SPECTRUM_ENGINES, count_rank, det_spectrum
-from detlab.families import FamilySpec, generate
-from detlab.scalars import FieldSpec, format_scalar, read_ground_set_file
+from detlab.scalars import FieldSpec, format_scalar
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--set", dest="set_path", default=None)
-    ap.add_argument("--family", default="interval", choices=("interval", "ap", "gp", "random"))
-    ap.add_argument("--size", type=int, default=4)
-    ap.add_argument("--ratio", default="2")
-    ap.add_argument("--start", default="1")
-    ap.add_argument("--step", default="1")
-    ap.add_argument("--seed", type=int, default=0)
+    add_set_source(ap)
+    ap.set_defaults(family="interval", size=4, start="1", step="1")
     ap.add_argument("--n", type=int, default=3)
     ap.add_argument("--field", default="rational", type=FieldSpec.parse, help="rational or fp:<p>")
     ap.add_argument("--engine", default="rowblock", choices=tuple(SPECTRUM_ENGINES))
@@ -39,17 +33,7 @@ def main():
     args = ap.parse_args()
 
     field = args.field
-    if args.set_path:
-        X = read_ground_set_file(args.set_path, field)
-    else:
-        kw = {}
-        if args.family == "gp":
-            kw["ratio"] = args.ratio
-        elif args.family == "ap":
-            kw["start"], kw["step"] = args.start, args.step
-        elif args.family == "random":
-            kw["seed"] = args.seed
-        X = generate(FamilySpec(args.family, args.size, **kw), field)
+    X = resolve_set(args, field)
 
     n = args.n
     threads = resolve_threads(args.threads)
@@ -78,4 +62,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guarded(main))

@@ -59,36 +59,33 @@ EXIT_INTERNAL = 5
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: explicit flag wins, then DETLAB_THREADS, then CPU count."""
+    """Worker count: the explicit flag, else the CPU count."""
     if flag is not None and flag >= 1:
         return flag
-    env = os.environ.get("DETLAB_THREADS")
-    if env:
-        try:
-            val = int(env)
-            if val >= 1:
-                return val
-        except ValueError:
-            pass
     return os.cpu_count() or 1
 
 
 def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--field", default="rational", help="rational or fp:<p>")
     if threads:
-        p.add_argument("--threads", type=int, default=None, help="brute-engine workers (DETLAB_THREADS honored)")
+        p.add_argument("--threads", type=int, default=None, help="brute-engine workers (default: the CPU count)")
     p.add_argument("--budget", type=int, default=None, help="enumeration budget in elementary steps")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
-def _add_set_source(p: argparse.ArgumentParser) -> None:
+def add_set_source(p: argparse.ArgumentParser) -> None:
+    """Ground-set flags: `--set FILE`, or `--family`/`--size` and the family's parameters."""
     p.add_argument("--set", dest="set_path", default=None, help="ground-set file (one scalar per line)")
     p.add_argument("--size", type=int, default=None, help="family cardinality X")
     _add_family(p)
 
 
+# the FamilySpec parameters each --family kind reads
+_FAMILY_PARAMS = {"interval": (), "ap": ("start", "step"), "gp": ("ratio",), "random": ("seed", "low", "high")}
+
+
 def _add_family(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=("interval", "ap", "gp", "random"), default=None)
+    p.add_argument("--family", choices=tuple(_FAMILY_PARAMS), default=None)
     p.add_argument("--start", default=None, help="AP start")
     p.add_argument("--step", default=None, help="AP step")
     p.add_argument("--ratio", default="2", help="GP ratio (default 2)")
@@ -98,21 +95,11 @@ def _add_family(p: argparse.ArgumentParser) -> None:
 
 
 def _family_from_args(args, size: int) -> FamilySpec:
-    kind = args.family
-    if kind == "interval":
-        return FamilySpec("interval", size)
-    if kind == "ap":
-        if args.start is None or args.step is None:
-            raise PreconditionError("ap family needs --start and --step")
-        return FamilySpec("ap", size, start=args.start, step=args.step)
-    if kind == "gp":
-        return FamilySpec("gp", size, ratio=args.ratio)
-    if kind == "random":
-        return FamilySpec("random", size, seed=args.seed, low=args.low, high=args.high)
-    raise PreconditionError("select a ground set with --set or --family")
+    return FamilySpec(args.family, size, **{k: getattr(args, k) for k in _FAMILY_PARAMS[args.family]})
 
 
-def _resolve_set(args, field: FieldSpec):
+def resolve_set(args, field: FieldSpec):
+    """The ground set named by `add_set_source`'s flags, over `field`."""
     if args.set_path is not None:
         return read_ground_set_file(args.set_path, field)
     if args.family is None:
@@ -131,9 +118,14 @@ def _open_out(args):
             yield fh
 
 
-def _emit(args, obj: dict) -> None:
+def _emit(args, obj: dict, X=None) -> None:
+    """Write one JSON report headed by its `op`, and by the field and size of
+    the ground set `X` when the command took one."""
+    head = {"op": args.command}
+    if X is not None:
+        head.update(field=X.field.label(), X=len(X))
     with _open_out(args) as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.write(json.dumps({**head, **obj}, sort_keys=True) + "\n")
 
 
 def _parse_matrix(text: str, field: FieldSpec) -> Matrix:
@@ -150,68 +142,62 @@ def _parse_matrix(text: str, field: FieldSpec) -> Matrix:
 
 def _cmd_count(args) -> None:
     field = FieldSpec.parse(args.field)
-    X = _resolve_set(args, field)
+    X = resolve_set(args, field)
     d = parse_scalar(args.d, field)
     threads = resolve_threads(args.threads)
     cnt = COUNT_ENGINES[args.engine](X, args.n, d, budget=args.budget, threads=threads)
     _emit(
         args,
         {
-            "op": "count",
-            "field": field.label(),
-            "X": len(X),
             "n": args.n,
             "d": format_scalar(d),
             "engine": args.engine,
             "count": str(cnt),
         },
+        X,
     )
 
 
 def _cmd_spectrum(args) -> None:
     field = FieldSpec.parse(args.field)
-    X = _resolve_set(args, field)
+    X = resolve_set(args, field)
     threads = resolve_threads(args.threads)
     spec = det_spectrum(X, args.n, args.engine, budget=args.budget, threads=threads)
     entries = [[format_scalar(k), str(v)] for k, v in spec.sorted_items()]
     _emit(
         args,
         {
-            "op": "spectrum",
-            "field": field.label(),
-            "X": len(X),
             "n": args.n,
             "engine": args.engine,
             "total_mass": str(spec.total_mass()),
             "distinct": spec.distinct_count(),
             "entries": entries,
         },
+        X,
     )
 
 
 def _cmd_rank(args) -> None:
     field = FieldSpec.parse(args.field)
-    X = _resolve_set(args, field)
+    X = resolve_set(args, field)
     cnt = count_rank(X, args.m, args.n, args.r, budget=args.budget)
     _emit(
         args,
         {
-            "op": "rank",
-            "field": field.label(),
-            "X": len(X),
             "m": args.m,
             "n": args.n,
             "r": args.r,
             "count": str(cnt),
         },
+        X,
     )
 
 
 def _cmd_energy(args) -> None:
     field = FieldSpec.parse(args.field)
-    X = _resolve_set(args, field)
+    X = resolve_set(args, field)
     kind = args.kind
-    out = {"op": "energy", "kind": kind, "field": field.label(), "X": len(X)}
+    out = {"kind": kind}
     if kind == "bilinear":
         if args.matrix is None or args.omega is None:
             raise PreconditionError("bilinear needs --matrix and --omega")
@@ -227,17 +213,17 @@ def _cmd_energy(args) -> None:
         cnt = (brute if args.engine == "brute" else fast)(X, budget=args.budget)
     out["engine"] = args.engine
     out["count"] = str(cnt)
-    _emit(args, out)
+    _emit(args, out, X)
 
 
 def _cmd_incidence(args) -> None:
     field = FieldSpec.parse(args.field)
-    X = _resolve_set(args, field)
+    X = resolve_set(args, field)
     kind = args.kind
-    out = {"op": "incidence", "kind": kind, "field": field.label(), "X": len(X)}
+    out = {"kind": kind}
     if kind == "curves":
         out["count"] = str(curve_incidences_n3(X, budget=args.budget))
-        _emit(args, out)
+        _emit(args, out, X)
         return
     if args.d is None:
         raise PreconditionError(f"incidence kind {kind!r} needs --d for the plane family")
@@ -250,12 +236,12 @@ def _cmd_incidence(args) -> None:
         out["total_weight"] = str(mp.total_weight())
         out["weight_square_sum"] = str(sum(w * w for w in mp.weights))
         out["det_count_via_incidences"] = str(mp.det_count_via_incidences(budget=args.budget))
-        _emit(args, out)
+        _emit(args, out, X)
         return
     grid = cube_grid(X, 3)
     if kind == "brute":
         out["incidences"] = str(incidences_brute(grid, mp.family, budget=args.budget))
-        _emit(args, out)
+        _emit(args, out, X)
         return
     r = args.r if args.r is not None else choose_r(grid, mp.family)
     cls = classify_incidences(grid, mp.family, r, budget=args.budget)
@@ -270,7 +256,7 @@ def _cmd_incidence(args) -> None:
             "cell_bound": grid.k * r ** (grid.k - 1),
         }
     )
-    _emit(args, out)
+    _emit(args, out, X)
 
 
 def _cmd_scan(args) -> None:
@@ -304,7 +290,7 @@ def _cmd_fit(args) -> None:
     with open(args.input, "r", encoding="utf-8") as fh:
         rows = read_jsonl(fh)
     fit = fit_exponent(rows)
-    _emit(args, {"op": "fit", **fit.to_json_dict()})
+    _emit(args, fit.to_json_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="matrices over X with a prescribed determinant")
-    _add_set_source(p)
+    add_set_source(p)
     _add_common(p, threads=True)
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--d", required=True, help="target determinant")
@@ -323,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("spectrum", help="full determinant distribution")
-    _add_set_source(p)
+    add_set_source(p)
     _add_common(p, threads=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--engine", choices=tuple(SPECTRUM_ENGINES), default="rowblock")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("rank", help="m x n matrices over X of exact rank r")
-    _add_set_source(p)
+    add_set_source(p)
     _add_common(p)
     p.add_argument("--m", type=int, required=True, help="row count")
     p.add_argument("--n", type=int, required=True, help="column count")
@@ -338,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("energy", help="additive-energy counts")
-    _add_set_source(p)
+    add_set_source(p)
     _add_common(p)
     p.add_argument("--kind", choices=("N", "T", "S", "Estar", "bilinear"), required=True)
     p.add_argument("--engine", choices=("table", "brute"), default="table",
@@ -349,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("incidence", help="point/hyperplane incidence counting")
-    _add_set_source(p)
+    add_set_source(p)
     _add_common(p)
     p.add_argument("--kind", choices=("brute", "classify", "minors", "curves"), required=True)
     p.add_argument("--d", default=None, help="determinant value generating the plane family")
@@ -376,11 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def guarded(fn) -> int:
+    """Run `fn()` and return its exit code (0 for None), or print one `error:`
+    line for a refusal and return its code: 2 precondition, 3 budget, 4 I/O,
+    5 internal invariant."""
     try:
-        args.func(args)
+        return fn() or EXIT_OK
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -393,7 +380,11 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return guarded(lambda: args.func(args))
 
 
 if __name__ == "__main__":

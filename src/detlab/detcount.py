@@ -672,8 +672,6 @@ def dsup(
     threads: int = 1,
 ) -> tuple[Scalar, int]:
     """Argmax of the spectrum, by `SpectrumHistogram.argmax`."""
-    if n < 2 and engine == "rowblock":
-        engine = "brute"
     return det_spectrum(X, n, engine, budget=budget, threads=threads).argmax(exclude_zero)
 
 

@@ -91,20 +91,10 @@ class ScanRow:
         )
 
     def csv_record(self) -> list:
-        params = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return [
-            self.family,
-            params,
-            "" if self.seed is None else self.seed,
-            self.size,
-            self.n,
-            self.dmode,
-            "" if self.d is None else self.d,
-            self.engine,
-            "" if self.count is None else str(self.count),
-            self.elapsed_ms,
-            self.budget_hit,
-        ]
+        """The JSON row's values in order, `params` as `k=v;...` and None as empty."""
+        obj = self.to_json_dict()
+        obj["params"] = ";".join(f"{k}={v}" for k, v in sorted(obj["params"].items()))
+        return ["" if v is None else v for v in obj.values()]
 
 
 def parse_sizes(text: str) -> list[int]:

@@ -186,9 +186,10 @@ def _int_root(x: int, m: int) -> int:
 
 
 def choose_r(P: PointGrid, planes: HyperplaneFamily) -> int:
-    """Slicing parameter min{max{floor((#P^k / #Pi)^(1/(k^2-1))), 1}, A_k}."""
+    """Slicing parameter min{max{floor((#P^k / #Pi)^(1/(k^2-1))), 1}, A_k};
+    an empty family takes the cap A_k, the formula's limit as #Pi -> 0."""
     if len(planes) < 1:
-        raise PreconditionError("need at least one hyperplane")
+        return P.min_size
     k = P.k
     base = P.npoints**k // len(planes)
     r = _int_root(base, k * k - 1)

@@ -214,6 +214,17 @@ def test_flags_only_where_read():
     assert _subcommands_with("--format") == {"scan"}
 
 
+@pytest.mark.parametrize("e", ["0", "5"])
+@pytest.mark.parametrize("d", ["0", "1"])
+def test_classify_on_a_set_with_no_planes(capsys, tmp_path, e, d):
+    path = tmp_path / "set.txt"
+    path.write_text(e + "\n", encoding="utf-8")
+    for extra in ([], ["--r", "1"]):
+        obj = run_json(capsys, "incidence", "--kind", "classify", "--set", str(path), "--d", d, *extra)
+        assert (obj["planes"], obj["r"], obj["chosen_r"]) == (0, 1, 1)
+        assert (obj["i1"], obj["i2"], obj["i3"], obj["max_cells_hit"]) == ("0", "0", "0", 0)
+
+
 def test_exit_code_io(capsys, tmp_path):
     rc, _ = run_cli(capsys, "count", "--set", str(tmp_path / "missing.txt"), "--n", "2", "--d", "0")
     assert rc == 4
@@ -248,16 +259,19 @@ def test_exit_code_internal_invariant(capsys, monkeypatch, callee, kind):
 
 
 def test_threads_resolution(monkeypatch):
-    monkeypatch.delenv("DETLAB_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 7)
     assert resolve_threads(3) == 3
-    monkeypatch.setenv("DETLAB_THREADS", "7")
     assert resolve_threads(None) == 7
-    assert resolve_threads(2) == 2  # flag wins
-    monkeypatch.setenv("DETLAB_THREADS", "junk")
-    assert resolve_threads(None) >= 1
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(script, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 @pytest.mark.parametrize(
@@ -269,12 +283,33 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ],
 )
 def test_scripts_reject_bad_input(script, flag, value):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), flag, value],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_script(script, flag, value)
     assert proc.returncode == 2
     assert f"argument {flag}" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["spectrum_report.py", "--size", "0"], 2),
+        (["spectrum_report.py", "--n", "3", "--size", "6", "--budget", "10"], 3),
+        (["incidence_census.py", "--d", "x"], 2),
+        (["growth_probe.py", "--sizes", "4", "--n", "1"], 2),
+    ],
+)
+def test_scripts_refuse_like_the_cli(argv, code):
+    proc = run_script(*argv)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_incidence_census_takes_the_cli_family_flags():
+    argv = ["--family", "ap", "--start", "1/2", "--step", "1/2", "--size", "3", "--d", "1"]
+    proc = run_script("incidence_census.py", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("set: {1/2, 1, 3/2}, d = 1\n")
+    assert "exact match" in proc.stdout
 
 
 def test_incidence_census_exits_1_on_mismatch(monkeypatch, capsys):

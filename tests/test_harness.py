@@ -261,6 +261,19 @@ def test_csv_mirror():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "family,kind-params,seed,X,n,dmode,d,engine,count,elapsed_ms,budget_hit"
     assert lines[1].startswith("gp,ratio=2,,2,2,zero,0,rowblock,6,")
+    refused = make_row(count=None, d=None, budget_hit=True)
+    buf = io.StringIO()
+    write_csv([refused], buf)
+    assert buf.getvalue().splitlines()[1] == "interval,,,2,2,zero,,rowblock,,1.0,True"
+
+
+@pytest.mark.parametrize("dmode", ["fixed", "zero", "sup_nonzero", "sup_all"])
+def test_rowblock_scan_refuses_n1_in_every_mode(dmode):
+    # a row names the engine that ran it, so rowblock never hands n = 1 to brute
+    with pytest.raises(PreconditionError, match="n >= 2"):
+        run_scan(FamilySpec("interval", 3), [3], QQ, 1, dmode, "rowblock", d=1)
+    row, = run_scan(FamilySpec("interval", 3), [3], QQ, 1, dmode, "brute", d=1)
+    assert row.engine == "brute" and row.count == (dmode != "zero")
 
 
 def test_scan_rows_deterministic_modulo_elapsed():

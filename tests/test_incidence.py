@@ -184,6 +184,21 @@ def test_choose_r_examples():
 
     many = fam([((1, 1), i) for i in range(600)])
     assert choose_r(cube_grid(X01, 2), many) == 1
+    # no planes: the cap A_k, the formula's limit as #Pi -> 0
+    assert choose_r(cube_grid(X012, 3), HyperplaneFamily(3, ())) == 3
+
+
+@pytest.mark.parametrize("e", [0, 5])
+@pytest.mark.parametrize("d", [0, 1])
+def test_classify_one_element_set_has_no_planes(e, d):
+    # every cofactor triple of a one-element set vanishes, so no plane is left to slice
+    X = make_ground_set([e], QQ)
+    planes = planes_from_minors(X, d).family
+    grid = cube_grid(X, 3)
+    assert len(planes) == 0
+    assert choose_r(grid, planes) == 1
+    cls = classify_incidences(grid, planes, 1)
+    assert (cls.i1, cls.i2, cls.i3) == (0, 0, 0)
 
 
 @given(
