@@ -7,10 +7,8 @@ from .scalars import (
     FieldSpec,
     GroundSet,
     Mod,
-    encode_scalar,
     format_scalar,
     make_ground_set,
-    negate_set,
     parse_scalar,
     read_ground_set_file,
     scale_set,
@@ -23,7 +21,6 @@ from .detcount import (
     SpectrumHistogram,
     count_decomposition,
     count_det_brute,
-    count_det_conv_n2,
     count_det_rowblock,
     count_rank,
     det_spectrum,
@@ -36,7 +33,6 @@ from .energy import (
     ValueDistribution,
     count_bilinear,
     count_bilinear_brute,
-    cross_term_distribution,
     dyadic_pyramid,
     energy_Estar_brute,
     energy_Estar_mu,

@@ -59,10 +59,12 @@ EXIT_INTERNAL = 5
 
 
 def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: the explicit flag, else the CPU count."""
-    if flag is not None and flag >= 1:
-        return flag
-    return os.cpu_count() or 1
+    """Worker count: the explicit flag, which must be at least 1, else the CPU count."""
+    if flag is None:
+        return os.cpu_count() or 1
+    if flag < 1:
+        raise PreconditionError(f"--threads must be at least 1, got {flag}")
+    return flag
 
 
 def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:

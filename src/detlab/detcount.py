@@ -16,8 +16,8 @@ walk it saved.
 
 At n = 2 the rowblock engines walk no cofactor classes: D_2(X, d) is the
 difference-correlation of the lifted pair products P(t) = #{uv = t}, read
-at d by `count_det_conv_n2` (|X|^2 steps where the linear-form kernel takes
-|X|^3) and everywhere by `_cross_terms`. The n = 2 `minor_multiplicity_map`
+at d by `_conv_n2` (|X|^2 steps where the linear-form kernel takes |X|^3)
+and everywhere by `_cross_terms`. The n = 2 `minor_multiplicity_map`
 tallies the |X|^2 vectors (b, -a) directly.
 
 The one cofactor walk is `_class_table`, at n >= 3: on the set lifted to
@@ -184,9 +184,6 @@ class SpectrumHistogram:
 
     def sorted_items(self) -> list:
         return sorted(self.entries.items())
-
-    def witness(self, d) -> Matrix | None:
-        return find_witness(self.ground_set, self.n, d)
 
     def argmax(self, exclude_zero: bool) -> tuple[Scalar, int]:
         """The most frequent determinant and its count, ties resolved to the
@@ -528,7 +525,7 @@ def count_det_rowblock(
     are popped as they stream, so the pairs and the kernel's merged forms
     peak at about the size of one). One meter runs through the walk and the
     kernel. At n = 2 the count is the product correlation
-    `count_det_conv_n2`. The table is walked in-process; `threads` is the
+    `_conv_n2`. The table is walked in-process; `threads` is the
     registry's signature."""
     if n < 2:
         raise PreconditionError("count_det_rowblock needs n >= 2")
@@ -575,15 +572,11 @@ def _cross_terms(P: dict, p: int | None = None) -> dict:
     return _shift_add({}, table, [0], p) if p else table
 
 
-def count_det_conv_n2(X: GroundSet, d, *, budget: int | None = None) -> int:
+def _conv_n2(X: GroundSet, d, meter: Meter) -> int:
     """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d),
     in ints over the lifted set (target L^2 d, 0 when that is not an integer;
-    over F_p the pair products are reduced mod p once). The budget is charged
+    over F_p the pair products are reduced mod p once). The `meter` is charged
     |X|^2 for the pair-product table P, then |P| for the lookups."""
-    return _conv_n2(X, d, Meter(budget, "count_det_conv_n2"))
-
-
-def _conv_n2(X: GroundSet, d, meter: Meter) -> int:
     meter.charge(len(X) ** 2)
     lift = int_lift(X)
     target = lift.target(d, 2)

@@ -10,7 +10,8 @@ T and S are one number: over the pair-product multiset P of any abelian
 group, #{a + b = c + e} = #{a - c = e - b}. Both build the sum table P * P
 with one update per unordered pair {t1, t2} of values of P, |P|(|P| + 1) / 2
 updates, and their budget charges, |U|^2 and then |P|^2, bound that work. The
-difference-correlation Q2 of P is D_2(U, .), from `detcount.det_spectrum`.
+difference-correlation Q2 of P is D_2(U, .), the n = 2 spectrum
+`detcount.det_spectrum(U, 2, "rowblock")`.
 The cofactor energy E* and its dyadic pyramid read each +- pair of cofactor
 classes from `detcount._class_table` and its size from `detcount._class_size`.
 """
@@ -22,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import Meter, PreconditionError
-from .detcount import _class_size, _class_table, _count_forms, _pair_products, det_spectrum
+from .detcount import _class_size, _class_table, _count_forms, _pair_products
 from .matrices import Matrix, det
 from .scalars import GroundSet
 
@@ -117,12 +118,6 @@ def energy_S(U: GroundSet, *, budget: int | None = None) -> int:
     abelian group, and is computed by the same unordered-pair sums table.
     Charged |U|^2, then |P|^2."""
     return _pair_sum_energy(U, Meter(budget, "energy_S"))
-
-
-def cross_term_distribution(U: GroundSet) -> ValueDistribution:
-    """Q2(t) = #{(u1, u3, v1, v3) in U^4 : u1*v3 - u3*v1 = t}; mass |U|^4.
-    Q2 is D_2(U, t), the rowblock engine's pair-product correlation."""
-    return ValueDistribution(det_spectrum(U, 2, "rowblock").entries, "two-by-two-cross")
 
 
 def energy_S_brute(U: GroundSet, *, budget: int | None = None) -> int:
@@ -229,12 +224,6 @@ class DyadicPyramid:
     classes: tuple
     total_mass: int
     max_weighted: int  # max over w of w^2 * class size
-
-    def class_count(self, w: int) -> int:
-        for ww, c in self.classes:
-            if ww == w:
-                return c
-        return 0
 
 
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:

@@ -21,9 +21,11 @@ class BudgetExceededError(RuntimeError):
 
 class Meter:
     """One call's running step total against its budget (`DEFAULT_BUDGET`
-    when None), named `what` in a refusal."""
+    when None, else at least 0), named `what` in a refusal."""
 
     def __init__(self, budget: int | None, what: str):
+        if budget is not None and budget < 0:
+            raise PreconditionError(f"{what}: budget must be at least 0, got {budget}")
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.what = what
         self.spent = 0

@@ -1,4 +1,4 @@
-"""Ground-set family generators: intervals, progressions, seeded random draws, files.
+"""Ground-set family generators: intervals, progressions and seeded random draws.
 
 Generation is deterministic: a family spec plus (for the random kind) its seed
 fully determines the output set, byte for byte. Random draws use a named
@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .scalars import FieldSpec, GroundSet, format_scalar, make_ground_set, read_ground_set_file
+from .scalars import FieldSpec, GroundSet, format_scalar, make_ground_set
 
 KIND_INTERVAL = "interval"
 KIND_AP = "ap"
 KIND_GP = "gp"
 KIND_RANDOM = "random"
-KIND_EXPLICIT = "explicit"
-KINDS = (KIND_INTERVAL, KIND_AP, KIND_GP, KIND_RANDOM, KIND_EXPLICIT)
+KINDS = (KIND_INTERVAL, KIND_AP, KIND_GP, KIND_RANDOM)
 
 PRNG_NAME = "sha256-counter"
 
@@ -37,7 +36,6 @@ class FamilySpec:
     seed: int | None = None
     low: int | None = None
     high: int | None = None
-    path: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -54,8 +52,6 @@ class FamilySpec:
             lo, hi = self._range()
             if hi - lo + 1 < self.size:
                 raise PreconditionError("random range narrower than requested size")
-        if self.kind == KIND_EXPLICIT and self.path is None:
-            raise PreconditionError("explicit family needs a file path")
 
     def _range(self) -> tuple[int, int]:
         lo = 1 if self.low is None else self.low
@@ -74,22 +70,7 @@ class FamilySpec:
             lo, hi = self._range()
             out["low"], out["high"] = lo, hi
             out["prng"] = PRNG_NAME
-        elif self.kind == KIND_EXPLICIT:
-            out["path"] = self.path
         return out
-
-    def key_params(self) -> dict:
-        """params_dict plus, for an explicit file, the sha256 of its bytes, so
-        a cache key changes whenever the generated set can."""
-        out = self.params_dict()
-        if self.kind == KIND_EXPLICIT:
-            with open(self.path, "rb") as fh:
-                out["sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        return out
-
-    def label(self) -> str:
-        params = ";".join(f"{k}={v}" for k, v in sorted(self.params_dict().items()))
-        return f"{self.kind}[{params}]" if params else self.kind
 
 
 def _param_text(v) -> str:
@@ -133,7 +114,7 @@ def generate(spec: FamilySpec, field: FieldSpec) -> GroundSet:
         for _ in range(spec.size):
             values.append(cur)
             cur = cur * g
-    elif spec.kind == KIND_RANDOM:
+    else:  # random
         lo, hi = spec._range()
         seen: dict = {}
         budget = 200 * (hi - lo + 1) + 10_000
@@ -146,13 +127,6 @@ def generate(spec: FamilySpec, field: FieldSpec) -> GroundSet:
             if budget == 0:
                 raise PreconditionError("random range exhausted before reaching size")
         values = list(seen)
-    else:  # explicit
-        gs = read_ground_set_file(spec.path, field)
-        if len(gs) != spec.size:
-            raise PreconditionError(
-                f"file holds {len(gs)} distinct scalars, expected {spec.size}"
-            )
-        return gs
     gs = make_ground_set(values, field)
     if len(gs) != spec.size:
         raise PreconditionError(

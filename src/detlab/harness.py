@@ -222,7 +222,7 @@ def run_scan(
         spec = replace(template, size=size)
         params = spec.params_dict()
         key = scan_key(
-            spec.kind, spec.key_params(), spec.seed, size, n, dmode, d_text, engine, field.label()
+            spec.kind, params, spec.seed, size, n, dmode, d_text, engine, field.label()
         )
         if cache is not None:
             hit = cache.get(key)

@@ -220,13 +220,6 @@ class CellDecomposition:
     def cell_indices(self):
         return itertools.product(*(range(self.r) for _ in range(self.grid.k)))
 
-    def cell_counts(self) -> dict:
-        """Full cell -> point-count table (populations multiply per axis)."""
-        return {c: self.population(c) for c in self.cell_indices()}
-
-    def total_population(self) -> int:
-        return sum(self.population(c) for c in self.cell_indices())
-
 
 def cell_decompose(P: PointGrid, r: int) -> CellDecomposition:
     """Split every axis into r nearly equal groups; cuts at exact midpoints."""

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic over the rationals or a prime field, plus ground sets.
 
 All counting downstream relies on two facts established here: arithmetic is
-bit-exact (no floats anywhere), and equal scalars have identical canonical
-byte encodings, so they can serve as dictionary keys across runs.
+bit-exact (no floats anywhere), and equal scalars have one canonical text,
+`format_scalar`, which reports and cache keys use across runs.
 
 A rational is an `int` when it is integral and a `Fraction` otherwise:
 `FieldSpec.coerce`, `parse_scalar`, `zero()` and `one()` keep that invariant,
@@ -10,7 +10,7 @@ so ground-set elements and `Matrix.from_rows` entries are plain machine
 integers whenever they can be (normalized planes always are, see
 `incidence.normalize_plane`), and hot loops need no separate integer view.
 Arithmetic on them may still yield an integral `Fraction`; equality,
-hashing, ordering and `encode_scalar` agree on it and the `int`. Two ints
+hashing, ordering and `format_scalar` agree on it and the `int`. Two ints
 must never meet `/`, which yields a float: `FieldSpec.div` is the exact
 quotient of two field scalars.
 
@@ -27,14 +27,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .errors import PreconditionError
-
-MODE_RATIONAL = "rational"
-MODE_PRIME = "prime"
 
 # Witness set proving Miller-Rabin deterministic below this bound (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -152,35 +149,31 @@ Scalar = Union[int, Fraction, Mod]
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ambient field of all scalars: the rationals, or integers modulo a prime."""
+    """Ambient field of all scalars: the rationals when `modulus` is None,
+    else the integers modulo that prime."""
 
-    mode: str
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.mode == MODE_RATIONAL:
-            if self.modulus is not None:
-                raise PreconditionError("rational mode takes no modulus")
-        elif self.mode == MODE_PRIME:
-            if not isinstance(self.modulus, int) or self.modulus < 2:
-                raise PreconditionError("prime-field mode requires an integer modulus >= 2")
-            if not is_prime(self.modulus):
-                raise PreconditionError(f"modulus {self.modulus} is not prime")
-        else:
-            raise PreconditionError(f"unknown field mode {self.mode!r}")
+        if self.modulus is None:
+            return
+        if not isinstance(self.modulus, int) or self.modulus < 2:
+            raise PreconditionError("prime-field mode requires an integer modulus >= 2")
+        if not is_prime(self.modulus):
+            raise PreconditionError(f"modulus {self.modulus} is not prime")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls(MODE_RATIONAL)
+        return cls()
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls(MODE_PRIME, p)
+        return cls(p)
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         """Inverse of `label`: 'rational' or 'fp:<p>'."""
-        if text == MODE_RATIONAL:
+        if text == "rational":
             return cls.rationals()
         if text.startswith("fp:"):
             try:
@@ -192,7 +185,7 @@ class FieldSpec:
 
     @property
     def is_rational(self) -> bool:
-        return self.mode == MODE_RATIONAL
+        return self.modulus is None
 
     def zero(self) -> Scalar:
         return 0 if self.is_rational else Mod(0, self.modulus)
@@ -227,7 +220,7 @@ class FieldSpec:
         raise PreconditionError(f"cannot coerce {value!r} into {self.label()}")
 
     def label(self) -> str:
-        return MODE_RATIONAL if self.is_rational else f"fp:{self.modulus}"
+        return "rational" if self.is_rational else f"fp:{self.modulus}"
 
 
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:\s*/\s*([+-]?\d+))?$")
@@ -262,33 +255,12 @@ def format_scalar(s: Scalar) -> str:
     return f"{s.numerator}/{s.denominator}"
 
 
-def _as_pair(s: Scalar) -> tuple[int, int]:
-    if isinstance(s, Mod):
-        return s.residue, 1
-    if isinstance(s, int):
-        return s, 1
-    return s.numerator, s.denominator
-
-
-def encode_scalar(s: Scalar) -> bytes:
-    """Sign byte plus length-prefixed magnitudes of numerator and denominator."""
-    num, den = _as_pair(s)
-    sign = b"\x01" if num < 0 else b"\x00"
-    out = [sign]
-    for part in (abs(num), den):
-        mag = part.to_bytes(max(1, (part.bit_length() + 7) // 8), "big")
-        out.append(len(mag).to_bytes(4, "big"))
-        out.append(mag)
-    return b"".join(out)
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Duplicate-free, strictly ordered collection of scalars from one field."""
 
     field: FieldSpec
     elements: tuple
-    _members: frozenset = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -296,20 +268,12 @@ class GroundSet:
         for a, b in zip(self.elements, self.elements[1:]):
             if not a < b:
                 raise PreconditionError("ground set elements must be strictly increasing")
-        object.__setattr__(self, "_members", frozenset(self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self) -> Iterator[Scalar]:
         return iter(self.elements)
-
-    def __contains__(self, value) -> bool:
-        return value in self._members
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
 
 def make_ground_set(values: Iterable, field: FieldSpec) -> GroundSet:
@@ -370,16 +334,6 @@ def scale_set(X: GroundSet, c) -> GroundSet:
     if not c:
         raise PreconditionError("scale factor must be nonzero")
     return make_ground_set((c * x for x in X), X.field)
-
-
-def negate_set(X: GroundSet) -> GroundSet:
-    return make_ground_set((-x for x in X), X.field)
-
-
-def encode_ground_set(X: GroundSet) -> bytes:
-    parts = [len(X).to_bytes(4, "big")]
-    parts.extend(encode_scalar(e) for e in X)
-    return b"".join(parts)
 
 
 def read_ground_set_file(path, field: FieldSpec) -> GroundSet:

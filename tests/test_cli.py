@@ -8,6 +8,7 @@ import pytest
 
 from detlab import cli
 from detlab.cli import main, resolve_threads
+from detlab.errors import PreconditionError
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +170,17 @@ def test_exit_code_budget(capsys):
         "--engine", "brute", "--budget", "10",
     )
     assert rc == 3
+    # a budget of 0 is a budget, refused by the estimate
+    rc, _ = run_cli(capsys, "count", "--family", "interval", "--size", "3", "--n", "3", "--d", "1", "--budget", "0")
+    assert rc == 3
+
+
+@pytest.mark.parametrize("flag,value", [("--threads", "0"), ("--budget", "-5")])
+def test_threads_below_1_and_negative_budget_are_preconditions(capsys, flag, value):
+    rc = main(["count", "--family", "interval", "--size", "3", "--n", "3", "--d", "1", flag, value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_rowblock_n2_charges_pair_table(capsys):
@@ -262,6 +274,9 @@ def test_threads_resolution(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 7)
     assert resolve_threads(3) == 3
     assert resolve_threads(None) == 7
+    for flag in (0, -3):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            resolve_threads(flag)
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -295,6 +310,7 @@ def test_scripts_reject_bad_input(script, flag, value):
         (["spectrum_report.py", "--n", "3", "--size", "6", "--budget", "10"], 3),
         (["incidence_census.py", "--d", "x"], 2),
         (["growth_probe.py", "--sizes", "4", "--n", "1"], 2),
+        (["spectrum_report.py", "--threads", "-2", "--size", "2", "--n", "2"], 2),
     ],
 )
 def test_scripts_refuse_like_the_cli(argv, code):

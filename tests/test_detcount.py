@@ -19,7 +19,6 @@ from detlab.detcount import (
     _perms,
     count_decomposition,
     count_det_brute,
-    count_det_conv_n2,
     count_det_rowblock,
     count_rank,
     det_spectrum,
@@ -29,7 +28,7 @@ from detlab.detcount import (
 )
 from detlab.energy import dyadic_pyramid, energy_Estar_mu
 from detlab.matrices import _det_rows, det
-from detlab.scalars import FieldSpec, make_ground_set, negate_set, scale_set
+from detlab.scalars import FieldSpec, make_ground_set, scale_set
 
 from conftest import QQ, F7, int_ground_sets, fraction_ground_sets
 
@@ -65,9 +64,9 @@ def test_rowblock_rejects_n1():
 
 
 def test_conv_examples():
-    assert count_det_conv_n2(X12, 0) == 6
-    assert count_det_conv_n2(X12, 1) == 2
-    assert count_det_conv_n2(X0, 0) == 1
+    assert count_det_rowblock(X12, 2, 0) == 6
+    assert count_det_rowblock(X12, 2, 1) == 2
+    assert count_det_rowblock(X0, 2, 0) == 1
 
 
 def test_spectrum_exact_for_two_element_set():
@@ -158,7 +157,7 @@ def test_spectrum_prime_field(X, n):
 def test_spectrum_witness():
     spec = det_spectrum(X12, 2, "brute")
     for d in spec.entries:
-        w = spec.witness(d)
+        w = find_witness(X12, 2, d)
         assert w is not None and det(w) == d
     assert find_witness(X12, 2, 99) is None
 
@@ -554,7 +553,7 @@ def test_negation_covariance():
         X = make_ground_set(vals, QQ)
         for n in (2, 3):
             spec = det_spectrum(X, n, "rowblock")
-            neg = det_spectrum(negate_set(X), n, "rowblock")
+            neg = det_spectrum(scale_set(X, -1), n, "rowblock")
             assert neg.entries == {d * (-1) ** n: v for d, v in spec.entries.items()}
 
 
@@ -617,9 +616,6 @@ def test_rowblock_n2_refusal_is_named_for_the_call():
         assert (exc.value.estimated, exc.value.budget, exc.value.what) == (
             estimated, budget, "count_det_rowblock"
         )
-        with pytest.raises(BudgetExceededError) as exc:
-            count_det_conv_n2(X, 1, budget=budget)
-        assert exc.value.what == "count_det_conv_n2"
     assert count_det_rowblock(X, 2, 1, budget=40**2 + 517) == 1878
 
 
@@ -714,7 +710,6 @@ def test_cofactor_table_never_starts_a_pool(monkeypatch):
 def test_fractional_d_over_integer_set():
     assert count_det_brute(X12, 2, Fraction(1, 2)) == 0
     assert count_det_rowblock(X12, 2, Fraction(1, 2)) == 0
-    assert count_det_conv_n2(X12, Fraction(1, 2)) == 0
 
 
 @st.composite

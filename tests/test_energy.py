@@ -12,7 +12,6 @@ from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.energy import (
     count_bilinear,
     count_bilinear_brute,
-    cross_term_distribution,
     dyadic_pyramid,
     energy_Estar_brute,
     energy_Estar_mu,
@@ -67,7 +66,7 @@ def test_r_distribution_examples():
 def test_distribution_masses(U):
     assert product_distribution(U).mass() == len(U) ** 2
     assert r_distribution(U).mass() == len(U) ** 4
-    assert cross_term_distribution(U).mass() == len(U) ** 4
+    assert det_spectrum(U, 2, "rowblock").total_mass() == len(U) ** 4
 
 
 def test_energy_T_examples():
@@ -97,7 +96,7 @@ def test_energy_N_matches_brute(vals):
 
 def test_energy_S_examples():
     assert energy_S(U1) == 1
-    assert cross_term_distribution(U01).entries == {0: 10, -1: 3, 1: 3}
+    assert det_spectrum(U01, 2, "rowblock").entries == {0: 10, -1: 3, 1: 3}
     assert energy_S(U01) == 9 + 100 + 9
     assert energy_S_brute(U01) == energy_S(U01)
 
@@ -114,10 +113,10 @@ def _prime_field_sets(draw):
 @example(make_ground_set(range(7), F7))
 @settings(max_examples=40)
 def test_cross_term_distribution_is_the_n2_spectrum(U):
-    # Q2 comes from the rowblock engine's pair-product correlation, whose
-    # keys over F_p are differences of residues reduced mod p; the brute
-    # oracle enumerates the |U|^4 determinants in field scalars
-    assert cross_term_distribution(U).entries == det_spectrum(U, 2, "brute").entries
+    # Q2 is the rowblock engine's pair-product correlation, whose keys over
+    # F_p are differences of residues reduced mod p; the brute oracle
+    # enumerates the |U|^4 determinants in field scalars
+    assert det_spectrum(U, 2, "rowblock").entries == det_spectrum(U, 2, "brute").entries
 
 
 @pytest.mark.parametrize("vals", SMALL_SETS)
@@ -277,7 +276,6 @@ def test_dyadic_pyramid_examples():
     for w, cnt in p.classes:
         assert w * w * cnt <= estar
     assert p.max_weighted <= estar
-    assert p.class_count(1) == dict(p.classes).get(1, 0)
 
 
 def test_energy_budget():

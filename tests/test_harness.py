@@ -171,16 +171,18 @@ def test_cache_key_separates_fields(tmp_path):
         assert run_scan(spec, [3], F5, n, "zero", "rowblock", cache=cache)[0].count == fp_count
 
 
-def test_cache_key_follows_explicit_file_contents(tmp_path):
+def test_cache_keys_are_pinned(tmp_path):
+    # digests written by earlier releases: a cache file from before a change
+    # to the key inputs must still hit after it
     cache = ResultCache(tmp_path / "cache.jsonl")
-    path = tmp_path / "set.txt"
-    spec = FamilySpec("explicit", 3, path=str(path))
-    path.write_text("1\n2\n3\n")
-    first = run_scan(spec, [3], QQ, 2, "zero", "rowblock", cache=cache)[0]
-    path.write_text("2\n4\n8\n")
-    second = run_scan(spec, [3], QQ, 2, "zero", "rowblock", cache=cache)[0]
-    assert first.params == second.params == {"path": str(path)}
-    assert second.count == count_det_brute(make_ground_set([2, 4, 8], QQ), 2, 0) != first.count
+    run_scan(FamilySpec("gp", 4, ratio=2), [4], QQ, 3, "zero", "rowblock", cache=cache)
+    random_spec = FamilySpec("random", 5, seed=7, low=-9, high=9)
+    run_scan(random_spec, [5], FieldSpec.prime(101), 3, "fixed", "rowblock", d=1, cache=cache)
+    keys = [json.loads(line)["key"] for line in cache.path.read_text().splitlines()]
+    assert keys == [
+        "6091eedcf66fe82aa1623808d9bddf5e3e39e738d4eb187dfb3f258c5d8baa6c",
+        "9e03434cf42636f77b5e0ba60ebf4aa157dab460682a35adbf71a18c0f200e98",
+    ]
 
 
 def test_cache_skips_corrupt_lines(tmp_path):

@@ -221,7 +221,7 @@ def test_cell_decompose_examples():
 
     D1 = cell_decompose(cube_grid(X4, 2), 1)
     assert D1.cuts[0] == ()
-    assert D1.total_population() == 16
+    assert sum(D1.population(c) for c in D1.cell_indices()) == 16
 
     X3 = make_ground_set([1, 2, 3], QQ)
     D3 = cell_decompose(cube_grid(X3, 2), 2)
@@ -244,7 +244,7 @@ def test_no_point_on_any_cut_and_coverage():
     grid = PointGrid((X, make_ground_set([0, 1, 5], QQ)))
     for r in (1, 2, 3):
         D = cell_decompose(grid, r)
-        assert D.total_population() == grid.npoints
+        assert sum(D.population(c) for c in D.cell_indices()) == grid.npoints
         for i, ax in enumerate(grid.axes):
             for cut in D.cuts[i]:
                 assert all(e != cut for e in ax.elements)
@@ -255,7 +255,7 @@ def test_no_point_on_any_cut_and_coverage():
             assigned[c] = assigned.get(c, 0) + 1
         for cell, cnt in assigned.items():
             assert D.population(cell) == cnt
-        table = D.cell_counts()
+        table = {c: D.population(c) for c in D.cell_indices()}
         assert sum(table.values()) == grid.npoints
         assert all(table[c] == cnt for c, cnt in assigned.items())
 
