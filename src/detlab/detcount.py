@@ -18,7 +18,11 @@ At n = 2 the rowblock engines walk no cofactor classes: D_2(X, d) is the
 difference-correlation of the lifted pair products P(t) = #{uv = t}, read
 at d by `_conv_n2` (|X|^2 steps where the linear-form kernel takes |X|^3)
 and everywhere by `_cross_terms`. The n = 2 `minor_multiplicity_map`
-tallies the |X|^2 vectors (b, -a) directly.
+tallies the |X|^2 vectors (b, -a) directly. Nor does the singular n = 3
+count (lifted target 0): `_singular_n3` projects X^3 along each top row,
+one sorted row per primitive direction, and counts the pairs of points on
+one line through the origin, in |X|^3 steps per direction and memory flat
+in |X|.
 
 The one cofactor walk is `_class_table`, at n >= 3: on the set lifted to
 plain ints by `scalars.int_lift` (L*X over Q, residues over F_p) it tallies
@@ -47,9 +51,11 @@ It looks up one entry of each sorted c (over Q, after negating (c, t) when
 need be, the entry of largest absolute value; over F_p the last residue),
 merges equal forms, and builds one value distribution per distinct prefix
 of the other entries, then does |X| lookups per merged form. Its callers
-are `count_det_rowblock` (on lifted ints, each pair key over Q divided by
-the gcd of its entries, as is the target, and one form per key at d = 0
-and two, at d and -d, otherwise, streamed into the kernel),
+are `count_det_rowblock` through `_count_by_classes` (on lifted ints, each
+pair key over Q divided by the gcd of its entries, as is the target, and one
+form per key at d = 0 and two, at d and -d, otherwise, streamed into the
+kernel; at n = 3 it is reached at d != 0 only, and stays the oracle of
+`_singular_n3` at d = 0),
 `MinorPlanes.det_count_via_incidences` and the curve half of
 `incidence.curve_incidences_n3` (lifted ints, with the modulus over F_p),
 and `energy.count_bilinear` (field scalars). The rowblock spectrum at
@@ -62,8 +68,9 @@ the fold, the class walk, the pair-product correlation or the lift:
 of `curve_incidences_n3`.
 
 Each public call makes one `errors.Meter`, named for itself, and passes it
-to the class walk, the kernel and the brute histogram; every phase charges
-its own steps to it before it runs, so a refusal reports the call's total.
+to the class walk, the kernel, the projection and the brute histogram;
+every phase charges its own steps to it before it runs, so a refusal
+reports the call's total.
 """
 
 from __future__ import annotations
@@ -514,24 +521,38 @@ def minor_multiplicity_map(
 def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
-    """Same count as count_det_brute, via cofactor-vector multiplicities, all
-    in ints. The row swap: as <-m, r> = t iff <m, r> = -t, a pair key m of
-    mass w is the form (m, 0, w) of the linear-form kernel `_count_forms` at
-    target 0, and (m, t, w) and (m, -t, w), halved, at t != 0. Integer
-    scaling, over Q: #{r : <g*m, r> = t} is #{r : <m, r> = t/g} when g | t
-    and 0 otherwise, so each key is divided by the gcd g of its entries and
-    the target by g, a key whose g does not divide the target is dropped,
-    and the forms stream into the kernel, which merges equal ones (the pairs
-    are popped as they stream, so the pairs and the kernel's merged forms
-    peak at about the size of one). One meter runs through the walk and the
-    kernel. At n = 2 the count is the product correlation
-    `_conv_n2`. The table is walked in-process; `threads` is the
+    """Same count as count_det_brute, all in ints on the lifted set
+    (`scalars.int_lift`), on one meter. At n = 2 it is the product
+    correlation `_conv_n2`. At n = 3 with a lifted target of 0 (d = 0 over Q,
+    d = 0 mod p over F_p) it projects along the top row (`_singular_n3`);
+    otherwise it pairs the cofactor classes with the first rows
+    (`_count_by_classes`). The table is walked in-process; `threads` is the
     registry's signature."""
     if n < 2:
         raise PreconditionError("count_det_rowblock needs n >= 2")
     meter = Meter(budget, "count_det_rowblock")
     if n == 2:
         return _conv_n2(X, d, meter)
+    if n == 3:
+        lift = int_lift(X)
+        if lift.target(d, 3) == 0:
+            return _singular_n3(lift.elements, lift.modulus, meter)
+    return _count_by_classes(X, n, d, meter)
+
+
+def _count_by_classes(X: GroundSet, n: int, d, meter: Meter) -> int:
+    """D_n(X, d) at n >= 3 from the cofactor classes of `_class_table`. The
+    row swap: as <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the
+    form (m, 0, w) of the linear-form kernel `_count_forms` at target 0, and
+    (m, t, w) and (m, -t, w), halved, at t != 0. Integer scaling, over Q:
+    #{r : <g*m, r> = t} is #{r : <m, r> = t/g} when g | t and 0 otherwise,
+    so each key is divided by the gcd g of its entries and the target by g,
+    a key whose g does not divide the target is dropped, and the forms
+    stream into the kernel, which merges equal ones (the pairs are popped as
+    they stream, so the pairs and the kernel's merged forms peak at about
+    the size of one). Past the lift, `_perms` and `_mirror` it shares no
+    code with `_singular_n3`, so it is that route's oracle at d = 0 beyond
+    brute reach."""
     pairs, zero, lift = _class_table(X, n, meter)
     target = lift.target(d, n)
     if target is None:
@@ -552,6 +573,75 @@ def count_det_rowblock(
 
     total = _count_forms(forms(), lift.elements, p, meter) // len(signs)
     return total + (zero * len(X) ** n if not target else 0)
+
+
+def _singular_n3(elems, p: int | None, meter: Meter) -> int:
+    """D_3(X, 0) on the lifted ints `elems` (residues mod `p` over F_p), by
+    projecting along the top row t. For t != 0 with t_k != 0 and the other
+    indices a, b, the functionals alpha = t_k e_a - t_a e_k and
+    beta = t_k e_b - t_b e_k vanish exactly on the span of t, so [t; u; r] is
+    singular iff (alpha, beta) maps u and r onto one line through the
+    origin. With J the tally of (alpha(u), beta(u)) over u in X^3,
+    Z = J(0, 0) and M_l its mass on each line l, t gives
+    2 Z |X|^3 - Z^2 + sum_l M_l^2, and t = 0 gives |X|^6. The count of t
+    does not change under a column permutation, which fixes X^3, nor under
+    t -> g*t for g != 0, so the walk takes the sorted rows, each weighted by
+    its orderings (`_perms`), and merges those of one direction: over Q
+    the gcd-reduced row, keyed by the smaller of it and its negation sorted
+    (`_mirror`); over F_p the row scaled by the inverse of its first nonzero
+    residue, sorted. A point of J is keyed by its line the same way: over Q
+    divided by the gcd of its coordinates, signed so that the first nonzero
+    one is positive; over F_p its slope beta/alpha, and p for alpha = 0. The
+    `meter` is charged C(|X| + 2, 3) sorted rows before the walk, then |X|^3
+    per direction before the tallies J are built."""
+    B = len(elems)
+    cube = B**3
+    meter.charge(math.comb(B + 2, 3))
+    directions: dict = {}
+    zero = 0
+    for t in itertools.combinations_with_replacement(elems, 3):
+        w = _perms(t)
+        # the row's scale g: its first nonzero residue, or its gcd; 0 for t = 0
+        if p:
+            g = next((x for x in t if x), 0)
+            if g:
+                inv = pow(g, -1, p)
+                t = tuple(sorted([x * inv % p for x in t]))
+        else:
+            g = math.gcd(*t)
+            if g:
+                t = tuple([x // g for x in t])
+                t = min(t, _mirror(t, None))
+        if g:
+            directions[t] = directions.get(t, 0) + w
+        else:
+            zero += w
+    meter.charge(len(directions) * cube)
+    total = zero * cube * cube
+    for t, w in directions.items():
+        k = next(i for i in range(3) if t[i])
+        a, b = (i for i in range(3) if i != k)
+        J = Counter()
+        for z in elems:
+            xs = [t[k] * x - t[a] * z for x in elems]
+            ys = [t[k] * y - t[b] * z for y in elems]
+            if p:
+                xs, ys = [x % p for x in xs], [y % p for y in ys]
+            J.update(itertools.product(xs, ys))
+        Z = J.pop((0, 0), 0)
+        lines: dict = {}
+        get = lines.get
+        for (x, y), c in J.items():
+            if p:
+                key = y * pow(x, -1, p) % p if x else p
+            else:
+                g = math.gcd(x, y)
+                if x < 0 or not x and y < 0:
+                    g = -g
+                key = (x // g, y // g)
+            lines[key] = get(key, 0) + c
+        total += w * (2 * Z * cube - Z * Z + sum([m * m for m in lines.values()]))
+    return total
 
 
 def _pair_products(elems, p: int | None = None) -> Counter:

@@ -17,7 +17,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, Meter, PreconditionError
 from .detcount import COUNT_ENGINES, dsup
 from .families import FamilySpec, generate
 from .scalars import FieldSpec, format_scalar
@@ -202,10 +202,12 @@ def run_scan(
 ) -> list[ScanRow]:
     """One row per size, cached by content key; budget misses are recorded as
     rows with budget_hit set and the scan continues. The key holds no budget,
-    so refused rows are neither cached nor served from the cache."""
+    so refused rows are neither cached nor served from the cache. A negative
+    budget is refused before the first cache lookup, warm cache or cold."""
     sizes = list(sizes)
     if not sizes:
         raise PreconditionError("no sizes to scan")
+    Meter(budget, "run_scan")
     if dmode not in DMODES:
         raise PreconditionError(f"unknown d-mode {dmode!r}")
     if dmode == DMODE_FIXED and d is None:

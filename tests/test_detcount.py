@@ -30,7 +30,7 @@ from detlab.energy import dyadic_pyramid, energy_Estar_mu
 from detlab.matrices import _det_rows, det
 from detlab.scalars import FieldSpec, make_ground_set, scale_set
 
-from conftest import QQ, F7, int_ground_sets, fraction_ground_sets
+from conftest import QQ, F7, int_ground_sets, fraction_ground_sets, small_fractions
 
 
 X12 = make_ground_set([1, 2], QQ)
@@ -269,9 +269,11 @@ def _singular_n3_by_projection(elems, p=None) -> int:
 )
 def test_singular_n3_matches_projection_route(elems, expected):
     # a second route to D_3(X, 0) that shares nothing with the class walk,
-    # the linear-form kernel or int_lift
+    # the linear-form kernel or int_lift; the rowblock spectrum reads D_3(X, 0)
+    # off the class walk and the prefix fold, not the count's projection
     X = make_ground_set(elems, QQ)
     assert _singular_n3_by_projection(list(elems)) == expected == count_det_rowblock(X, 3, 0)
+    assert det_spectrum(X, 3, "rowblock").get(0) == expected
 
 
 @pytest.mark.parametrize(
@@ -282,6 +284,42 @@ def test_singular_n3_over_fp_matches_projection_route(p, elems, expected):
     # all of F_p against the closed form, and {1, 2, 4} in F_7 against brute's count
     X = make_ground_set(elems, FieldSpec.prime(p))
     assert _singular_n3_by_projection(list(elems), p) == expected == count_det_rowblock(X, 3, 0)
+
+
+# rational sets with 0 and one or two more elements, negatives and non-integers
+# among them (so the lift scales by L > 1; brute walks Fractions, so at most
+# 3^9 matrices), and residue sets with 0 over F_2 ... F_7
+_singular_q_sets = st.lists(small_fractions(6, 3), min_size=1, max_size=2, unique=True).map(
+    lambda vals: make_ground_set([0, *vals], QQ)
+)
+_singular_fp_sets = _prime_field_sets.map(lambda X: make_ground_set([0, *X], X.field))
+
+
+@given(st.one_of(_singular_q_sets, _singular_fp_sets))
+@example(make_ground_set([Fraction(-3, 2), 0, Fraction(1, 3)], QQ))
+@example(make_ground_set([-2, 0, Fraction(1, 2)], QQ))
+@example(make_ground_set([0, 1, 2, 3], FieldSpec.prime(5)))
+@example(make_ground_set([0, 1], FieldSpec.prime(2)))
+@settings(max_examples=40)
+def test_singular_n3_projection_matches_brute(X):
+    # the rowblock count at n = 3 and d = 0 projects along the top row
+    assert count_det_rowblock(X, 3, 0) == count_det_brute(X, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "elems, field",
+    [
+        (range(1, 9), QQ),
+        ([2**i for i in range(1, 7)], QQ),
+        ([-3, -1, 0, 2, 5], QQ),
+        ([Fraction(i, 2) for i in range(1, 7)], QQ),
+        (range(7), F7),
+    ],
+)
+def test_class_walk_count_matches_projection_at_d0(elems, field):
+    # the walk-and-kernel count stays the d = 0 oracle beyond brute reach
+    X = make_ground_set(elems, field)
+    assert detcount._count_by_classes(X, 3, 0, Meter(None, "test")) == count_det_rowblock(X, 3, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -558,21 +596,24 @@ def test_negation_covariance():
 
 
 def test_budget_refusal():
+    # the rowblock count at d = 1 walks the classes and runs the kernel:
+    # 3,112 steps (the d = 0 projection takes 980 here and passes)
     X = make_ground_set(range(1, 5), QQ)
     with pytest.raises(BudgetExceededError):
         count_det_brute(X, 3, 0, budget=1000)
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=1000)
+        count_det_rowblock(X, 3, 1, budget=1000)
     with pytest.raises(BudgetExceededError):
         det_spectrum(X, 3, "brute", budget=1000)
 
 
 def test_budget_covers_solve_phase():
     # the class walk's C(4^2 + 2, 3) = 816 top blocks fit the budget, but
-    # the kernel (2,900 steps in all) and the fold (7,264) behind them do not
+    # the kernel at d = 1 (3,112 steps in all) and the fold (7,264) behind
+    # them do not
     X = make_ground_set(range(1, 5), QQ)
     with pytest.raises(BudgetExceededError):
-        count_det_rowblock(X, 3, 0, budget=2048)
+        count_det_rowblock(X, 3, 1, budget=2048)
     with pytest.raises(BudgetExceededError):
         det_spectrum(X, 3, "rowblock", budget=2048)
 
@@ -581,25 +622,33 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     # interval 4, n = 3: the class walk takes one 2 x 3 top block per
     # multiset of 3 of the 4^2 columns, C(18, 3) = 816 steps, giving 231
     # pair keys of sorted-key classes with 120 distinct prefixes (a, b) and
-    # 15 distinct (a). At d = 0 the count divides each key by the gcd of its
-    # entries, which leaves 146 merged forms (a, b, e). Every pair key has
-    # e <= -a, so no form is negated, and each looks up its first entry a
-    # over its prefix (b, e): 69 distinct (b, e) and 15 distinct (b). The
-    # kernel builds the 15 distributions of b*x from the root's one entry
-    # (4 * 15 steps), the 69 of b*x + e*y from theirs, 4 entries each but 1
-    # for the 3 with b = 0 (4 * (66 * 4 + 3) = 1068 steps), then does 4
-    # lookups per merged form (584): 816 + 60 + 1068 + 584 = 2528. The
-    # spectrum shifts 4 * 231 leaf entries, then 4 * 787 entries of the 120
-    # prefix dicts and 4 * 594 of the 15: 816 + 924 + 3148 + 2376 = 7264.
+    # 15 distinct (a). At d = 0 the walk-and-kernel count divides each key by
+    # the gcd of its entries, which leaves 146 merged forms (a, b, e). Every
+    # pair key has e <= -a, so no form is negated, and each looks up its
+    # first entry a over its prefix (b, e): 69 distinct (b, e) and 15
+    # distinct (b). The kernel builds the 15 distributions of b*x from the
+    # root's one entry (4 * 15 steps), the 69 of b*x + e*y from theirs, 4
+    # entries each but 1 for the 3 with b = 0 (4 * (66 * 4 + 3) = 1068
+    # steps), then does 4 lookups per merged form (584):
+    # 816 + 60 + 1068 + 584 = 2528. The spectrum shifts 4 * 231 leaf entries,
+    # then 4 * 787 entries of the 120 prefix dicts and 4 * 594 of the 15:
+    # 816 + 924 + 3148 + 2376 = 7264. The public d = 0 count projects along
+    # the top row instead: C(4 + 2, 3) = 20 sorted rows, of which
+    # (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 2, 4) and (2, 4, 4) share a
+    # direction with a primitive row, then 4^3 per each of the 15
+    # directions: 20 + 15 * 64 = 980.
     X = make_ground_set(range(1, 5), QQ)
-    count = count_det_rowblock(X, 3, 0, budget=2_528)
+    count = count_det_rowblock(X, 3, 0, budget=980)
     spec = det_spectrum(X, 3, "rowblock", budget=7_264)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
-    # the refusal at pin - 1 reports the whole call's total, walk and kernel
+    meter = Meter(None, "test")
+    assert detcount._count_by_classes(X, 3, 0, meter) == count
+    assert meter.spent == 2_528
+    # the refusal at pin - 1 reports the whole call's total, rows and tallies
     with pytest.raises(BudgetExceededError) as exc:
-        count_det_rowblock(X, 3, 0, budget=2_527)
-    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (2_528, 2_527, "count_det_rowblock")
+        count_det_rowblock(X, 3, 0, budget=979)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (980, 979, "count_det_rowblock")
     with pytest.raises(BudgetExceededError) as exc:
         det_spectrum(X, 3, "rowblock", budget=7_263)
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (7_264, 7_263, "det_spectrum[rowblock]")

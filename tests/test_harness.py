@@ -149,6 +149,16 @@ def test_cache_does_not_serve_budget_refusals(tmp_path):
     assert not row.budget_hit and row.count == want
 
 
+def test_negative_budget_is_refused_on_a_warm_cache(tmp_path):
+    # a cache hit runs no engine, so the scan itself must refuse the budget
+    cache = ResultCache(tmp_path / "cache.jsonl")
+    spec = FamilySpec("gp", 4, ratio=2)
+    run_scan(spec, [4], QQ, 3, "zero", "rowblock", cache=cache)
+    for c in (cache, None):
+        with pytest.raises(PreconditionError, match="run_scan: budget must be at least 0, got -1"):
+            run_scan(spec, [4], QQ, 3, "zero", "rowblock", budget=-1, cache=c)
+
+
 def test_sup_scan_neither_keys_nor_labels_rows_by_d(tmp_path):
     # the sup modes never read d: a refused row carries none, and a scan
     # with d and one without share one cache line
