@@ -4,11 +4,17 @@ All output is machine-readable (JSON or JSON Lines; CSV mirror for scans),
 with counts and scalars rendered as decimal strings. Exit codes: 0 success,
 2 precondition violation, 3 budget exceeded, 4 I/O error, 5 internal
 invariant failure (a cross-check inside a computation failed).
+
+The parser is built once per process, on the first `main` call (not at
+import), and shared read-only by every later call: no option has a mutable
+default, each handler looks up its callees when it runs, and `parse_args`
+makes a new namespace per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -295,6 +301,7 @@ def _cmd_fit(args) -> None:
     _emit(args, fit.to_json_dict())
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detlab",

@@ -84,7 +84,7 @@ from operator import add, getitem, neg
 
 from .errors import Meter, PreconditionError
 from .matrices import Matrix, _det_rows, _eliminate
-from .scalars import GroundSet, Scalar, int_lift
+from .scalars import GroundSet, IntLift, Scalar, int_lift
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +454,9 @@ def _fold(chunks, p: int | None, sorted_keys: bool) -> dict:
     return merged
 
 
-def _class_table(X: GroundSet, n: int, meter: Meter):
-    """+- pairs of the lifted set's cofactor classes at n >= 3, the zero
-    count and the lift, from one stream of (weight, tally) chunks: the
+def _class_table(lift: IntLift, n: int, meter: Meter):
+    """+- pairs of the cofactor classes of the lifted set `lift` at n >= 3
+    and the zero count, from one stream of (weight, tally) chunks: the
     two-row top blocks (`_seed`), at n >= 4 one Laplace level per further
     row of the (n - 1)-row block (`_wedge`, each level vector merged with
     its negation by `_fold` first, since the levels are linear in it), and
@@ -466,20 +466,19 @@ def _class_table(X: GroundSet, n: int, meter: Meter):
     mu_c + mu_-c (mu_c when c is self-paired). The `meter` is charged
     C(|X|^2 + n - 1, n) top blocks (a bound on those walked) before the
     walk, then |X|^n per merged level vector before each further level."""
-    meter.charge(math.comb(len(X) ** 2 + n - 1, n))
-    lift = int_lift(X)
     elems, p = lift.elements, lift.modulus
+    meter.charge(math.comb(len(elems) ** 2 + n - 1, n))
     chunks = _seed(elems, p, n)
     for k in range(2, n - 1):
         level = _fold(chunks, p, False)
-        meter.charge(len(level) * len(X) ** n)
+        meter.charge(len(level) * len(elems) ** n)
         chunks = _wedge(level, k, n, elems, p)
     pairs = _fold(chunks, p, True)
     zero = pairs.pop((0,) * n, 0)
     for c, mass in pairs.items():
         if mass % 2 and _mirror(c, p) != c:
             raise AssertionError(f"the pair of {c} has an odd mass {mass}")
-    return pairs, zero, lift
+    return pairs, zero
 
 
 def _pair_vectors(key, p: int | None) -> set:
@@ -504,7 +503,8 @@ def minor_multiplicity_map(
         table = Counter((b, -a) for a, b in itertools.product(X.elements, repeat=2))
         z = X.field.zero()
         return MinorMultiplicityMap(n, X, table, table.pop((z, z), 0))
-    pairs, zero, lift = _class_table(X, n, Meter(budget, "minor_multiplicity_map"))
+    lift = int_lift(X)
+    pairs, zero = _class_table(lift, n, Meter(budget, "minor_multiplicity_map"))
     table: dict = {}
     for c, mass in pairs.items():
         vectors = _pair_vectors(c, lift.modulus)
@@ -522,27 +522,31 @@ def count_det_rowblock(
     X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1
 ) -> int:
     """Same count as count_det_brute, all in ints on the lifted set
-    (`scalars.int_lift`), on one meter. At n = 2 it is the product
-    correlation `_conv_n2`. At n = 3 with a lifted target of 0 (d = 0 over Q,
-    d = 0 mod p over F_p) it projects along the top row (`_singular_n3`);
-    otherwise it pairs the cofactor classes with the first rows
-    (`_count_by_classes`). The table is walked in-process; `threads` is the
-    registry's signature."""
+    (`scalars.int_lift`), on one meter. A target whose lift L^n d is not an
+    integer is reached by no matrix: the count is 0, charged nothing. At
+    n = 2 it is the product correlation `_conv_n2`. At n = 3 with a lifted
+    target of 0 (d = 0 over Q, d = 0 mod p over F_p) it projects along the
+    top row (`_singular_n3`); otherwise it pairs the cofactor classes with
+    the first rows (`_count_by_classes`). The table is walked in-process;
+    `threads` is the registry's signature."""
     if n < 2:
         raise PreconditionError("count_det_rowblock needs n >= 2")
     meter = Meter(budget, "count_det_rowblock")
+    lift = int_lift(X)
+    target = lift.target(d, n)
+    if target is None:
+        return 0
     if n == 2:
-        return _conv_n2(X, d, meter)
-    if n == 3:
-        lift = int_lift(X)
-        if lift.target(d, 3) == 0:
-            return _singular_n3(lift.elements, lift.modulus, meter)
-    return _count_by_classes(X, n, d, meter)
+        return _conv_n2(lift, target, meter)
+    if n == 3 and target == 0:
+        return _singular_n3(lift.elements, lift.modulus, meter)
+    return _count_by_classes(lift, n, target, meter)
 
 
-def _count_by_classes(X: GroundSet, n: int, d, meter: Meter) -> int:
-    """D_n(X, d) at n >= 3 from the cofactor classes of `_class_table`. The
-    row swap: as <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the
+def _count_by_classes(lift: IntLift, n: int, target: int, meter: Meter) -> int:
+    """D_n(X, d) at n >= 3 from the cofactor classes of `_class_table`, on
+    the lifted set `lift` at the lifted `target`. The row swap: as
+    <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the
     form (m, 0, w) of the linear-form kernel `_count_forms` at target 0, and
     (m, t, w) and (m, -t, w), halved, at t != 0. Integer scaling, over Q:
     #{r : <g*m, r> = t} is #{r : <m, r> = t/g} when g | t and 0 otherwise,
@@ -553,10 +557,7 @@ def _count_by_classes(X: GroundSet, n: int, d, meter: Meter) -> int:
     the size of one). Past the lift, `_perms` and `_mirror` it shares no
     code with `_singular_n3`, so it is that route's oracle at d = 0 beyond
     brute reach."""
-    pairs, zero, lift = _class_table(X, n, meter)
-    target = lift.target(d, n)
-    if target is None:
-        return 0
+    pairs, zero = _class_table(lift, n, meter)
     p = lift.modulus
     signs = (1, -1) if target else (1,)
 
@@ -572,7 +573,7 @@ def _count_by_classes(X: GroundSet, n: int, d, meter: Meter) -> int:
                     yield m, s * target // g, w
 
     total = _count_forms(forms(), lift.elements, p, meter) // len(signs)
-    return total + (zero * len(X) ** n if not target else 0)
+    return total + (zero * len(lift.elements) ** n if not target else 0)
 
 
 def _singular_n3(elems, p: int | None, meter: Meter) -> int:
@@ -662,16 +663,12 @@ def _cross_terms(P: dict, p: int | None = None) -> dict:
     return _shift_add({}, table, [0], p) if p else table
 
 
-def _conv_n2(X: GroundSet, d, meter: Meter) -> int:
-    """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - d),
-    in ints over the lifted set (target L^2 d, 0 when that is not an integer;
-    over F_p the pair products are reduced mod p once). The `meter` is charged
+def _conv_n2(lift: IntLift, target: int, meter: Meter) -> int:
+    """D_2(X, d) as a product-distribution correlation: sum_t P(t) * P(t - t'),
+    in ints over the lifted set `lift` with the lifted target t' = L^2 d (over
+    F_p the pair products are reduced mod p once). The `meter` is charged
     |X|^2 for the pair-product table P, then |P| for the lookups."""
-    meter.charge(len(X) ** 2)
-    lift = int_lift(X)
-    target = lift.target(d, 2)
-    if target is None:
-        return 0
+    meter.charge(len(lift.elements) ** 2)
     p = lift.modulus
     prod = _pair_products(lift.elements, p)
     meter.charge(len(prod))
@@ -708,13 +705,13 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     B = len(X)
     if n < 2:
         raise PreconditionError(f"{meter.what} needs n >= 2")
+    lift = int_lift(X)
     if n == 2:
         meter.charge(B * B)
-        lift = int_lift(X)
         P = _pair_products(lift.elements, lift.modulus)
         meter.charge(len(P) ** 2)
         return {k if lift.is_identity else lift.lower(k, 2): v for k, v in _cross_terms(P, lift.modulus).items()}
-    pairs, zero, lift = _class_table(X, n, meter)
+    pairs, zero = _class_table(lift, n, meter)
     elems, p = lift.elements, lift.modulus
     nodes = {m: {0: w} for m, w in pairs.items()}
     for _ in range(n):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import Meter, PreconditionError
 from .detcount import _class_size, _class_table, _count_forms, _pair_products
 from .matrices import Matrix, det
-from .scalars import GroundSet
+from .scalars import GroundSet, int_lift
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ def energy_Estar_mu(X: GroundSet, *, budget: int | None = None, threads: int = 1
     (the all-zero triple included): w^2 / k per +- pair c of mass w spread
     over its k = `_class_size(c)` triples. Walked in-process; `threads` is
     accepted and unused."""
-    pairs, zero, lift = _class_table(X, 3, Meter(budget, "energy_Estar_mu"))
-    p = lift.modulus
+    pairs, zero = _class_table(int_lift(X), 3, Meter(budget, "energy_Estar_mu"))
+    p = X.field.modulus
     return sum(w * w // _class_size(c, p) for c, w in pairs.items()) + zero * zero
 
 
@@ -230,8 +230,8 @@ def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1)
     """Dyadic census of the cofactor table, whose +- pair c of mass w holds
     k = `_class_size(c)` triples of multiplicity w / k, each in the class of
     the largest power of two w' <= w / k (walked in-process)."""
-    pairs, zero, lift = _class_table(X, 3, Meter(budget, "dyadic_pyramid"))
-    p = lift.modulus
+    pairs, zero = _class_table(int_lift(X), 3, Meter(budget, "dyadic_pyramid"))
+    p = X.field.modulus
     mults = [(w // k, k) for c, w in pairs.items() for k in (_class_size(c, p),)]
     if zero:
         mults.append((zero, 1))

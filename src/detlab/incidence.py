@@ -353,7 +353,8 @@ def planes_from_minors(
     a pair takes one inverse per distinct nonzero entry of its key, and each
     triple and d are scaled by the inverse of the triple's lead. Walked
     in-process; `threads` is accepted and unused."""
-    pairs, zero, lift = _class_table(X, 3, Meter(budget, "planes_from_minors"))
+    lift = int_lift(X)
+    pairs, zero = _class_table(lift, 3, Meter(budget, "planes_from_minors"))
     d_s = X.field.coerce(d)
     p = lift.modulus
     offset = d_s.residue if p else X.field.coerce(d_s * lift.scale**2)

@@ -1,4 +1,5 @@
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -161,6 +162,39 @@ def test_exit_code_precondition(capsys):
     assert rc == 2
     rc, _ = run_cli(capsys, "count", "--field", "fp:6", "--family", "interval", "--size", "2", "--n", "2", "--d", "0")
     assert rc == 2
+
+
+def test_parser_is_built_once_on_first_use():
+    assert cli.build_parser() is cli.build_parser()
+    # importing the CLI builds nothing; the first main call does
+    probe = (
+        "import detlab.cli as c; n = c.build_parser.cache_info().currsize; "
+        "c.main(['fit', '--input', '/nonexistent/report.jsonl']); "
+        "print(n, c.build_parser.cache_info().currsize)"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "1"], out.stderr
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # --out on one call leaves the next call's report on stdout
+    path = tmp_path / "count.json"
+    argv = ["--family", "interval", "--size", "3", "--n", "2"]
+    assert main(["count", *argv, "--d", "1", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(path.read_text(encoding="utf-8"))["count"] == "8"
+    obj = run_json(capsys, "spectrum", *argv)
+    assert (obj["op"], obj["total_mass"]) == ("spectrum", str(3**4))
+    assert "d" not in obj and "count" not in obj
+    assert len(list(tmp_path.iterdir())) == 1
+    # an argparse refusal leaves the parser as it was
+    with pytest.raises(SystemExit) as exc:
+        main(["count", *argv, "--d", "1", "--engine", "conv"])
+    assert exc.value.code == 2
+    obj = run_json(capsys, "count", *argv, "--d", "1")
+    assert (obj["engine"], obj["count"]) == ("rowblock", "8")
 
 
 def test_exit_code_budget(capsys):

@@ -28,7 +28,7 @@ from detlab.detcount import (
 )
 from detlab.energy import dyadic_pyramid, energy_Estar_mu
 from detlab.matrices import _det_rows, det
-from detlab.scalars import FieldSpec, make_ground_set, scale_set
+from detlab.scalars import FieldSpec, int_lift, make_ground_set, scale_set
 
 from conftest import QQ, F7, int_ground_sets, fraction_ground_sets, small_fractions
 
@@ -319,7 +319,7 @@ def test_singular_n3_projection_matches_brute(X):
 def test_class_walk_count_matches_projection_at_d0(elems, field):
     # the walk-and-kernel count stays the d = 0 oracle beyond brute reach
     X = make_ground_set(elems, field)
-    assert detcount._count_by_classes(X, 3, 0, Meter(None, "test")) == count_det_rowblock(X, 3, 0)
+    assert detcount._count_by_classes(int_lift(X), 3, 0, Meter(None, "test")) == count_det_rowblock(X, 3, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -452,7 +452,8 @@ def test_class_table_matches_sorted_tally(case):
     # the walk's blocks of j < k above a prefix span several rows, and the
     # diagonal cases j = P[-1], k = j and both meet runs of every kind
     X, n = case
-    pairs, zero, lift = _class_table(X, n, Meter(None, "test"))
+    lift = int_lift(X)
+    pairs, zero = _class_table(lift, n, Meter(None, "test"))
     direct = _cofactor_tally(X, n)
     by_class = Counter()
     for m, mu in direct.items():
@@ -643,7 +644,7 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     meter = Meter(None, "test")
-    assert detcount._count_by_classes(X, 3, 0, meter) == count
+    assert detcount._count_by_classes(int_lift(X), 3, 0, meter) == count
     assert meter.spent == 2_528
     # the refusal at pin - 1 reports the whole call's total, rows and tallies
     with pytest.raises(BudgetExceededError) as exc:
@@ -652,6 +653,28 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     with pytest.raises(BudgetExceededError) as exc:
         det_spectrum(X, 3, "rowblock", budget=7_263)
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (7_264, 7_263, "det_spectrum[rowblock]")
+
+
+@pytest.mark.parametrize("n, size, brute_size", [(2, 40, 4), (3, 12, 3), (4, 6, 2)])
+def test_unreachable_target_is_zero_before_any_walk(n, size, brute_size):
+    # over an integral set every n x n determinant is an integer, so d = 1/2
+    # is reached by no matrix: 0, charged nothing, at any size
+    half = Fraction(1, 2)
+    assert count_det_rowblock(make_ground_set(range(1, size + 1), QQ), n, half, budget=0) == 0
+    X = make_ground_set(range(1, brute_size + 1), QQ)
+    assert count_det_rowblock(X, n, half, budget=0) == count_det_brute(X, n, half) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reachable_fractional_target_is_still_charged(n):
+    # over {1/2, 1, 3/2, 2} (L = 2) the target 1/2 lifts to the integer
+    # 2^n / 2, so the count walks and a budget of 0 refuses it (the brute
+    # cross-check drops 2 at n = 3, where 4^9 Fraction matrices take seconds)
+    X = make_ground_set([Fraction(i, 2) for i in range(1, 5)], QQ)
+    with pytest.raises(BudgetExceededError):
+        count_det_rowblock(X, n, Fraction(1, 2), budget=0)
+    Y = X if n == 2 else make_ground_set(X.elements[:3], QQ)
+    assert count_det_rowblock(Y, n, Fraction(1, 2)) == count_det_brute(Y, n, Fraction(1, 2)) > 0
 
 
 def test_rowblock_n2_refusal_is_named_for_the_call():
@@ -690,7 +713,7 @@ def test_class_walk_charges_each_wedge_level():
     X = make_ground_set(range(1, 4), QQ)
     steps = 495 + 231 * 81
     meter = Meter(None, "test")
-    _class_table(X, 4, meter)
+    _class_table(int_lift(X), 4, meter)
     assert meter.spent == steps
     mm = minor_multiplicity_map(X, 4, budget=steps)
     assert mm.total_mass() == 3**12
