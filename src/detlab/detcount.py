@@ -37,8 +37,8 @@ expansion of the level vectors below, merged with their negations first.
 the smaller of it and its negation, so the walk returns one key per +-
 pair of classes (`_mirror`) with the pair's mass. The rowblock count maps
 its target into the lifted problem (L^n d, or the residue of d) and counts
-in ints; the rowblock spectrum builds an int histogram, mirrors it and
-lowers each distinct value to a field scalar at the end.
+in ints; the rowblock spectrum builds an int histogram, mirrors it in
+place and lowers each distinct value to a field scalar at the end.
 `energy.energy_Estar_mu` and `energy.dyadic_pyramid` divide each pair's
 mass by its class size (`_class_size`); `minor_multiplicity_map` and
 `incidence.planes_from_minors` expand the pairs into their vectors
@@ -60,8 +60,9 @@ kernel; at n = 3 it is reached at d != 0 only, and stays the oracle of
 `incidence.curve_incidences_n3` (lifted ints, with the modulus over F_p),
 and `energy.count_bilinear` (field scalars). The rowblock spectrum at
 n >= 3 folds the weighted pair keys over the same prefix trie, from the
-leaves up to the root. The oracles of those routes use none of the kernel,
-the fold, the class walk, the pair-product correlation or the lift:
+leaves up to the root, one first entry's subtree at a time. The oracles of
+those routes use none of the kernel, the fold, the class walk, the
+pair-product correlation or the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
@@ -693,14 +694,20 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     `_cross_terms` of the pair products P, charged |X|^2, then |P|^2.
     At n >= 3 it comes from the int histogram h of <m, r> over r in X^n,
     summed over the cofactor classes m with their multiplicities, by a fold
-    over the trie of pair keys. Each starts as the dict {0: mass}; at every
-    level each node (..., c) shift-adds its dict by c*x for x in X into its
-    parent's dict, until the root () holds h; over F_p every sum is reduced
-    mod p, which keeps each dict within p entries (at |X| = 6 over F_101 the
-    fold without it took 1.7 to 2.8 times as long). Before a level runs, the
-    budget is charged |X| per entry of the dicts it will shift (|X| per pair
-    key at the leaf level). A class and its mirror give v and -v the same
-    counts, so the spectrum is (h(v) + h(-v)) / 2 (-v mod p over F_p)."""
+    over the trie of pair keys. The subtrees under different first entries
+    meet only at the root, so the fold takes one first entry c1 at a time
+    and holds one subtree: each pair key (..., c) of mass w adds w at c*x
+    for x in X to its parent's dict, read off the pair table, which it
+    empties; at every further level each node (..., c) shift-adds its dict
+    by c*x into its parent's, until the one node (c1,) shifts into the root
+    (), which holds h once every subtree is in. Over F_p every sum is
+    reduced mod p, which keeps each dict within p entries (at |X| = 6 over
+    F_101 the fold without it took 1.7 to 2.8 times as long). Before each
+    level of each subtree runs, the budget is charged |X| per entry of the
+    dicts it will shift (|X| per pair key at the leaf level): per level the
+    same totals as charging the whole trie level at once. A class and its
+    mirror give v and -v the same counts, so the spectrum is
+    (h(v) + h(-v)) / 2 (-v mod p over F_p), set in h itself."""
     meter = Meter(budget, "det_spectrum[rowblock]")
     B = len(X)
     if n < 2:
@@ -713,18 +720,37 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
         return {k if lift.is_identity else lift.lower(k, 2): v for k, v in _cross_terms(P, lift.modulus).items()}
     pairs, zero = _class_table(lift, n, meter)
     elems, p = lift.elements, lift.modulus
-    nodes = {m: {0: w} for m, w in pairs.items()}
-    for _ in range(n):
-        meter.charge(B * sum(map(len, nodes.values())))
-        parents: dict = {}
-        for q, dist in nodes.items():
-            _shift_add(parents.setdefault(q[:-1], {}), dist, [q[-1] * x for x in elems], p)
-        nodes = parents
-    hist = {0: 2 * zero * B**n} if zero else {}
-    for v, c in nodes.get((), {}).items():
-        for u in (v, -v % p if p else -v):
-            hist[u] = hist.get(u, 0) + c
-    return {k if lift.is_identity else lift.lower(k, n): v // 2 for k, v in hist.items()}
+    subtrees: dict = {}
+    for m in pairs:
+        subtrees.setdefault(m[0], []).append(m)
+    hist: dict = {}
+    while subtrees:
+        _, keys = subtrees.popitem()
+        # the leaves: each pair key (..., c) of mass w adds w at c*x for x in X to its parent's dict
+        meter.charge(B * len(keys))
+        nodes: dict = {}
+        for m in keys:
+            w, c = pairs.pop(m), m[-1]
+            dist = nodes.setdefault(m[:-1], {})
+            for x in elems:
+                k = c * x % p if p else c * x
+                dist[k] = dist.get(k, 0) + w
+        for j in range(n - 1, 0, -1):
+            meter.charge(B * sum(map(len, nodes.values())))
+            # the subtree's one node (c1,) shifts into the root
+            parents = {(): hist} if j == 1 else {}
+            while nodes:
+                q, dist = nodes.popitem()
+                _shift_add(parents.setdefault(q[:-1], {}), dist, [q[-1] * x for x in elems], p)
+            nodes = parents
+    # the spectrum is (h(v) + h(-v)) / 2: set once per pair {v, -v}, from its smaller or only member
+    for v in list(hist):
+        u = -v % p if p else -v
+        if v < u or u not in hist:
+            hist[v] = hist[u] = (hist[v] + hist.get(u, 0)) // 2
+    if zero:
+        hist[0] = hist.get(0, 0) + zero * B**n
+    return hist if lift.is_identity else {lift.lower(k, n): v for k, v in hist.items()}
 
 
 # Spectrum engines by name, each called as f(X, n, *, budget, threads) and

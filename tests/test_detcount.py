@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -653,6 +654,44 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     with pytest.raises(BudgetExceededError) as exc:
         det_spectrum(X, 3, "rowblock", budget=7_263)
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (7_264, 7_263, "det_spectrum[rowblock]")
+
+
+@pytest.mark.parametrize("values, field, n, pin", [
+    (range(1, 4), QQ, 4, 50_436),
+    (range(1, 5), FieldSpec.prime(5), 3, 1_036),
+    # symmetric about 0: many classes are their own mirror
+    (range(-2, 3), QQ, 3, 5_810),
+])
+def test_spectrum_budget_totals(values, field, n, pin):
+    # the fold charges each level of each first entry's subtree before it
+    # runs; the totals are those of charging each whole level at once, and
+    # the last charge is the last subtree's root shift, so pin - 1 is refused
+    # there with the whole call's total
+    X = make_ground_set(values, field)
+    spec = det_spectrum(X, n, "rowblock", budget=pin)
+    assert spec.total_mass() == len(X) ** (n * n)
+    with pytest.raises(BudgetExceededError) as exc:
+        det_spectrum(X, n, "rowblock", budget=pin - 1)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (pin, pin - 1, "det_spectrum[rowblock]")
+
+
+def test_spectrum_fold_holds_one_subtree_at_a_time():
+    # the fold's subtrees under different first entries meet only at the
+    # root, so it holds one at a time and its peak stays near the class
+    # walk's own; holding a whole level of the trie took 3.6 times the walk's
+    X = make_ground_set(range(1, 9), QQ)
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    walk = traced_peak(lambda: _class_table(int_lift(X), 3, Meter(None, "test")))
+    spectrum = traced_peak(lambda: det_spectrum(X, 3, "rowblock"))
+    assert spectrum <= 1.5 * walk
 
 
 @pytest.mark.parametrize("n, size, brute_size", [(2, 40, 4), (3, 12, 3), (4, 6, 2)])
