@@ -35,27 +35,31 @@ further row of the (n - 1)-row block is one `_wedge` level, a Laplace
 expansion of the level vectors below, merged with their negations first.
 `_fold` is the one weighted merge: by the row swap it keys each vector by
 the smaller of it and its negation, so the walk returns one key per +-
-pair of classes (`_mirror`) with the pair's mass. The rowblock count maps
-its target into the lifted problem (L^n d, or the residue of d) and counts
-in ints; the rowblock spectrum builds an int histogram, mirrors it in
-place and lowers each distinct value to a field scalar at the end.
+pair of classes (`_mirror`) with the pair's mass; over Q a sorted key
+whose first and last entries sum below 0 is the smaller one, and its
+mirror is never built. The rowblock count maps its target into the lifted
+problem (L^n d, or the residue of d) and counts in ints; the rowblock
+spectrum builds an int histogram, mirrors it in place and lowers each
+distinct value to a field scalar at the end.
 `energy.energy_Estar_mu` and `energy.dyadic_pyramid` divide each pair's
 mass by its class size (`_class_size`); `minor_multiplicity_map` and
 `incidence.planes_from_minors` expand the pairs into their vectors
 (`_pair_vectors`), and only `minor_multiplicity_map` lowers its keys to
 field scalars.
 
-Every linear-form count in the package goes through one kernel,
-`_count_forms`: it sums w * #{r in X^k : <c, r> = t} over forms (c, t, w).
-It looks up one entry of each sorted c (over Q, after negating (c, t) when
-need be, the entry of largest absolute value; over F_p the last residue),
-merges equal forms, and builds one value distribution per distinct prefix
-of the other entries, then does |X| lookups per merged form. Its callers
+Every linear-form count in the package goes through one kernel: it sums
+w * #{r in X^k : <c, r> = t} over forms (c, t, w). `_count_forms` groups
+the forms: it looks up one entry of each sorted c (over Q, after negating
+(c, t) when need be, the entry of largest absolute value; over F_p the
+last residue), and merges equal forms by prefix, the other entries.
+`_count_groups` counts the merged forms: it builds one value distribution
+per distinct prefix, then does |X| lookups per merged form. The callers
 are `count_det_rowblock` through `_count_by_classes` (on lifted ints, each
 pair key over Q divided by the gcd of its entries, as is the target, and one
-form per key at d = 0 and two, at d and -d, otherwise, streamed into the
-kernel; at n = 3 it is reached at d != 0 only, and stays the oracle of
-`_singular_n3` at d = 0),
+form per key at d = 0 and two, at d and -d, otherwise; the pair keys are
+already sorted and oriented, so it groups them for `_count_groups` itself,
+as they leave the walk; at n = 3 it is reached at d != 0 only, and stays
+the oracle of `_singular_n3` at d = 0),
 `MinorPlanes.det_count_via_incidences` and the curve half of
 `incidence.curve_incidences_n3` (lifted ints, with the modulus over F_p),
 and `energy.count_bilinear` (field scalars). The rowblock spectrum at
@@ -108,23 +112,14 @@ def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dic
 
 def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
     """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w), all
-    of one length k >= 1. The count does not change when c is permuted, nor
-    when (c, t) is negated, so each c is sorted and one entry a of it is
-    looked up: with a `modulus` (residues, t reduced mod that prime) the last
-    one; without, the first, after the form is negated when its last entry
-    exceeds minus its first, which over Q puts the entry of largest absolute
-    value first, negative. The other entries are the form's prefix q, and
-    equal forms merge, their weights added, keyed by (a, t) per prefix. The
-    value distribution of <q, r> over r in X^len(q) is built from that of
-    q[:-1] by shifting with q[-1]*y for each y in X (`_shift_add`), once per
-    distinct prefix, from the root {t - t: 1} (a zero of the forms' own
-    scalar type: int, Fraction or Mod); a merged form then needs |X| lookups
-    of t - a*x, from one list of -a*x per distinct a. With a `modulus`, every
-    key is reduced mod that prime. The `meter` is charged level by level
-    before the level runs: |X| per parent entry for each prefix built, and
-    |X| per merged form with the last level. An all-zero c counts |X|^k when
-    t = 0 and 0 otherwise."""
-    B = len(elems)
+    of one length k >= 1, by `_count_groups` once the forms are grouped. The
+    count does not change when c is permuted, nor when (c, t) is negated, so
+    each c is sorted and one entry a of it is looked up: with a `modulus`
+    (residues, t reduced mod that prime) the last one; without, the first,
+    after the form is negated when its last entry exceeds minus its first,
+    which over Q puts the entry of largest absolute value first, negative.
+    The other entries are the form's prefix q, and equal forms merge, their
+    weights added, keyed by (a, t) per prefix."""
     groups: dict = {}
     for c, t, w in forms:
         c = sorted(c)
@@ -140,10 +135,27 @@ def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
             members = groups[q] = {}
         key = (a, t)
         members[key] = members.get(key, 0) + w
+    # the root's zero is the last form's t - t, of the forms' own scalar type: int, Fraction or Mod
+    return _count_groups(groups, elems, modulus, meter, t - t) if groups else 0
+
+
+def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter, zero) -> int:
+    """Sum of w * #{r in elems^k : a*r_0 + <q, r'> = t} over the merged
+    forms {q: {(a, t): w}}, every prefix q of one length k - 1 (with a
+    `modulus`, every t a residue). The value distribution of <q, r'> over
+    r' in X^len(q) is built from that of q[:-1] by shifting with q[-1]*y for
+    each y in X (`_shift_add`), once per distinct prefix, from the root
+    {zero: 1}; a merged form then needs |X| lookups of t - a*x, from one
+    list of -a*x per distinct a. With a `modulus`, every key is reduced mod
+    that prime. The `meter` is charged level by level before the level
+    runs: |X| per parent entry for each prefix built, and |X| per merged
+    form with the last level. An all-zero form counts |X|^k when t = 0 and
+    0 otherwise."""
     if not groups:
         return 0
+    B = len(elems)
     k = len(next(iter(groups))) + 1
-    dists = {(): {t - t: 1}}
+    dists = {(): {zero: 1}}
     for j in range(1, k - 1):
         prefixes = {q[:j] for q in groups}
         meter.charge(B * sum(len(dists[q[:-1]]) for q in prefixes))
@@ -437,7 +449,9 @@ def _fold(chunks, p: int | None, sorted_keys: bool) -> dict:
     chunk's tally and adds weight times each count under the smaller of the
     vector v and its negation: -v entry by entry for level vectors, the
     sorted key of -v (`_mirror`) for `sorted_keys` (negated residues over
-    F_p)."""
+    F_p). Over Q a sorted v with v[0] + v[-1] < 0 is below its mirror, which
+    starts at -v[-1] > v[0], so the mirror is built only when
+    v[0] + v[-1] >= 0."""
     merged: dict = {}
     get = merged.get
     for w, tally in chunks:
@@ -447,8 +461,10 @@ def _fold(chunks, p: int | None, sorted_keys: bool) -> dict:
             if p:
                 u = [-x % p for x in v]
                 u = tuple(sorted(u) if sorted_keys else u)
+            elif sorted_keys:
+                u = tuple(map(neg, v[::-1])) if v[0] + v[-1] >= 0 else v
             else:
-                u = tuple(map(neg, v[::-1] if sorted_keys else v))
+                u = tuple(map(neg, v))
             if u < v:
                 v = u
             merged[v] = get(v, 0) + w * a
@@ -547,33 +563,46 @@ def count_det_rowblock(
 def _count_by_classes(lift: IntLift, n: int, target: int, meter: Meter) -> int:
     """D_n(X, d) at n >= 3 from the cofactor classes of `_class_table`, on
     the lifted set `lift` at the lifted `target`. The row swap: as
-    <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the
-    form (m, 0, w) of the linear-form kernel `_count_forms` at target 0, and
-    (m, t, w) and (m, -t, w), halved, at t != 0. Integer scaling, over Q:
-    #{r : <g*m, r> = t} is #{r : <m, r> = t/g} when g | t and 0 otherwise,
-    so each key is divided by the gcd g of its entries and the target by g,
-    a key whose g does not divide the target is dropped, and the forms
-    stream into the kernel, which merges equal ones (the pairs are popped as
-    they stream, so the pairs and the kernel's merged forms peak at about
-    the size of one). Past the lift, `_perms` and `_mirror` it shares no
-    code with `_singular_n3`, so it is that route's oracle at d = 0 beyond
-    brute reach."""
+    <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the form
+    (m, 0, w) at target 0, and (m, t, w) and (m, -t, w), halved, at t != 0.
+    Integer scaling, over Q: #{r : <g*m, r> = t} is #{r : <m, r> = t/g}
+    when g | t and 0 otherwise, so each key is divided by the gcd g of its
+    entries and the target by g, and a key whose g does not divide the
+    target is dropped. The keys are already in the kernel's shape, so they
+    are grouped for `_count_groups` as they are, with no re-sort or
+    negation: over Q a pair key is sorted with m[0] + m[-1] <= 0 (it is the
+    smaller of a class and its mirror), which dividing by g > 0 keeps, so
+    a = m[0] and q = m[1:]; over F_p it is sorted residues, so a = m[-1],
+    q = m[:-1] and the targets are reduced mod p. The pairs are popped as
+    they are grouped, so the pairs and the merged forms peak at about the
+    size of one. Past the lift, `_perms` and `_mirror` it shares no code
+    with `_singular_n3`, so it is that route's oracle at d = 0 beyond brute
+    reach."""
     pairs, zero = _class_table(lift, n, meter)
     p = lift.modulus
     signs = (1, -1) if target else (1,)
-
-    def forms():
-        # popping frees each pair as the kernel merges its forms
-        while pairs:
-            m, w = pairs.popitem()
-            g = 1 if p else math.gcd(*m)
-            if target % g == 0:
-                if g > 1:
-                    m = tuple([x // g for x in m])
-                for s in signs:
-                    yield m, s * target // g, w
-
-    total = _count_forms(forms(), lift.elements, p, meter) // len(signs)
+    targets = [s * target % p if p else s * target for s in signs]
+    groups: dict = {}
+    while pairs:
+        m, w = pairs.popitem()
+        if p:
+            a, q, ts = m[-1], m[:-1], targets
+        else:
+            g = math.gcd(*m)
+            if g == 1:
+                ts = targets
+            elif target % g:
+                continue
+            else:
+                m, ts = tuple([x // g for x in m]), [t // g for t in targets]
+            a, q = m[0], m[1:]
+        members = groups.get(q)
+        if members is None:
+            members = groups[q] = {}
+        for t in ts:
+            key = (a, t)
+            members[key] = members.get(key, 0) + w
+    total = _count_groups(groups, lift.elements, p, meter, 0) // len(signs)
     return total + (zero * len(lift.elements) ** n if not target else 0)
 
 

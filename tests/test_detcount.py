@@ -530,6 +530,49 @@ def test_paired_rowblock_matches_brute(X, d):
         assert count_det_rowblock(X, 3, t) == sb.get(t)
 
 
+def _count_by_classes_as_forms(lift, n, target, meter) -> int:
+    """D_n(X, d) at the lifted `target` from the pairs of `_class_table`, fed
+    to `_count_forms` as forms: each pair key m of mass w, divided over Q by
+    the gcd g of its entries (and dropped when g does not divide the target),
+    is the form (m/g, s*target/g, w) for each sign s of the target, and the
+    forms at target and -target are halved."""
+    pairs, zero = _class_table(lift, n, meter)
+    p = lift.modulus
+    signs = (1, -1) if target else (1,)
+    forms = []
+    for m, w in pairs.items():
+        g = 1 if p else math.gcd(*m)
+        if target % g == 0:
+            forms += [(tuple(x // g for x in m), s * target // g, w) for s in signs]
+    total = _count_forms(forms, lift.elements, p, meter) // len(signs)
+    return total + (0 if target else zero * len(lift.elements) ** n)
+
+
+@given(_class_cases(), st.integers(-30, 30))
+@example((make_ground_set(range(-2, 3), QQ), 3), 3)
+@example((make_ground_set([0, 1, 4], FieldSpec.prime(5)), 3), 7)
+@example((make_ground_set([0, 1], FieldSpec.prime(2)), 4), 1)
+@example((make_ground_set([2, 4, 6], QQ), 3), 8)
+@settings(max_examples=40)
+def test_count_by_classes_groups_pair_keys_as_forms(case, d):
+    # the count groups the pair keys for the kernel as they leave the walk:
+    # over Q each is sorted with m[0] + m[-1] <= 0 (it is the smaller of a
+    # class and its mirror), so it looks up its first entry; over F_p it is
+    # sorted residues, so its last. That must count and charge as the same
+    # keys fed to the kernel as forms
+    X, n = case
+    lift = int_lift(X)
+    pairs, _ = _class_table(lift, n, Meter(None, "test"))
+    for m in pairs:
+        assert list(m) == sorted(m)
+        assert lift.modulus or m[0] + m[-1] <= 0
+    for target in (0, 1, -1, d):
+        grouped, as_forms = Meter(None, "test"), Meter(None, "test")
+        count = detcount._count_by_classes(lift, n, target, grouped)
+        assert count == _count_by_classes_as_forms(lift, n, target, as_forms)
+        assert grouped.spent == as_forms.spent
+
+
 # every entry a multiple of s makes every cofactor a multiple of g = s^2:
 # the count divides each pair key by its gcd (g or a multiple of it) and
 # drops the forms whose gcd does not divide the target
@@ -675,23 +718,53 @@ def test_spectrum_budget_totals(values, field, n, pin):
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (pin, pin - 1, "det_spectrum[rowblock]")
 
 
+@pytest.mark.parametrize("values, field, n, d, pin, count", [
+    (range(1, 5), QQ, 3, 1, 3_112, 6_399),
+    (range(1, 5), FieldSpec.prime(5), 3, 2, 1_028, 47_616),
+    # symmetric about 0: many classes are their own mirror
+    (range(-2, 3), QQ, 3, 3, 4_615, 63_792),
+    (range(1, 4), QQ, 4, 1, 36_780, 1_393_944),
+])
+def test_rowblock_budget_totals_off_zero(values, field, n, d, pin, count):
+    # at d != 0 the count walks the classes and runs the kernel on the
+    # forms at d and -d; the kernel charges its last prefix level with the
+    # lookups last, so pin - 1 is refused there with the whole call's total
+    X = make_ground_set(values, field)
+    assert count_det_rowblock(X, n, d, budget=pin) == count
+    with pytest.raises(BudgetExceededError) as exc:
+        count_det_rowblock(X, n, d, budget=pin - 1)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (pin, pin - 1, "count_det_rowblock")
+
+
+def _traced_peak(call) -> int:
+    """Peak of the memory traced while `call()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_spectrum_fold_holds_one_subtree_at_a_time():
     # the fold's subtrees under different first entries meet only at the
     # root, so it holds one at a time and its peak stays near the class
     # walk's own; holding a whole level of the trie took 3.6 times the walk's
     X = make_ground_set(range(1, 9), QQ)
-
-    def traced_peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    walk = traced_peak(lambda: _class_table(int_lift(X), 3, Meter(None, "test")))
-    spectrum = traced_peak(lambda: det_spectrum(X, 3, "rowblock"))
+    walk = _traced_peak(lambda: _class_table(int_lift(X), 3, Meter(None, "test")))
+    spectrum = _traced_peak(lambda: det_spectrum(X, 3, "rowblock"))
     assert spectrum <= 1.5 * walk
+
+
+def test_count_off_zero_holds_about_the_class_walk():
+    # the count pops each pair key as it groups it, so the pairs and the
+    # merged forms are never both whole, and it builds one last-level
+    # distribution at a time: its peak stays near the class walk's own
+    # (1.18 times it at interval 8)
+    X = make_ground_set(range(1, 9), QQ)
+    walk = _traced_peak(lambda: _class_table(int_lift(X), 3, Meter(None, "test")))
+    count = _traced_peak(lambda: count_det_rowblock(X, 3, 1))
+    assert count <= 1.3 * walk
 
 
 @pytest.mark.parametrize("n, size, brute_size", [(2, 40, 4), (3, 12, 3), (4, 6, 2)])
