@@ -60,13 +60,13 @@ form per key at d = 0 and two, at d and -d, otherwise; the pair keys are
 already sorted and oriented, so it groups them for `_count_groups` itself,
 as they leave the walk; at n = 3 it is reached at d != 0 only, and stays
 the oracle of `_singular_n3` at d = 0),
-`MinorPlanes.det_count_via_incidences` and the curve half of
-`incidence.curve_incidences_n3` (lifted ints, with the modulus over F_p),
-and `energy.count_bilinear` (field scalars). The rowblock spectrum at
-n >= 3 folds the weighted pair keys over the same prefix trie, from the
-leaves up to the root, one first entry's subtree at a time. The oracles of
-those routes use none of the kernel, the fold, the class walk, the
-pair-product correlation or the lift:
+`MinorPlanes.det_count_via_incidences`, the curve half of
+`incidence.curve_incidences_n3` and `energy.count_bilinear` (lifted ints,
+with the modulus over F_p). The rowblock spectrum at n >= 3 folds the
+weighted pair keys over the same prefix trie, from the leaves up to the
+root, one first entry's subtree at a time. The oracles of those routes use
+none of the kernel, the fold, the class walk, the pair-product correlation
+or the lift:
 `count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
 `count_decomposition`, `energy.count_bilinear_brute`,
 `incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
@@ -111,22 +111,23 @@ def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dic
 
 
 def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
-    """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w), all
-    of one length k >= 1, by `_count_groups` once the forms are grouped. The
-    count does not change when c is permuted, nor when (c, t) is negated, so
-    each c is sorted and one entry a of it is looked up: with a `modulus`
-    (residues, t reduced mod that prime) the last one; without, the first,
-    after the form is negated when its last entry exceeds minus its first,
-    which over Q puts the entry of largest absolute value first, negative.
-    The other entries are the form's prefix q, and equal forms merge, their
-    weights added, keyed by (a, t) per prefix."""
+    """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w) of
+    plain ints, all of one length k >= 2, by `_count_groups`. The count does
+    not change when c is permuted, nor when (c, t) is negated, so each c is
+    sorted and one entry a of it is looked up: with a `modulus` (c and t
+    reduced mod that prime) the last one; without, the first, after the form
+    is negated when its last entry exceeds minus its first, which puts the
+    entry of largest absolute value first, negative. The other entries are
+    the form's prefix q, and equal forms merge, their weights added, keyed
+    by (a, t) per prefix."""
     groups: dict = {}
     for c, t, w in forms:
-        c = sorted(c)
         if modulus:
+            c = sorted([x % modulus for x in c])
             t %= modulus
             a, q = c[-1], tuple(c[:-1])
         else:
+            c = sorted(c)
             if c[-1] > -c[0]:
                 c, t = sorted(map(neg, c)), -t
             a, q = c[0], tuple(c[1:])
@@ -135,38 +136,36 @@ def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
             members = groups[q] = {}
         key = (a, t)
         members[key] = members.get(key, 0) + w
-    # the root's zero is the last form's t - t, of the forms' own scalar type: int, Fraction or Mod
-    return _count_groups(groups, elems, modulus, meter, t - t) if groups else 0
+    return _count_groups(groups, elems, modulus, meter)
 
 
-def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter, zero) -> int:
+def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter) -> int:
     """Sum of w * #{r in elems^k : a*r_0 + <q, r'> = t} over the merged
-    forms {q: {(a, t): w}}, every prefix q of one length k - 1 (with a
-    `modulus`, every t a residue). The value distribution of <q, r'> over
-    r' in X^len(q) is built from that of q[:-1] by shifting with q[-1]*y for
-    each y in X (`_shift_add`), once per distinct prefix, from the root
-    {zero: 1}; a merged form then needs |X| lookups of t - a*x, from one
-    list of -a*x per distinct a. With a `modulus`, every key is reduced mod
-    that prime. The `meter` is charged level by level before the level
-    runs: |X| per parent entry for each prefix built, and |X| per merged
-    form with the last level. An all-zero form counts |X|^k when t = 0 and
-    0 otherwise."""
+    forms {q: {(a, t): w}} of plain ints, every prefix q of one length
+    k - 1 >= 1. The value distribution of <q, r'> over r' in X^len(q) is
+    built from that of q[:-1] by shifting with q[-1]*y for each y in X
+    (`_shift_add`), once per distinct prefix, from the root {0: 1}; a
+    merged form then needs |X| lookups of t - a*x, from one list of -a*x
+    per distinct a. With a `modulus`, every key is reduced mod that prime. The `meter` is charged level by level before
+    the level runs: |X| per parent entry for each prefix built, and |X| per
+    merged form with the last level. An all-zero form counts |X|^k when
+    t = 0 and 0 otherwise."""
     if not groups:
         return 0
     B = len(elems)
     k = len(next(iter(groups))) + 1
-    dists = {(): {zero: 1}}
+    dists = {(): {0: 1}}
     for j in range(1, k - 1):
         prefixes = {q[:j] for q in groups}
         meter.charge(B * sum(len(dists[q[:-1]]) for q in prefixes))
         dists = {q: _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus) for q in prefixes}
     # one last-level distribution at a time: holding them all raised the
     # peak memory of a GP 10 count from 110 to 133 MB
-    meter.charge(B * (sum(len(dists[q[:-1]]) for q in groups if q) + sum(map(len, groups.values()))))
+    meter.charge(B * (sum(len(dists[q[:-1]]) for q in groups) + sum(map(len, groups.values()))))
     multiples: dict = {}
     total = 0
     for q, members in groups.items():
-        dist = _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus) if q else dists[()]
+        dist = _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus)
         get = dist.get
         for (a, t), w in members.items():
             keys = multiples.get(a)
@@ -602,7 +601,7 @@ def _count_by_classes(lift: IntLift, n: int, target: int, meter: Meter) -> int:
         for t in ts:
             key = (a, t)
             members[key] = members.get(key, 0) + w
-    total = _count_groups(groups, lift.elements, p, meter, 0) // len(signs)
+    total = _count_groups(groups, lift.elements, p, meter) // len(signs)
     return total + (zero * len(lift.elements) ** n if not target else 0)
 
 

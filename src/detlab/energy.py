@@ -19,13 +19,13 @@ classes from `detcount._class_table` and its size from `detcount._class_size`.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import Meter, PreconditionError
 from .detcount import _class_size, _class_table, _count_forms, _pair_products
 from .matrices import Matrix, det
-from .scalars import GroundSet, int_lift
+from .scalars import GroundSet, int_lift, make_ground_set
 
 
 @dataclass(frozen=True)
@@ -143,25 +143,27 @@ def _prepared_matrix(M: Matrix, B: GroundSet, C: GroundSet):
 def count_bilinear(
     M: Matrix, B: GroundSet, C: GroundSet, omega, *, budget: int | None = None
 ) -> int:
-    """#{(b, c) in B^k x C^k : <M b, c> = omega}: the vectors M*b are tallied
-    with multiplicity (|B|^k steps), and each distinct one is a form
-    (M*b, omega, mu) of the linear-form kernel over C^k, which charges its
-    steps to the same meter; omega = 0 falls outside the counted regime and is
-    rejected."""
-    omega_s = B.field.coerce(omega)
-    if not omega_s:
+    """#{(b, c) in B^k x C^k : <M b, c> = omega}, in ints: the equation is
+    linear in each of M, b and c, so on one lift L of all their entries
+    (`scalars.int_lift`) it is <M'b', c'> = L^3 omega, and a lifted target
+    that is not an integer gives 0, charged nothing. Each b is one form
+    (M'b', L^3 omega, 1) of the linear-form kernel over C'^k (|B|^k steps),
+    which charges the same meter. omega = 0 is rejected."""
+    if not B.field.coerce(omega):
         raise PreconditionError("omega must be nonzero")
-    k = M.rows
     rows = _prepared_matrix(M, B, C)
     meter = Meter(budget, "count_bilinear")
-    meter.charge(len(B) ** k)
-    z = B.field.zero()
-    vectors = Counter(
-        tuple(sum((a * x for a, x in zip(row, b)), z) for row in rows)
-        for b in itertools.product(B.elements, repeat=k)
-    )
-    forms = ((v, omega_s, mu) for v, mu in vectors.items())
-    return _count_forms(forms, C.elements, None, meter)
+    joint = make_ground_set([*B, *C, *M.entries], B.field)
+    lift = int_lift(joint)
+    target = lift.target(omega, 3)
+    if target is None:
+        return 0
+    up = dict(zip(joint, lift.elements))
+    rows = [[up[x] for x in row] for row in rows]
+    meter.charge(len(B) ** len(rows))
+    vectors = itertools.product([up[x] for x in B], repeat=len(rows))
+    forms = (([sum(map(mul, row, b)) for row in rows], target, 1) for b in vectors)
+    return _count_forms(forms, [up[x] for x in C], lift.modulus, meter)
 
 
 def count_bilinear_brute(

@@ -324,14 +324,10 @@ class MinorPlanes:
         bucket when d = 0; reproduces the determinant count D_3(X, d). Each
         plane <a, x> = b of weight w is the form (a, Lb, w) of the
         linear-form kernel on the lifted set (<a, x> = b over X is
-        <a, Lx> = Lb over the lift; a plane with Lb not an integer carries no
-        point), which charges the budget its dict updates and lookups."""
+        <a, Lx> = Lb over the lift; L is 1 over F_p), which charges the
+        budget its dict updates and lookups."""
         lift = int_lift(self.base_set)
-        forms = (
-            (coeffs, target, w)
-            for (coeffs, offset), w in zip(self.family, self.weights)
-            if (target := lift.target(offset, 1)) is not None
-        )
+        forms = ((coeffs, offset * lift.scale, w) for (coeffs, offset), w in zip(self.family, self.weights))
         total = _count_forms(forms, lift.elements, lift.modulus, Meter(budget, "det_count_via_incidences"))
         if not self.d:
             total += self.zero_multiplicity * len(self.base_set) ** 3

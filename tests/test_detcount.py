@@ -898,11 +898,12 @@ def test_fractional_d_over_integer_set():
 
 @st.composite
 def _linear_forms(draw):
-    """(X, forms) over an int, Fraction or F_7 set: a list of forms (c, t, w)
-    of one length k in {1, 2, 3}, whose coefficient vectors come from a small
-    pool (so several forms share a prefix group with different targets) that
-    may hold the all-zero vector; coefficients may be zero or fractional over
-    Q, and a target is often one the form attains."""
+    """(X, forms, wraps) over an int, Fraction or F_7 set: a list of forms
+    (c, t, w) of one length k in {2, 3}, whose coefficient vectors come from
+    a small pool (so several forms share a prefix group with different
+    targets) that may hold the all-zero vector; coefficients may be zero or
+    fractional over Q, and a target is often one the form attains. `wraps`
+    are the multiples of 7 that `_int_forms` adds to the residues over F_7."""
     kind = draw(st.sampled_from(["int", "fraction", "f7"]))
     if kind == "f7":
         X = make_ground_set(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)), F7)
@@ -915,7 +916,7 @@ def _linear_forms(draw):
             fracs = st.fractions(-3, 3, max_denominator=3)
             X = make_ground_set(draw(st.lists(fracs, min_size=1, max_size=4, unique=True)), QQ)
         values = st.one_of(ints, st.fractions(-3, 3, max_denominator=3))
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
     vectors = st.lists(values, min_size=k, max_size=k).map(lambda v: [X.field.coerce(c) for c in v])
     pool = draw(st.lists(st.one_of(vectors, st.just([X.field.zero()] * k)), min_size=1, max_size=3))
     forms = []
@@ -927,7 +928,8 @@ def _linear_forms(draw):
         else:
             target = X.field.coerce(draw(values))
         forms.append((coeffs, target, draw(st.integers(1, 5))))
-    return X, forms
+    wraps = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+    return X, forms, wraps
 
 
 def _forms_by_enumeration(X, forms) -> int:
@@ -941,21 +943,42 @@ def _forms_by_enumeration(X, forms) -> int:
     )
 
 
+def _int_forms(X, forms, wraps):
+    """The field-scalar forms as the plain ints `_count_forms` takes, with
+    its elems and modulus. Over Q a form (c, t) is scaled by the lcm l of
+    the denominators of its entries and X by its lift L: <c, r> = t iff
+    <l*c, L*r> = l*L*t. Over F_7 they are residues, the j-th of them plus
+    7 * wraps[j % len(wraps)], which the kernel must reduce."""
+    lift = int_lift(X)
+    if lift.modulus:
+        shift = itertools.cycle([7 * s for s in wraps])
+        out = [([x.residue + next(shift) for x in c], t.residue + next(shift), w) for c, t, w in forms]
+        return out, lift.elements, lift.modulus
+    out = []
+    for c, t, w in forms:
+        l = math.lcm(*(Fraction(x).denominator for x in (*c, t)))
+        out.append(([int(x * l) for x in c], int(t * l * lift.scale), w))
+    return out, lift.elements, None
+
+
 @settings(max_examples=300)
 @given(_linear_forms())
 def test_count_forms_matches_enumeration(case):
-    X, forms = case
-    zero = X.field.zero()
+    X, forms, wraps = case
     direct = _forms_by_enumeration(X, forms)
-    assert _count_forms(forms, X.elements, None, Meter(None, "test")) == direct
-    if not X.field.is_rational:
-        # the same forms on residues, each key reduced mod 7
+    ints, elems, p = _int_forms(X, forms, wraps)
+    meter = Meter(None, "test")
+    assert _count_forms(ints, elems, p, meter) == direct
+    if p:
+        # the same forms on plain residues: the kernel reduces the wrapped
+        # ones to these, so they merge alike and charge alike
         residues = [([c.residue for c in coeffs], t.residue, w) for coeffs, t, w in forms]
-        assert _count_forms(residues, [e.residue for e in X], 7, Meter(None, "test")) == direct
+        plain = Meter(None, "test")
+        assert _count_forms(residues, elems, p, plain) == direct
+        assert meter.spent == plain.spent
     k = len(forms[0][0])
-    zeros = [zero] * k
-    assert _count_forms([(zeros, zero, 2)], X.elements, None, Meter(None, "test")) == 2 * len(X) ** k
-    assert _count_forms([(zeros, X.field.one(), 2)], X.elements, None, Meter(None, "test")) == 0
+    assert _count_forms([([0] * k, 0, 2)], elems, p, Meter(None, "test")) == 2 * len(X) ** k
+    assert _count_forms([([0] * k, 1, 2)], elems, p, Meter(None, "test")) == 0
 
 
 @settings(max_examples=200)
@@ -964,8 +987,8 @@ def test_count_forms_is_invariant_under_form_symmetries(case, data):
     # the kernel negates and sorts each form and merges equal ones: negating
     # a form to (-c, -t), permuting c or splitting its weight must leave the
     # count as it was, and a duplicate (negated and permuted) must add that
-    # form's own count once more, on field scalars and on residues mod 7
-    X, forms = case
+    # form's own count once more, on lifted ints and on residues mod 7
+    X, forms, wraps = case
     i = data.draw(st.integers(0, len(forms) - 1), label="form")
     c, t, w = forms[i]
     rest = forms[:i] + forms[i + 1 :]
@@ -983,7 +1006,7 @@ def test_count_forms_is_invariant_under_form_symmetries(case, data):
     ]
     for variant, want in variants:
         assert _forms_by_enumeration(X, variant) == want
-        assert _count_forms(variant, X.elements, None, Meter(None, "test")) == want
+        assert _count_forms(*_int_forms(X, variant, wraps), Meter(None, "test")) == want
         if not X.field.is_rational:
             residues = [([x.residue for x in cs], ts.residue, ws) for cs, ts, ws in variant]
             assert _count_forms(residues, [e.residue for e in X], 7, Meter(None, "test")) == want

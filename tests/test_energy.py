@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from detlab import energy
 from detlab.detcount import det_spectrum
 from detlab.errors import BudgetExceededError, PreconditionError
 from detlab.energy import (
@@ -301,18 +302,73 @@ def test_fast_energies_charge_their_tables():
 
 
 def test_bilinear_budget_is_tally_plus_kernel():
-    # M = [[1, 2], [0, 1]] over {1, 2, 3}: 3^2 = 9 vectors M*b = (u, v),
-    # all distinct with 0 < v < u, so each form (M*b, 3) is negated to
+    # M = [[1, 2], [0, 1]] over {1, 2, 3}: 3^2 = 9 forms (M*b, 3), one step
+    # each, with M*b = (u, v) and 0 < v < u, so each form is negated to
     # ((-u, -v), -3) and looks up -u over the prefix -v, which takes 3
     # values: 3 * 3 steps for their distributions and 3 lookups per vector
     # (27): 9 + 9 + 27 = 45
     U = gs([1, 2, 3])
     M = Matrix.from_rows([[1, 2], [0, 1]], QQ)
     assert count_bilinear(M, U, U, 3, budget=45) == count_bilinear_brute(M, U, U, 3)
-    # the refusal at pin - 1 reports the tally's and the kernel's total
+    # the refusal at pin - 1 reports the forms' and the kernel's total
     with pytest.raises(BudgetExceededError) as exc:
         count_bilinear(M, U, U, 3, budget=44)
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (45, 44, "count_bilinear")
+
+
+_HALF = Fraction(1, 2)
+_THIRDS = [Fraction(1, 3), Fraction(2, 3), 1]
+
+
+@pytest.mark.parametrize(
+    "field, rows, B, C, omega, count, total",
+    [
+        # the joint lift is L = 2 and L^3 omega = 1/2: no pair, no charge
+        (QQ, [[1, 0], [0, 1]], [_HALF, 3 * _HALF], [_HALF, 3 * _HALF], Fraction(1, 16), 0, 0),
+        # L = 6 over B and C together; C alone lifts by 3, and 3 * omega is not an integer
+        (QQ, [[1, 0], [0, 1]], [0, _HALF], [Fraction(1, 3), 1], Fraction(1, 6), 4, 14),
+        # a fractional matrix entry joins the lift: L = 30
+        (QQ, [[Fraction(1, 5), 1], [0, 1]], [_HALF, 1, 3 * _HALF], _THIRDS, Fraction(7, 10), 3, 45),
+        # residues mod 7, the vectors M*b reduced by the kernel
+        (F7, [[1, 2], [0, 1]], [1, 2, 3], [1, 2, 3], 3, 11, 42),
+    ],
+)
+def test_bilinear_budget_on_the_joint_lift(field, rows, B, C, omega, count, total):
+    M, B, C = Matrix.from_rows(rows, field), make_ground_set(B, field), make_ground_set(C, field)
+    assert count_bilinear(M, B, C, omega, budget=total) == count == count_bilinear_brute(M, B, C, omega)
+    if not total:
+        # the meter is built before the target is lifted: a negative budget is refused
+        with pytest.raises(PreconditionError):
+            count_bilinear(M, B, C, omega, budget=-1)
+        return
+    with pytest.raises(BudgetExceededError) as exc:
+        count_bilinear(M, B, C, omega, budget=total - 1)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (total, total - 1, "count_bilinear")
+
+
+def test_bilinear_kernel_calls_get_plain_ints(monkeypatch):
+    # count_bilinear hands the kernel one form of weight 1 per b, in the
+    # ints of the joint lift, with the modulus over F_p
+    count_forms = energy._count_forms
+    moduli = set()
+
+    def checked(forms, elems, modulus, *args):
+        forms = list(forms)
+        for coeffs, target, w in forms:
+            assert all(type(v) is int for v in (*coeffs, target, *elems)) and w == 1, (coeffs, target, w, elems)
+        moduli.add(modulus)
+        return count_forms(forms, elems, modulus, *args)
+
+    monkeypatch.setattr(energy, "_count_forms", checked)
+    halves = gs([_HALF, 1, 3 * _HALF])
+    cases = [
+        (Matrix.from_rows([[1, 2], [0, 1]], QQ), U12, gs([-1, 1, 3]), 5),
+        (Matrix.from_rows([[Fraction(1, 5), 1], [0, 1]], QQ), halves, halves, Fraction(7, 10)),
+        (Matrix.from_rows([[1, 2], [3, 4]], F7), make_ground_set([1, 2], F7), make_ground_set([0, 1, 3], F7), 3),
+    ]
+    for M, B, C, omega in cases:
+        assert count_bilinear(M, B, C, omega) == count_bilinear_brute(M, B, C, omega)
+    assert moduli == {None, 7}
 
 
 def test_distribution_provenance_and_order():

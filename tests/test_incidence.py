@@ -655,6 +655,23 @@ def test_curve_incidences_budget_is_direct_plus_kernel():
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (345, 344, "curve_incidences_n3")
 
 
+def test_curve_incidences_prime_field_budget():
+    # over F_p the kernel reduces the curve forms ((t-c, b-a), t*b - a*c)
+    # mod p, so forms equal mod p merge: over all of F_7 the total is
+    # 7^5 + 2 * 7 * 7 (the direct half) plus the kernel's 1,379 steps
+    U = make_ground_set(range(7), F7)
+    assert curve_incidences_n3(U, budget=18_284) == 18_865
+    with pytest.raises(BudgetExceededError) as exc:
+        curve_incidences_n3(U, budget=18_283)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (18_284, 18_283, "curve_incidences_n3")
+    # over F_101 the entries of interval 10's forms lie in (-10, 10), so
+    # no two of them are equal mod 101 unless equal as ints
+    U = make_ground_set(range(1, 11), FieldSpec.prime(101))
+    assert curve_incidences_n3(U, budget=132_450) == 56_488
+    with pytest.raises(BudgetExceededError):
+        curve_incidences_n3(U, budget=132_449)
+
+
 def test_classify_budget_is_the_last_coordinate_solve():
     # interval 4, d = 0: 825 planes over the 4^3 grid. Each plane builds
     # the table of a_3*y over the 4 last-axis values, then does one lookup
