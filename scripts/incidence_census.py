@@ -20,7 +20,6 @@ from detlab.cli import add_set_source, guarded, resolve_set
 from detlab.detcount import count_det_rowblock
 from detlab.energy import dyadic_pyramid, energy_Estar_mu
 from detlab.incidence import (
-    cell_decompose,
     cells_hit,
     choose_r,
     classify_incidences,
@@ -70,15 +69,15 @@ def main():
 
     grid = cube_grid(X, 3)
     brute = incidences_brute(grid, mp.family, budget=args.budget)
-    r = args.r if args.r is not None else choose_r(grid, mp.family)
+    chosen = choose_r(grid, mp.family)
+    r = chosen if args.r is None else args.r
     out = classify_incidences(grid, mp.family, r, budget=args.budget)
     print(f"\nunweighted incidences over the X^3 grid: {brute}")
-    print(f"slicing with r = {r} (admissible choice {choose_r(grid, mp.family)})")
+    print(f"slicing with r = {r} (admissible choice {chosen})")
     print(f"class tallies: sparse {out.i1}, spanning {out.i2}, degenerate {out.i3} "
           f"(sum {out.i1 + out.i2 + out.i3})")
 
-    D = cell_decompose(grid, r)
-    worst = max(cells_hit(plane, D) for plane in mp.family)
+    worst = max(cells_hit(plane, out) for plane in mp.family)
     print(f"worst cells-hit per plane: {worst} (bound {3 * r * r})")
 
     ratios = [q for q in (nondegeneracy_ratio(grid, pl) for pl in mp.family) if q is not None]

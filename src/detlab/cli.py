@@ -5,6 +5,12 @@ with counts and scalars rendered as decimal strings. Exit codes: 0 success,
 2 precondition violation, 3 budget exceeded, 4 I/O error, 5 internal
 invariant failure (a cross-check inside a computation failed).
 
+Every handler takes the parsed flags and the ground set (None for `scan`
+and `fit`, which take none) and returns its report as a dict; `scan` writes
+its own rows and returns None. `_run` resolves the set, calls the handler
+and writes the report once, headed by `op`, plus the set's `field` and size
+`X` when the command took one.
+
 The parser is built once per process, on the first `main` call (not at
 import), and shared read-only by every later call: no option has a mutable
 default, each handler looks up its callees when it runs, and `parse_args`
@@ -14,6 +20,7 @@ makes a new namespace per call.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -126,21 +133,8 @@ def _open_out(args):
             yield fh
 
 
-def _emit(args, obj: dict, X=None) -> None:
-    """Write one JSON report headed by its `op`, and by the field and size of
-    the ground set `X` when the command took one."""
-    head = {"op": args.command}
-    if X is not None:
-        head.update(field=X.field.label(), X=len(X))
-    with _open_out(args) as fh:
-        fh.write(json.dumps({**head, **obj}, sort_keys=True) + "\n")
-
-
 def _parse_matrix(text: str, field: FieldSpec) -> Matrix:
-    rows = [
-        [parse_scalar(cell, field) for cell in line.split(",")]
-        for line in text.split(";")
-    ]
+    rows = [[parse_scalar(cell, field) for cell in line.split(",")] for line in text.split(";")]
     return Matrix.from_rows(rows, field)
 
 
@@ -148,126 +142,83 @@ def _parse_matrix(text: str, field: FieldSpec) -> Matrix:
 # subcommand handlers
 
 
-def _cmd_count(args) -> None:
-    field = FieldSpec.parse(args.field)
-    X = resolve_set(args, field)
-    d = parse_scalar(args.d, field)
+def _cmd_count(args, X) -> dict:
+    d = parse_scalar(args.d, X.field)
     threads = resolve_threads(args.threads)
     cnt = COUNT_ENGINES[args.engine](X, args.n, d, budget=args.budget, threads=threads)
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "d": format_scalar(d),
-            "engine": args.engine,
-            "count": str(cnt),
-        },
-        X,
-    )
+    return {"n": args.n, "d": format_scalar(d), "engine": args.engine, "count": str(cnt)}
 
 
-def _cmd_spectrum(args) -> None:
-    field = FieldSpec.parse(args.field)
-    X = resolve_set(args, field)
+def _cmd_spectrum(args, X) -> dict:
     threads = resolve_threads(args.threads)
     spec = det_spectrum(X, args.n, args.engine, budget=args.budget, threads=threads)
-    entries = [[format_scalar(k), str(v)] for k, v in spec.sorted_items()]
-    _emit(
-        args,
-        {
-            "n": args.n,
-            "engine": args.engine,
-            "total_mass": str(spec.total_mass()),
-            "distinct": spec.distinct_count(),
-            "entries": entries,
-        },
-        X,
-    )
+    return {
+        "n": args.n,
+        "engine": args.engine,
+        "total_mass": str(spec.total_mass()),
+        "distinct": spec.distinct_count(),
+        "entries": [[format_scalar(k), str(v)] for k, v in spec.sorted_items()],
+    }
 
 
-def _cmd_rank(args) -> None:
-    field = FieldSpec.parse(args.field)
-    X = resolve_set(args, field)
+def _cmd_rank(args, X) -> dict:
     cnt = count_rank(X, args.m, args.n, args.r, budget=args.budget)
-    _emit(
-        args,
-        {
-            "m": args.m,
-            "n": args.n,
-            "r": args.r,
-            "count": str(cnt),
-        },
-        X,
-    )
+    return {"m": args.m, "n": args.n, "r": args.r, "count": str(cnt)}
 
 
-def _cmd_energy(args) -> None:
-    field = FieldSpec.parse(args.field)
-    X = resolve_set(args, field)
+def _cmd_energy(args, X) -> dict:
     kind = args.kind
-    out = {"kind": kind}
+    out = {"kind": kind, "engine": args.engine}
     if kind == "bilinear":
         if args.matrix is None or args.omega is None:
             raise PreconditionError("bilinear needs --matrix and --omega")
-        M = _parse_matrix(args.matrix, field)
-        C = read_ground_set_file(args.set2, field) if args.set2 else X
-        omega = parse_scalar(args.omega, field)
+        M = _parse_matrix(args.matrix, X.field)
+        C = read_ground_set_file(args.set2, X.field) if args.set2 else X
+        omega = parse_scalar(args.omega, X.field)
         fn = count_bilinear_brute if args.engine == "brute" else count_bilinear
         cnt = fn(M, X, C, omega, budget=args.budget)
-        out.update({"k": M.rows, "omega": format_scalar(omega), "C": len(C)})
+        out.update(k=M.rows, omega=format_scalar(omega), C=len(C))
     else:
         fast, brute = {"N": (energy_N, energy_N_brute), "T": (energy_T, energy_T_brute),
                        "S": (energy_S, energy_S_brute), "Estar": (energy_Estar_mu, energy_Estar_brute)}[kind]
         cnt = (brute if args.engine == "brute" else fast)(X, budget=args.budget)
-    out["engine"] = args.engine
     out["count"] = str(cnt)
-    _emit(args, out, X)
+    return out
 
 
-def _cmd_incidence(args) -> None:
-    field = FieldSpec.parse(args.field)
-    X = resolve_set(args, field)
+def _cmd_incidence(args, X) -> dict:
     kind = args.kind
-    out = {"kind": kind}
     if kind == "curves":
-        out["count"] = str(curve_incidences_n3(X, budget=args.budget))
-        _emit(args, out, X)
-        return
+        return {"kind": kind, "count": str(curve_incidences_n3(X, budget=args.budget))}
     if args.d is None:
         raise PreconditionError(f"incidence kind {kind!r} needs --d for the plane family")
-    d = parse_scalar(args.d, field)
+    d = parse_scalar(args.d, X.field)
     mp = planes_from_minors(X, d, budget=args.budget)
-    out["d"] = format_scalar(d)
-    out["planes"] = len(mp.family)
-    out["zero_multiplicity"] = str(mp.zero_multiplicity)
+    out = {"kind": kind, "d": format_scalar(d), "planes": len(mp.family),
+           "zero_multiplicity": str(mp.zero_multiplicity)}
     if kind == "minors":
-        out["total_weight"] = str(mp.total_weight())
-        out["weight_square_sum"] = str(sum(w * w for w in mp.weights))
-        out["det_count_via_incidences"] = str(mp.det_count_via_incidences(budget=args.budget))
-        _emit(args, out, X)
-        return
+        out.update(
+            total_weight=str(mp.total_weight()),
+            weight_square_sum=str(sum(w * w for w in mp.weights)),
+            det_count_via_incidences=str(mp.det_count_via_incidences(budget=args.budget)),
+        )
+        return out
     grid = cube_grid(X, 3)
     if kind == "brute":
         out["incidences"] = str(incidences_brute(grid, mp.family, budget=args.budget))
-        _emit(args, out, X)
-        return
-    r = args.r if args.r is not None else choose_r(grid, mp.family)
+        return out
+    chosen = choose_r(grid, mp.family)
+    r = chosen if args.r is None else args.r
     cls = classify_incidences(grid, mp.family, r, budget=args.budget)
     out.update(
-        {
-            "r": r,
-            "chosen_r": choose_r(grid, mp.family),
-            "i1": str(cls.i1),
-            "i2": str(cls.i2),
-            "i3": str(cls.i3),
-            "max_cells_hit": max((cells_hit(pl, cls) for pl in mp.family), default=0),
-            "cell_bound": grid.k * r ** (grid.k - 1),
-        }
+        r=r, chosen_r=chosen, i1=str(cls.i1), i2=str(cls.i2), i3=str(cls.i3),
+        max_cells_hit=max((cells_hit(pl, cls) for pl in mp.family), default=0),
+        cell_bound=grid.k * r ** (grid.k - 1),
     )
-    _emit(args, out, X)
+    return out
 
 
-def _cmd_scan(args) -> None:
+def _cmd_scan(args, X) -> None:
     field = FieldSpec.parse(args.field)
     if args.family is None:
         raise PreconditionError("scan needs --family")
@@ -275,18 +226,9 @@ def _cmd_scan(args) -> None:
     template = _family_from_args(args, sizes[0])
     cache = ResultCache(args.cache) if args.cache else None
     threads = resolve_threads(args.threads)
-    rows = run_scan(
-        template,
-        sizes,
-        field,
-        args.n,
-        args.dmode,
-        args.engine,
-        d=None if args.d is None else parse_scalar(args.d, field),
-        threads=threads,
-        budget=args.budget,
-        cache=cache,
-    )
+    d = None if args.d is None else parse_scalar(args.d, field)
+    rows = run_scan(template, sizes, field, args.n, args.dmode, args.engine,
+                    d=d, threads=threads, budget=args.budget, cache=cache)
     with _open_out(args) as fh:
         if args.format == "csv":
             write_csv(rows, fh)
@@ -294,11 +236,10 @@ def _cmd_scan(args) -> None:
             write_jsonl(rows, fh)
 
 
-def _cmd_fit(args) -> None:
+def _cmd_fit(args, X) -> dict:
     with open(args.input, "r", encoding="utf-8") as fh:
         rows = read_jsonl(fh)
-    fit = fit_exponent(rows)
-    _emit(args, fit.to_json_dict())
+    return dataclasses.asdict(fit_exponent(rows))
 
 
 @functools.cache
@@ -391,9 +332,23 @@ def guarded(fn) -> int:
         return EXIT_INTERNAL
 
 
+def _run(args) -> None:
+    """Resolve the ground set when the command takes one, run the handler, and
+    write the report it returns, headed by `op` and by the set's field and size."""
+    X = resolve_set(args, FieldSpec.parse(args.field)) if "set_path" in args else None
+    report = args.func(args, X)
+    if report is None:
+        return
+    head = {"op": args.command}
+    if X is not None:
+        head.update(field=X.field.label(), X=len(X))
+    with _open_out(args) as fh:
+        fh.write(json.dumps({**head, **report}, sort_keys=True) + "\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return guarded(lambda: args.func(args))
+    return guarded(lambda: _run(args))
 
 
 if __name__ == "__main__":

@@ -157,8 +157,10 @@ class ResultCache:
     def _load(self) -> dict:
         if self._rows is None:
             self._rows = {}
+            # bytes: a line that is not UTF-8 fails json.loads with a
+            # ValueError and is skipped like any other corrupt line
             try:
-                fh = open(self.path, "r", encoding="utf-8")
+                fh = open(self.path, "rb")
             except FileNotFoundError:
                 return self._rows
             with fh:
@@ -274,15 +276,6 @@ class ExponentFit:
     points_used: int
     excluded_zero: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_stderr": self.residual_stderr,
-            "points_used": self.points_used,
-            "excluded_zero": self.excluded_zero,
-        }
-
 
 def fit_exponent(rows) -> ExponentFit:
     pts = []
@@ -320,16 +313,21 @@ def write_jsonl(rows, stream) -> None:
 
 def read_jsonl(stream) -> list[ScanRow]:
     """Scan rows of a JSONL report; a line that is not one raises
-    PreconditionError naming the file and line."""
+    PreconditionError naming the file and line, and a report that is not
+    UTF-8 text raises it naming the file."""
+    name = getattr(stream, "name", "report")
+    try:
+        text = stream.read()
+    except UnicodeDecodeError:
+        raise PreconditionError(f"{name}: not UTF-8 text") from None
     rows = []
-    for lineno, line in enumerate(stream, 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue
         try:
             rows.append(ScanRow.from_json_dict(json.loads(line)))
         except (ValueError, KeyError, TypeError):
-            name = getattr(stream, "name", "report")
             raise PreconditionError(f"{name}:{lineno}: not a scan row") from None
     return rows
 

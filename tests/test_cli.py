@@ -151,6 +151,78 @@ def test_scan_deterministic_bytes(tmp_path, capsys):
     assert strip(a) == strip(b)
 
 
+# README examples and their exact stdout: key order, spacing and the newline
+README_REPORTS = [
+    (
+        "count --family gp --ratio 2 --size 4 --n 2 --d 0 --engine rowblock",
+        '{"X": 4, "count": "44", "d": "0", "engine": "rowblock", "field": "rational", "n": 2, "op": "count"}',
+    ),
+    (
+        "count --family ap --start 1/2 --step 1/2 --size 4 --n 3 --d 0",
+        '{"X": 4, "count": "29104", "d": "0", "engine": "rowblock", "field": "rational", "n": 3, "op": "count"}',
+    ),
+    (
+        "count --engine rowblock --family ap --start 1/2 --step 1/2 --size 6 --n 2 --d 1",
+        '{"X": 6, "count": "44", "d": "1", "engine": "rowblock", "field": "rational", "n": 2, "op": "count"}',
+    ),
+    (
+        "spectrum --field fp:101 --family interval --size 4 --n 2 --engine rowblock",
+        '{"X": 4, "distinct": 31, "engine": "rowblock", "entries": [["0", "32"], ["1", "14"], ["2", "18"], '
+        '["3", "11"], ["4", "16"], ["5", "9"], ["6", "10"], ["7", "5"], ["8", "9"], ["9", "4"], ["10", "6"], '
+        '["11", "2"], ["12", "3"], ["13", "2"], ["14", "2"], ["15", "1"], ["86", "1"], ["87", "2"], ["88", "2"], '
+        '["89", "3"], ["90", "2"], ["91", "6"], ["92", "4"], ["93", "9"], ["94", "5"], ["95", "10"], ["96", "9"], '
+        '["97", "16"], ["98", "11"], ["99", "18"], ["100", "14"]], "field": "fp:101", "n": 2, "op": "spectrum", '
+        '"total_mass": "256"}',
+    ),
+    (
+        "rank --family interval --size 2 --m 2 --n 2 --r 1",
+        '{"X": 2, "count": "6", "field": "rational", "m": 2, "n": 2, "op": "rank", "r": 1}',
+    ),
+    (
+        "energy --kind T --family interval --size 3",
+        '{"X": 3, "count": "591", "engine": "table", "field": "rational", "kind": "T", "op": "energy"}',
+    ),
+    (
+        "energy --kind bilinear --family interval --size 2 --matrix 1,0;0,1 --omega 4",
+        '{"C": 2, "X": 2, "count": "4", "engine": "table", "field": "rational", "k": 2, "kind": "bilinear", '
+        '"omega": "4", "op": "energy"}',
+    ),
+    (
+        "incidence --kind minors --family interval --size 3 --d 1",
+        '{"X": 3, "d": "1", "det_count_via_incidences": "1134", "field": "rational", "kind": "minors", '
+        '"op": "incidence", "planes": 462, "total_weight": "729", "weight_square_sum": "1776", '
+        '"zero_multiplicity": "33"}',
+    ),
+    (
+        "incidence --kind classify --family interval --size 3 --d 1",
+        '{"X": 3, "cell_bound": 3, "chosen_r": 1, "d": "1", "field": "rational", "i1": "324", "i2": "234", '
+        '"i3": "117", "kind": "classify", "max_cells_hit": 1, "op": "incidence", "planes": 462, "r": 1, '
+        '"zero_multiplicity": "33"}',
+    ),
+    (
+        "incidence --kind curves --family interval --size 3",
+        '{"X": 3, "count": "273", "field": "rational", "kind": "curves", "op": "incidence"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,report", README_REPORTS, ids=[a.split(" --")[0] for a, _ in README_REPORTS])
+def test_readme_reports_are_byte_pinned(capsys, argv, report):
+    assert run_cli(capsys, *argv.split()) == (0, report + "\n")
+
+
+def test_fit_report_is_byte_pinned(capsys, tmp_path):
+    path = tmp_path / "rows.jsonl"
+    rows = [{"family": "interval", "X": x, "n": 2, "dmode": "zero", "engine": "rowblock", "count": c}
+            for x, c in ((2, "6"), (4, "64"), (8, "1000"), (16, "0"))]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert run_cli(capsys, "fit", "--input", str(path)) == (
+        0,
+        '{"excluded_zero": 1, "intercept": -0.8298631992307941, "op": "fit", "points_used": 3, '
+        '"residual_stderr": 0.1558482057806437, "slope": 3.690410891970466}\n',
+    )
+
+
 def test_exit_code_precondition(capsys):
     # an unknown engine name is refused by argparse, before main's handlers
     with pytest.raises(SystemExit) as exc:
@@ -278,6 +350,59 @@ def test_exit_code_io(capsys, tmp_path):
     assert rc == 4
 
 
+def assert_not_utf8_refusal(capsys, rc, path):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {path}: not UTF-8 text\n"
+
+
+UNDECODABLE = b"\xff\xfe1\n2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "2", "--d", "0"],
+        ["spectrum", "--n", "2"],
+        ["rank", "--m", "2", "--n", "2", "--r", "1"],
+        ["energy", "--kind", "T"],
+        ["incidence", "--kind", "curves"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_set_file_not_utf8_is_a_precondition(capsys, tmp_path, argv):
+    path = tmp_path / "set.txt"
+    path.write_bytes(UNDECODABLE)
+    assert_not_utf8_refusal(capsys, main([*argv, "--set", str(path)]), path)
+
+
+def test_bilinear_set2_not_utf8_is_a_precondition(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(UNDECODABLE)
+    argv = ["energy", "--kind", "bilinear", "--family", "interval", "--size", "2",
+            "--matrix", "1,0;0,1", "--omega", "4", "--set2", str(path)]
+    assert_not_utf8_refusal(capsys, main(argv), path)
+
+
+def test_fit_input_not_utf8_is_a_precondition(capsys, tmp_path):
+    path = tmp_path / "report.jsonl"
+    path.write_bytes(UNDECODABLE)
+    assert_not_utf8_refusal(capsys, main(["fit", "--input", str(path)]), path)
+
+
+def test_scan_skips_an_undecodable_cache_line(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    argv = ["scan", "--family", "gp", "--sizes", "4", "--n", "3", "--cache", str(cache)]
+    rc, cold = run_cli(capsys, *argv)
+    assert rc == 0
+    cache.write_bytes(b"\xff\xfe{\n" + cache.read_bytes())
+    with pytest.warns(UserWarning, match=":1: skipping corrupt cache line"):
+        rc, warm = run_cli(capsys, *argv)
+    assert rc == 0
+    assert warm == cold  # served from the valid row, elapsed_ms included
+    assert len(cache.read_bytes().splitlines()) == 2
+
+
 @pytest.mark.parametrize("line", ['{"X": 4}', "not json", "[]"])
 def test_fit_rejects_malformed_report(capsys, tmp_path, line):
     path = tmp_path / "report.jsonl"
@@ -360,6 +485,20 @@ def test_incidence_census_takes_the_cli_family_flags():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("set: {1/2, 1, 3/2}, d = 1\n")
     assert "exact match" in proc.stdout
+
+
+def test_incidence_census_slices_the_grid_once(monkeypatch, capsys):
+    # the cells-hit bound reads the decomposition classify_incidences returned
+    import detlab.incidence
+
+    decompose, calls = detlab.incidence.cell_decompose, []
+    monkeypatch.setattr(detlab.incidence, "cell_decompose", lambda *a: calls.append(a) or decompose(*a))
+    monkeypatch.setattr(sys, "argv", ["incidence_census.py", "--size", "3", "--d", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "incidence_census.py"), run_name="__main__")
+    assert exc.value.code == 0
+    assert len(calls) == 1
+    assert "worst cells-hit per plane: 1 (bound 3)" in capsys.readouterr().out
 
 
 def test_incidence_census_exits_1_on_mismatch(monkeypatch, capsys):
