@@ -88,9 +88,13 @@ def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+# `_run` resolves a ground set for exactly the commands whose namespace has this dest
+_SET_DEST = "set_path"
+
+
 def add_set_source(p: argparse.ArgumentParser) -> None:
     """Ground-set flags: `--set FILE`, or `--family`/`--size` and the family's parameters."""
-    p.add_argument("--set", dest="set_path", default=None, help="ground-set file (one scalar per line)")
+    p.add_argument("--set", dest=_SET_DEST, default=None, help="ground-set file (one scalar per line)")
     p.add_argument("--size", type=int, default=None, help="family cardinality X")
     _add_family(p)
 
@@ -134,7 +138,10 @@ def _open_out(args):
 
 
 def _parse_matrix(text: str, field: FieldSpec) -> Matrix:
-    rows = [[parse_scalar(cell, field) for cell in line.split(",")] for line in text.split(";")]
+    rows = [
+        [parse_scalar(cell, field) for cell in line.split(",")]
+        for line in text.split(";")
+    ]
     return Matrix.from_rows(rows, field)
 
 
@@ -146,7 +153,12 @@ def _cmd_count(args, X) -> dict:
     d = parse_scalar(args.d, X.field)
     threads = resolve_threads(args.threads)
     cnt = COUNT_ENGINES[args.engine](X, args.n, d, budget=args.budget, threads=threads)
-    return {"n": args.n, "d": format_scalar(d), "engine": args.engine, "count": str(cnt)}
+    return {
+        "n": args.n,
+        "d": format_scalar(d),
+        "engine": args.engine,
+        "count": str(cnt),
+    }
 
 
 def _cmd_spectrum(args, X) -> dict:
@@ -163,7 +175,12 @@ def _cmd_spectrum(args, X) -> dict:
 
 def _cmd_rank(args, X) -> dict:
     cnt = count_rank(X, args.m, args.n, args.r, budget=args.budget)
-    return {"m": args.m, "n": args.n, "r": args.r, "count": str(cnt)}
+    return {
+        "m": args.m,
+        "n": args.n,
+        "r": args.r,
+        "count": str(cnt),
+    }
 
 
 def _cmd_energy(args, X) -> dict:
@@ -177,7 +194,7 @@ def _cmd_energy(args, X) -> dict:
         omega = parse_scalar(args.omega, X.field)
         fn = count_bilinear_brute if args.engine == "brute" else count_bilinear
         cnt = fn(M, X, C, omega, budget=args.budget)
-        out.update(k=M.rows, omega=format_scalar(omega), C=len(C))
+        out.update({"k": M.rows, "omega": format_scalar(omega), "C": len(C)})
     else:
         fast, brute = {"N": (energy_N, energy_N_brute), "T": (energy_T, energy_T_brute),
                        "S": (energy_S, energy_S_brute), "Estar": (energy_Estar_mu, energy_Estar_brute)}[kind]
@@ -188,20 +205,21 @@ def _cmd_energy(args, X) -> dict:
 
 def _cmd_incidence(args, X) -> dict:
     kind = args.kind
+    out = {"kind": kind}
     if kind == "curves":
-        return {"kind": kind, "count": str(curve_incidences_n3(X, budget=args.budget))}
+        out["count"] = str(curve_incidences_n3(X, budget=args.budget))
+        return out
     if args.d is None:
         raise PreconditionError(f"incidence kind {kind!r} needs --d for the plane family")
     d = parse_scalar(args.d, X.field)
     mp = planes_from_minors(X, d, budget=args.budget)
-    out = {"kind": kind, "d": format_scalar(d), "planes": len(mp.family),
-           "zero_multiplicity": str(mp.zero_multiplicity)}
+    out["d"] = format_scalar(d)
+    out["planes"] = len(mp.family)
+    out["zero_multiplicity"] = str(mp.zero_multiplicity)
     if kind == "minors":
-        out.update(
-            total_weight=str(mp.total_weight()),
-            weight_square_sum=str(sum(w * w for w in mp.weights)),
-            det_count_via_incidences=str(mp.det_count_via_incidences(budget=args.budget)),
-        )
+        out["total_weight"] = str(mp.total_weight())
+        out["weight_square_sum"] = str(sum(w * w for w in mp.weights))
+        out["det_count_via_incidences"] = str(mp.det_count_via_incidences(budget=args.budget))
         return out
     grid = cube_grid(X, 3)
     if kind == "brute":
@@ -211,9 +229,15 @@ def _cmd_incidence(args, X) -> dict:
     r = chosen if args.r is None else args.r
     cls = classify_incidences(grid, mp.family, r, budget=args.budget)
     out.update(
-        r=r, chosen_r=chosen, i1=str(cls.i1), i2=str(cls.i2), i3=str(cls.i3),
-        max_cells_hit=max((cells_hit(pl, cls) for pl in mp.family), default=0),
-        cell_bound=grid.k * r ** (grid.k - 1),
+        {
+            "r": r,
+            "chosen_r": chosen,
+            "i1": str(cls.i1),
+            "i2": str(cls.i2),
+            "i3": str(cls.i3),
+            "max_cells_hit": max((cells_hit(pl, cls) for pl in mp.family), default=0),
+            "cell_bound": grid.k * r ** (grid.k - 1),
+        }
     )
     return out
 
@@ -226,9 +250,18 @@ def _cmd_scan(args, X) -> None:
     template = _family_from_args(args, sizes[0])
     cache = ResultCache(args.cache) if args.cache else None
     threads = resolve_threads(args.threads)
-    d = None if args.d is None else parse_scalar(args.d, field)
-    rows = run_scan(template, sizes, field, args.n, args.dmode, args.engine,
-                    d=d, threads=threads, budget=args.budget, cache=cache)
+    rows = run_scan(
+        template,
+        sizes,
+        field,
+        args.n,
+        args.dmode,
+        args.engine,
+        d=None if args.d is None else parse_scalar(args.d, field),
+        threads=threads,
+        budget=args.budget,
+        cache=cache,
+    )
     with _open_out(args) as fh:
         if args.format == "csv":
             write_csv(rows, fh)
@@ -335,7 +368,7 @@ def guarded(fn) -> int:
 def _run(args) -> None:
     """Resolve the ground set when the command takes one, run the handler, and
     write the report it returns, headed by `op` and by the set's field and size."""
-    X = resolve_set(args, FieldSpec.parse(args.field)) if "set_path" in args else None
+    X = resolve_set(args, FieldSpec.parse(args.field)) if _SET_DEST in args else None
     report = args.func(args, X)
     if report is None:
         return

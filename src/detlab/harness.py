@@ -157,8 +157,9 @@ class ResultCache:
     def _load(self) -> dict:
         if self._rows is None:
             self._rows = {}
-            # bytes: a line that is not UTF-8 fails json.loads with a
-            # ValueError and is skipped like any other corrupt line
+            # bytes, decoded per line: a line that is not UTF-8 raises
+            # UnicodeDecodeError (a ValueError) and is skipped like any
+            # other corrupt line
             try:
                 fh = open(self.path, "rb")
             except FileNotFoundError:
@@ -169,7 +170,7 @@ class ResultCache:
                     if not line:
                         continue
                     try:
-                        obj = json.loads(line)
+                        obj = json.loads(line.decode("utf-8"))
                         self._rows[obj["key"]] = ScanRow.from_json_dict(obj["row"])
                     except (ValueError, KeyError, TypeError):
                         warnings.warn(f"{self.path}:{lineno}: skipping corrupt cache line")
@@ -316,19 +317,18 @@ def read_jsonl(stream) -> list[ScanRow]:
     PreconditionError naming the file and line, and a report that is not
     UTF-8 text raises it naming the file."""
     name = getattr(stream, "name", "report")
+    rows = []
     try:
-        text = stream.read()
+        for lineno, line in enumerate(stream, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rows.append(ScanRow.from_json_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError):
+                raise PreconditionError(f"{name}:{lineno}: not a scan row") from None
     except UnicodeDecodeError:
         raise PreconditionError(f"{name}: not UTF-8 text") from None
-    rows = []
-    for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append(ScanRow.from_json_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError):
-            raise PreconditionError(f"{name}:{lineno}: not a scan row") from None
     return rows
 
 

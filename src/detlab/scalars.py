@@ -339,17 +339,16 @@ def scale_set(X: GroundSet, c) -> GroundSet:
 def read_ground_set_file(path, field: FieldSpec) -> GroundSet:
     """One scalar per line; '#' comment lines and blank lines are ignored. A
     file that is not UTF-8 text raises PreconditionError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise PreconditionError(f"{path}: not UTF-8 text") from None
     values = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        values.append(parse_scalar(line, field))
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                values.append(parse_scalar(line, field))
+        except UnicodeDecodeError:
+            raise PreconditionError(f"{path}: not UTF-8 text") from None
     if not values:
         raise PreconditionError(f"no scalars found in {path}")
     return make_ground_set(values, field)

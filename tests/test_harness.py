@@ -206,6 +206,21 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert row == make_row()
 
 
+@pytest.mark.parametrize("encode", [
+    lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+    lambda text: text.encode("utf-16"),
+    lambda text: text.encode("utf-32"),
+], ids=["utf-8-bom", "utf-16", "utf-32"])
+def test_cache_skips_lines_that_are_not_plain_utf8(tmp_path, encode):
+    path = tmp_path / "cache.jsonl"
+    key = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational")
+    good = json.dumps({"key": key, "version": ARTIFACT_VERSION, "row": make_row().to_json_dict()})
+    path.write_bytes(encode(good) + b"\n")
+    cache = ResultCache(path)
+    with pytest.warns(UserWarning, match=":1: skipping corrupt cache line"):
+        assert cache.get(key) is None
+
+
 def test_cache_key_includes_version():
     a = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational", version="1")
     b = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational", version="2")
