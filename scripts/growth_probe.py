@@ -26,7 +26,7 @@ from detlab.scalars import FieldSpec
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--sizes", default="4:8:2", type=parse_sizes,
+    ap.add_argument("--sizes", default="4:8:2",
                     help="sizes to scan (lo:hi[:step] or comma list)")
     ap.add_argument("--n", type=int, default=3, help="matrix dimension")
     ap.add_argument("--engine", default="rowblock", choices=tuple(COUNT_ENGINES))
@@ -37,7 +37,7 @@ def main():
     ap.add_argument("--cache", default=None, help="JSONL result cache")
     args = ap.parse_args()
 
-    sizes = args.sizes
+    sizes = parse_sizes(args.sizes)
     threads = resolve_threads(args.threads)
     cache = ResultCache(args.cache) if args.cache else None
     field = FieldSpec.rationals()

@@ -24,7 +24,7 @@ def main():
     add_set_source(ap)
     ap.set_defaults(family="interval", size=4, start="1", step="1")
     ap.add_argument("--n", type=int, default=3)
-    ap.add_argument("--field", default="rational", type=FieldSpec.parse, help="rational or fp:<p>")
+    ap.add_argument("--field", default="rational", help="rational or fp:<p>")
     ap.add_argument("--engine", default="rowblock", choices=tuple(SPECTRUM_ENGINES))
     ap.add_argument("--top", type=int, default=8, help="how many heaviest classes to print")
     ap.add_argument("--threads", type=int, default=None)
@@ -32,7 +32,7 @@ def main():
     ap.add_argument("--ranks", action="store_true", help="also print the exact rank profile")
     args = ap.parse_args()
 
-    field = args.field
+    field = FieldSpec.parse(args.field)
     X = resolve_set(args, field)
 
     n = args.n

@@ -16,16 +16,13 @@ from .scalars import (
 from .matrices import Matrix, adjugate, assemble_bordered, det, det_cofactor, rank, schur_value
 from .families import FamilySpec, generate
 from .detcount import (
-    DecompositionCounts,
     MinorMultiplicityMap,
     SpectrumHistogram,
-    count_decomposition,
     count_det_brute,
     count_det_rowblock,
     count_rank,
     det_spectrum,
     dsup,
-    find_witness,
     minor_multiplicity_map,
 )
 from .energy import (

@@ -1,4 +1,4 @@
-"""Counting engines for determinant spectra, rank counts, and block decompositions.
+"""Counting engines for determinant spectra and rank counts.
 
 Counts are plain Python ints (arbitrary precision). Two independent routes are
 always available: full enumeration with a definition-level determinant (the
@@ -17,8 +17,7 @@ walk it saved.
 At n = 2 the rowblock engines walk no cofactor classes: D_2(X, d) is the
 difference-correlation of the lifted pair products P(t) = #{uv = t}, read
 at d by `_conv_n2` (|X|^2 steps where the linear-form kernel takes |X|^3)
-and everywhere by `_cross_terms`. The n = 2 `minor_multiplicity_map`
-tallies the |X|^2 vectors (b, -a) directly. Nor does the singular n = 3
+and everywhere by `_cross_terms`. Nor does the singular n = 3
 count (lifted target 0): `_singular_n3` projects X^3 along each top row,
 one sorted row per primitive direction, and counts the pairs of points on
 one line through the origin, in |X|^3 steps per direction and memory flat
@@ -67,10 +66,9 @@ weighted pair keys over the same prefix trie, from the leaves up to the
 root, one first entry's subtree at a time. The oracles of those routes use
 none of the kernel, the fold, the class walk, the pair-product correlation
 or the lift:
-`count_det_brute`, `_spectrum_brute`, `find_witness`, `count_rank`,
-`count_decomposition`, `energy.count_bilinear_brute`,
-`incidence.incidences_brute`, the `energy_*_brute` counts and the direct half
-of `curve_incidences_n3`.
+`count_det_brute`, `_spectrum_brute`, `count_rank`,
+`energy.count_bilinear_brute`, `incidence.incidences_brute`, the
+`energy_*_brute` counts and the direct half of `curve_incidences_n3`.
 
 Each public call makes one `errors.Meter`, named for itself, and passes it
 to the class walk, the kernel, the projection and the brute histogram;
@@ -88,7 +86,7 @@ from itertools import chain, repeat
 from operator import add, getitem, neg
 
 from .errors import Meter, PreconditionError
-from .matrices import Matrix, _det_rows, _eliminate
+from .matrices import _det_rows, _eliminate
 from .scalars import GroundSet, IntLift, Scalar, int_lift
 
 
@@ -234,19 +232,6 @@ class MinorMultiplicityMap:
 
     def total_mass(self) -> int:
         return sum(self.entries.values()) + self.zero_count
-
-
-@dataclass(frozen=True)
-class DecompositionCounts:
-    """Det-d matrices split by the bordered form: corner entry zero, corner
-    nonzero with singular leading block, corner nonzero with regular block."""
-
-    x_zero: int
-    y_singular: int
-    y_regular: int
-
-    def total(self) -> int:
-        return self.x_zero + self.y_singular + self.y_regular
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +492,12 @@ def _pair_vectors(key, p: int | None) -> set:
 def minor_multiplicity_map(
     X: GroundSet, n: int, *, budget: int | None = None, threads: int = 1
 ) -> MinorMultiplicityMap:
-    """Cofactor table of X keyed by canonical field scalars: at n >= 3 the
-    pairs of `_class_table` expanded into their vectors and lowered once
-    per distinct key (an integral rational set's ints are kept); at n = 2,
-    which has no row swap, the vectors (b, -a) of the |X|^2 rows (a, b).
-    Walked in-process; `threads` is accepted and unused."""
-    if n < 2:
-        raise PreconditionError("minor_multiplicity_map needs n >= 2")
-    if n == 2:
-        Meter(budget, "minor_multiplicity_map").charge(len(X) ** 2)
-        table = Counter((b, -a) for a, b in itertools.product(X.elements, repeat=2))
-        z = X.field.zero()
-        return MinorMultiplicityMap(n, X, table, table.pop((z, z), 0))
+    """Cofactor table of X keyed by canonical field scalars: the pairs of
+    `_class_table` expanded into their vectors and lowered once per
+    distinct key (an integral rational set's ints are kept). Walked
+    in-process; `threads` is accepted and unused."""
+    if n < 3:
+        raise PreconditionError("minor_multiplicity_map needs n >= 3")
     lift = int_lift(X)
     pairs, zero = _class_table(lift, n, Meter(budget, "minor_multiplicity_map"))
     table: dict = {}
@@ -809,18 +788,8 @@ def dsup(
     return det_spectrum(X, n, engine, budget=budget, threads=threads).argmax(exclude_zero)
 
 
-def find_witness(X: GroundSet, n: int, d, *, budget: int | None = None) -> Matrix | None:
-    """First enumerated matrix with determinant d, or None."""
-    Meter(budget, "find_witness").charge(len(X) ** (n * n))
-    target = X.field.coerce(d)
-    for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=n):
-        if _det_rows(rows) == target:
-            return Matrix(n, n, tuple(v for r in rows for v in r), X.field)
-    return None
-
-
 # ---------------------------------------------------------------------------
-# rank counting and bordered decomposition
+# rank counting
 
 
 def count_rank(X: GroundSet, m: int, n: int, r: int, *, budget: int | None = None) -> int:
@@ -833,28 +802,3 @@ def count_rank(X: GroundSet, m: int, n: int, r: int, *, budget: int | None = Non
         if _eliminate(rows)[0] == r:
             count += 1
     return count
-
-
-def count_decomposition(
-    X: GroundSet, n: int, d, *, budget: int | None = None
-) -> DecompositionCounts:
-    """Partition the det-d matrices by the bordered block form: corner entry
-    x = 0, then x != 0 split by whether the leading (n-1) block is singular."""
-    if n < 2:
-        raise PreconditionError("decomposition needs dimension >= 2")
-    Meter(budget, "count_decomposition").charge(len(X) ** (n * n))
-    target = X.field.coerce(d)
-    x_zero = y_sing = y_reg = 0
-    for rows in itertools.product(itertools.product(X.elements, repeat=n), repeat=n):
-        if _det_rows(rows) != target:
-            continue
-        corner = rows[-1][-1]
-        if not corner:
-            x_zero += 1
-            continue
-        block = tuple(r[: n - 1] for r in rows[: n - 1])
-        if _det_rows(block):
-            y_reg += 1
-        else:
-            y_sing += 1
-    return DecompositionCounts(x_zero, y_sing, y_reg)

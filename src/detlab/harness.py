@@ -13,8 +13,8 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, Meter, PreconditionError
@@ -173,7 +173,8 @@ class ResultCache:
                         obj = json.loads(line.decode("utf-8"))
                         self._rows[obj["key"]] = ScanRow.from_json_dict(obj["row"])
                     except (ValueError, KeyError, TypeError):
-                        warnings.warn(f"{self.path}:{lineno}: skipping corrupt cache line")
+                        print(f"warning: {self.path}:{lineno}: skipping corrupt cache line",
+                              file=sys.stderr)
         return self._rows
 
     def get(self, key: str) -> ScanRow | None:

@@ -18,17 +18,15 @@ from detlab.detcount import (
     _count_forms,
     _mirror,
     _perms,
-    count_decomposition,
     count_det_brute,
     count_det_rowblock,
     count_rank,
     det_spectrum,
     dsup,
-    find_witness,
     minor_multiplicity_map,
 )
 from detlab.energy import dyadic_pyramid, energy_Estar_mu
-from detlab.matrices import _det_rows, det
+from detlab.matrices import _det_rows
 from detlab.scalars import FieldSpec, int_lift, make_ground_set, scale_set
 
 from conftest import QQ, F7, int_ground_sets, fraction_ground_sets, small_fractions
@@ -54,13 +52,14 @@ def test_rowblock_examples():
 
 def test_rowblock_rejects_n1():
     # the cofactor walk starts at n = 3; each rowblock engine checks its own
-    # bound n >= 2
+    # bound n >= 2, and the cofactor table, which only the walk fills, n >= 3
     for n in (0, 1):
         with pytest.raises(PreconditionError, match="n >= 2"):
             count_det_rowblock(X12, n, 0)
         with pytest.raises(PreconditionError, match="n >= 2"):
             det_spectrum(X12, n, "rowblock")
-        with pytest.raises(PreconditionError, match="n >= 2"):
+    for n in (0, 1, 2):
+        with pytest.raises(PreconditionError, match="n >= 3"):
             minor_multiplicity_map(X12, n)
 
 
@@ -153,14 +152,6 @@ def test_spectrum_prime_field(X, n):
     # 2*2 - 1*1 = 3 and 4*4 - 1*1 = 15 that vanish mod p; at n = 4 the fold
     # reduces mod p on three levels of class-key prefixes
     _assert_rowblock_matches_brute(X, n)
-
-
-def test_spectrum_witness():
-    spec = det_spectrum(X12, 2, "brute")
-    for d in spec.entries:
-        w = find_witness(X12, 2, d)
-        assert w is not None and det(w) == d
-    assert find_witness(X12, 2, 99) is None
 
 
 def test_dsup_examples():
@@ -347,27 +338,6 @@ def test_rank_partition(X, n):
     assert count_rank(X, n, n, n) == len(X) ** (n * n) - singular
 
 
-def test_decomposition_examples():
-    parts = count_decomposition(X12, 2, 0)
-    assert parts.total() == 6
-    assert parts.x_zero == 0  # no zero in X
-
-    X01 = make_ground_set([0, 1], QQ)
-    parts = count_decomposition(X01, 2, 1)
-    assert parts.x_zero == 0  # [[a,b],[c,0]] needs -bc = 1, impossible over {0,1}
-    assert parts.total() == count_det_brute(X01, 2, 1)
-
-    parts = count_decomposition(make_ground_set([1], QQ), 3, 0)
-    assert (parts.x_zero, parts.y_singular, parts.y_regular) == (0, 1, 0)
-
-
-@given(int_ground_sets(max_size=3, lo=-2, hi=3), st.integers(-2, 2))
-@settings(max_examples=25)
-def test_decomposition_sums_to_brute(X, d):
-    parts = count_decomposition(X, 2, d)
-    assert parts.total() == count_det_brute(X, 2, d)
-
-
 def _cofactor_vector(block, n):
     """Signed first-row cofactors from the bottom (n-1) x n block."""
     out = []
@@ -397,7 +367,7 @@ def test_minor_map_mass():
     )
     for X in sets:
         # n = 4 at |X| = 3 is 3^12 oracle blocks, too slow in field scalars
-        for n in (2, 3, 4) if len(X) <= 2 else (2, 3):
+        for n in (3, 4) if len(X) <= 2 else (3,):
             mm = minor_multiplicity_map(X, n)
             assert mm.total_mass() == len(X) ** (n * (n - 1))
             direct = _cofactor_tally(X, n)

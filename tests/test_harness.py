@@ -195,15 +195,17 @@ def test_cache_keys_are_pinned(tmp_path):
     ]
 
 
-def test_cache_skips_corrupt_lines(tmp_path):
+def test_cache_skips_corrupt_lines(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     key = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational")
     good = json.dumps({"key": key, "version": ARTIFACT_VERSION, "row": make_row().to_json_dict()})
     path.write_text("{not json\n" + good + "\n[]\n", encoding="utf-8")
     cache = ResultCache(path)
-    with pytest.warns(UserWarning):
-        row = cache.get(key)
-    assert row == make_row()
+    assert cache.get(key) == make_row()
+    # one plain line per skipped line, and nothing else
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {path}:{lineno}: skipping corrupt cache line" for lineno in (1, 3)
+    ]
 
 
 @pytest.mark.parametrize("encode", [
@@ -211,14 +213,14 @@ def test_cache_skips_corrupt_lines(tmp_path):
     lambda text: text.encode("utf-16"),
     lambda text: text.encode("utf-32"),
 ], ids=["utf-8-bom", "utf-16", "utf-32"])
-def test_cache_skips_lines_that_are_not_plain_utf8(tmp_path, encode):
+def test_cache_skips_lines_that_are_not_plain_utf8(tmp_path, capsys, encode):
     path = tmp_path / "cache.jsonl"
     key = scan_key("interval", {}, None, 2, 2, "zero", "0", "rowblock", "rational")
     good = json.dumps({"key": key, "version": ARTIFACT_VERSION, "row": make_row().to_json_dict()})
     path.write_bytes(encode(good) + b"\n")
     cache = ResultCache(path)
-    with pytest.warns(UserWarning, match=":1: skipping corrupt cache line"):
-        assert cache.get(key) is None
+    assert cache.get(key) is None
+    assert capsys.readouterr().err.splitlines() == [f"warning: {path}:1: skipping corrupt cache line"]
 
 
 def test_cache_key_includes_version():
