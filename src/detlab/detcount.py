@@ -21,7 +21,8 @@ and everywhere by `_cross_terms`. Nor does the singular n = 3
 count (lifted target 0): `_singular_n3` projects X^3 along each top row,
 one sorted row per primitive direction, and counts the pairs of points on
 one line through the origin, in |X|^3 steps per direction and memory flat
-in |X|.
+in |X|. One row's count is `_singular_pairs`; its second caller is the
+direct half of `incidence.curve_incidences_n3`, at the row (1, 1, 1).
 
 The one cofactor walk is `_class_table`, at n >= 3: on the set lifted to
 plain ints by `scalars.int_lift` (L*X over Q, residues over F_p) it tallies
@@ -67,8 +68,12 @@ root, one first entry's subtree at a time. The oracles of those routes use
 none of the kernel, the fold, the class walk, the pair-product correlation
 or the lift:
 `count_det_brute`, `_spectrum_brute`, `count_rank`,
-`energy.count_bilinear_brute`, `incidence.incidences_brute`, the
-`energy_*_brute` counts and the direct half of `curve_incidences_n3`.
+`energy.count_bilinear_brute`, `incidence.incidences_brute` and the
+`energy_*_brute` counts. The direct half of `curve_incidences_n3`, the
+curve half's check, uses none of the kernel, but shares `_singular_pairs`
+and the lift with `_singular_n3`; the six-variable loop
+`tests/test_incidence.py::_curve_solutions` stays the lift-free oracle of
+both halves.
 
 Each public call makes one `errors.Meter`, named for itself, and passes it
 to the class walk, the kernel, the projection and the brute histogram;
@@ -586,23 +591,15 @@ def _count_by_classes(lift: IntLift, n: int, target: int, meter: Meter) -> int:
 
 def _singular_n3(elems, p: int | None, meter: Meter) -> int:
     """D_3(X, 0) on the lifted ints `elems` (residues mod `p` over F_p), by
-    projecting along the top row t. For t != 0 with t_k != 0 and the other
-    indices a, b, the functionals alpha = t_k e_a - t_a e_k and
-    beta = t_k e_b - t_b e_k vanish exactly on the span of t, so [t; u; r] is
-    singular iff (alpha, beta) maps u and r onto one line through the
-    origin. With J the tally of (alpha(u), beta(u)) over u in X^3,
-    Z = J(0, 0) and M_l its mass on each line l, t gives
-    2 Z |X|^3 - Z^2 + sum_l M_l^2, and t = 0 gives |X|^6. The count of t
-    does not change under a column permutation, which fixes X^3, nor under
-    t -> g*t for g != 0, so the walk takes the sorted rows, each weighted by
-    its orderings (`_perms`), and merges those of one direction: over Q
-    the gcd-reduced row, keyed by the smaller of it and its negation sorted
+    projecting along the top row t: `_singular_pairs` counts the (u, r) of
+    each t != 0, and t = 0 gives |X|^6. The count of t does not change
+    under a column permutation, which fixes X^3, nor under t -> g*t for
+    g != 0, so the walk takes the sorted rows, each weighted by its
+    orderings (`_perms`), and merges those of one direction: over Q the
+    gcd-reduced row, keyed by the smaller of it and its negation sorted
     (`_mirror`); over F_p the row scaled by the inverse of its first nonzero
-    residue, sorted. A point of J is keyed by its line the same way: over Q
-    divided by the gcd of its coordinates, signed so that the first nonzero
-    one is positive; over F_p its slope beta/alpha, and p for alpha = 0. The
-    `meter` is charged C(|X| + 2, 3) sorted rows before the walk, then |X|^3
-    per direction before the tallies J are built."""
+    residue, sorted. The `meter` is charged C(|X| + 2, 3) sorted rows before
+    the walk, then |X|^3 per direction before the tallies J are built."""
     B = len(elems)
     cube = B**3
     meter.charge(math.comb(B + 2, 3))
@@ -628,29 +625,45 @@ def _singular_n3(elems, p: int | None, meter: Meter) -> int:
     meter.charge(len(directions) * cube)
     total = zero * cube * cube
     for t, w in directions.items():
-        k = next(i for i in range(3) if t[i])
-        a, b = (i for i in range(3) if i != k)
-        J = Counter()
-        for z in elems:
-            xs = [t[k] * x - t[a] * z for x in elems]
-            ys = [t[k] * y - t[b] * z for y in elems]
-            if p:
-                xs, ys = [x % p for x in xs], [y % p for y in ys]
-            J.update(itertools.product(xs, ys))
-        Z = J.pop((0, 0), 0)
-        lines: dict = {}
-        get = lines.get
-        for (x, y), c in J.items():
-            if p:
-                key = y * pow(x, -1, p) % p if x else p
-            else:
-                g = math.gcd(x, y)
-                if x < 0 or not x and y < 0:
-                    g = -g
-                key = (x // g, y // g)
-            lines[key] = get(key, 0) + c
-        total += w * (2 * Z * cube - Z * Z + sum([m * m for m in lines.values()]))
+        total += w * _singular_pairs(t, elems, p)
     return total
+
+
+def _singular_pairs(t, elems, p: int | None) -> int:
+    """#{(u, r) in X^3 x X^3 : det[t; u; r] = 0} for one row t != 0 of
+    plain ints, on the lifted ints `elems` (residues mod `p` over F_p). With
+    t_k != 0 and the other indices a, b, the functionals
+    alpha = t_k e_a - t_a e_k and beta = t_k e_b - t_b e_k vanish exactly on
+    the span of t, so [t; u; r] is singular iff (alpha, beta) maps u and r
+    onto one line through the origin. With J the tally of
+    (alpha(u), beta(u)) over u in X^3, Z = J(0, 0) and M_l its mass on each
+    line l, the count is 2 Z |X|^3 - Z^2 + sum_l M_l^2. A point of J is
+    keyed by its line: over Q divided by the gcd of its coordinates, signed
+    so that the first nonzero one is positive; over F_p its slope
+    beta/alpha, and p for alpha = 0. It charges nothing: its callers charge
+    |X|^3 per row."""
+    k = next(i for i in range(3) if t[i])
+    a, b = (i for i in range(3) if i != k)
+    J = Counter()
+    for z in elems:
+        xs = [t[k] * x - t[a] * z for x in elems]
+        ys = [t[k] * y - t[b] * z for y in elems]
+        if p:
+            xs, ys = [x % p for x in xs], [y % p for y in ys]
+        J.update(itertools.product(xs, ys))
+    Z = J.pop((0, 0), 0)
+    lines: dict = {}
+    get = lines.get
+    for (x, y), c in J.items():
+        if p:
+            key = y * pow(x, -1, p) % p if x else p
+        else:
+            g = math.gcd(x, y)
+            if x < 0 or not x and y < 0:
+                g = -g
+            key = (x // g, y // g)
+        lines[key] = get(key, 0) + c
+    return 2 * Z * len(elems) ** 3 - Z * Z + sum([m * m for m in lines.values()])
 
 
 def _pair_products(elems, p: int | None = None) -> Counter:

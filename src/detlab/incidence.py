@@ -9,9 +9,10 @@ brute incidence counting applies.
 A normalized plane <a, x> = b is plain ints in both fields: the coprime
 integer vector (a, b) with a positive lead over Q, the residues with lead one
 over F_p. The linear-form kernel runs on the lifted ground set
-(`scalars.int_lift`). The points on a plane and the direct half of
-`curve_incidences_n3` solve their linear equation for its last variable by a
-table lookup, in field arithmetic on the ground set's elements; the oracle
+(`scalars.int_lift`), and so does the direct half of `curve_incidences_n3`,
+the projection `detcount._singular_pairs` along (1, 1, 1). The points on a
+plane solve their linear equation for its last variable by a table lookup,
+in field arithmetic on the ground set's elements; the oracle
 `incidences_brute` tests every point.
 """
 
@@ -20,14 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
-from operator import add
+from operator import getitem
 
 from .errors import Meter, PreconditionError
-from .detcount import _class_table, _count_forms, _pair_vectors
+from .detcount import _class_table, _count_forms, _pair_vectors, _singular_pairs
 from .matrices import _eliminate
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -251,18 +250,22 @@ def classify_incidences(
     otherwise degenerate. Tallies always sum to the brute incidence count.
     Each plane's points come from `_points_on_plane`, which solves for the
     last coordinate in field arithmetic; the budget is charged that solve per
-    plane: the table over the last axis plus one lookup per prefix."""
+    plane: the table over the last axis plus one lookup per prefix. A
+    point's cell is read from one table per axis built once per call,
+    {x: bisect_left(cuts, x)} over the axis's elements (`cell_of` once per
+    element), with no cut search per point."""
     if planes.k != P.k:
         raise PreconditionError("hyperplane dimension differs from grid dimension")
     *rest, last = P.sizes
     Meter(budget, "classify_incidences").charge((last + math.prod(rest)) * len(planes))
     D = cell_decompose(P, r)
     k = P.k
+    cells = [{x: bisect_left(cuts, x) for x in ax.elements} for cuts, ax in zip(D.cuts, P.axes)]
     i1 = i2 = i3 = 0
     for plane in planes:
         by_cell: dict = {}
         for point in _points_on_plane(P, plane):
-            by_cell.setdefault(D.cell_of(point), []).append(point)
+            by_cell.setdefault(tuple(map(getitem, cells, point)), []).append(point)
         for pts in by_cell.values():
             if len(pts) <= k - 1:
                 i1 += len(pts)
@@ -375,31 +378,21 @@ def planes_from_minors(
 
 def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     """Solutions of u1*(v2-w2) - u2*(v1-w1) + v1*w2 - v2*w1 = 0 over U^6,
-    counted both directly and as point/quadratic-curve incidences. The
-    direct half solves for u2 in field arithmetic on U's elements: for each
-    (v1, v2, w1, w2) and u1 it looks up u1*(v2-w2) + v1*w2 - v2*w1 in the
-    table {u*b: count} of b = v1 - w1 (b = 0 gives {0: |U|}), shifting the
-    list [u1*c for u1 in U] of c = v2 - w2; both are built once per distinct
-    difference. The curve half makes each fixed (a, b, c, t) the form
-    ((t-c, b-a), t*b - a*c, 1) of the linear-form kernel, which counts the
-    (r, q) on that curve, on the lifted set: the equation is homogeneous of
-    degree 2, so scaling U by L keeps its solutions. The budget is charged
-    |U|^5 lookups and 2|U| steps per distinct difference (its table and its
-    list) before the direct half, then the kernel's steps on the same meter.
-    The two tallies must agree."""
+    counted both directly and as point/quadratic-curve incidences. Both
+    halves run on the lifted set: the equation is homogeneous of degree 2,
+    so scaling U by L keeps its solutions. The equation is
+    det[(1, 1, 1); (u1, v1, w1); (u2, v2, w2)] = 0, so the direct half is
+    `_singular_pairs` at the top row (1, 1, 1), the projection of X^3 that
+    `count_det_rowblock` runs per direction at n = 3 and d = 0. The curve
+    half makes each fixed (a, b, c, t) the form ((t-c, b-a), t*b - a*c, 1)
+    of the linear-form kernel, which counts the (r, q) on that curve. The
+    budget is charged |U|^3 for the direct half's tally before it runs,
+    then the kernel's steps on the same meter. The two tallies must
+    agree."""
     meter = Meter(budget, "curve_incidences_n3")
-    E = U.elements
-    diffs = {v - w for v in E for w in E}
-    meter.charge(len(E) ** 5 + 2 * len(E) * len(diffs))
-    tables = {b: Counter(u * b for u in E) for b in diffs}
-    multiples = {c: [u * c for u in E] for c in diffs}
-    direct = 0
-    for v1, w1 in itertools.product(E, repeat=2):
-        get = tables[v1 - w1].get
-        for v2, w2 in itertools.product(E, repeat=2):
-            s = v1 * w2 - v2 * w1
-            direct += sum(map(get, map(add, multiples[v2 - w2], repeat(s)), repeat(0)))
     lift = int_lift(U)
+    meter.charge(len(lift.elements) ** 3)
+    direct = _singular_pairs((1, 1, 1), lift.elements, lift.modulus)
     forms = (
         ((t - c, b - a), t * b - a * c, 1)
         for a, b, c, t in itertools.product(lift.elements, repeat=4)

@@ -25,6 +25,7 @@ from detlab.incidence import (
     normalize_plane,
     planes_from_minors,
 )
+from detlab.matrices import _eliminate
 from detlab.scalars import FieldSpec, make_ground_set
 
 from conftest import QQ, F7, fraction_ground_sets, int_ground_sets
@@ -497,8 +498,8 @@ def _residue_sets(max_size=4):
 @example(make_ground_set([0, 3, 5, 6], F7))
 @settings(max_examples=40)
 def test_curve_count_matches_six_variable_loop(U):
-    # the direct half solves for u2 by table lookup; the literal loop tries
-    # every u2, and the curve half must agree with both
+    # the direct half projects the lifted X^3 along (1, 1, 1); the literal
+    # loop tries every point of U^6, and the curve half must agree with both
     assert curve_incidences_n3(U) == _curve_solutions(U)
 
 
@@ -507,6 +508,15 @@ def test_curve_double_count_stays_live(monkeypatch):
     count_forms = incidence._count_forms
     monkeypatch.setattr(incidence, "_count_forms", lambda *args: count_forms(*args) + 1)
     for U in (X012, HALVES, Y124):
+        with pytest.raises(AssertionError, match="curve double count disagrees"):
+            curve_incidences_n3(U)
+
+
+def test_curve_direct_half_stays_live(monkeypatch):
+    # a direct half that is off by one must make the double count raise
+    singular_pairs = incidence._singular_pairs
+    monkeypatch.setattr(incidence, "_singular_pairs", lambda *args: singular_pairs(*args) + 1)
+    for U in (X012, HALVES, Y124, make_ground_set([0, 3, 5, 6], F7)):
         with pytest.raises(AssertionError, match="curve double count disagrees"):
             curve_incidences_n3(U)
 
@@ -579,6 +589,58 @@ def test_classify_sums_to_brute_on_halves_grid():
                 assert out.i1 + out.i2 + out.i3 == brute, (X, d, r)
 
 
+def _classes_by_cell_of(P, planes, r):
+    """Oracle for the cell tables of `classify_incidences`: each plane's
+    points (the literal filter) grouped by `D.cell_of`, then ranked the same
+    way, sparse below k points, else spanning or degenerate by the rank of
+    their differences."""
+    D = cell_decompose(P, r)
+    k = P.k
+    i1 = i2 = i3 = 0
+    for plane in planes:
+        by_cell: dict = {}
+        for point in _literal_points_on_plane(P, plane):
+            by_cell.setdefault(D.cell_of(point), []).append(point)
+        for pts in by_cell.values():
+            if len(pts) < k:
+                i1 += len(pts)
+            elif _eliminate([[a - b for a, b in zip(q, pts[0])] for q in pts[1:]])[0] == k - 1:
+                i2 += len(pts)
+            else:
+                i3 += len(pts)
+    return i1, i2, i3
+
+
+def _mixed_axes_lines():
+    # the grid of test_no_point_on_any_cut_and_coverage, with lines through
+    # its points of every small slope, axis-parallel ones among them
+    grid = PointGrid((make_ground_set([Fraction(1, 3), Fraction(1, 2), 1, 2, Fraction(7, 3), 3], QQ),
+                      make_ground_set([0, 1, 5], QQ)))
+    raw = [((a, b), a * x + b * y) for a in range(-2, 3) for b in range(-2, 3) if a or b
+           for x, y in grid.points()]
+    return grid, fam(raw)
+
+
+def _minor_plane_grids():
+    # the halves grids of test_classify_sums_to_brute_on_halves_grid, and
+    # interval 4 with its d = 0 planes
+    for X, ds in (
+        (HALVES, (0, Fraction(1, 2))),
+        (make_ground_set([Fraction(k, 2) for k in range(-2, 3)], QQ), (0, Fraction(1, 2))),
+        (make_ground_set(range(1, 5), QQ), (0,)),
+    ):
+        for d in ds:
+            yield cube_grid(X, 3), planes_from_minors(X, d).family
+
+
+@pytest.mark.parametrize("grid, planes", [*_minor_plane_grids(), _mixed_axes_lines()])
+def test_classify_cell_tables_match_cell_of(grid, planes):
+    # the cells come from one table per axis; the oracle calls cell_of per point
+    for r in range(1, grid.min_size + 1):
+        out = classify_incidences(grid, planes, r)
+        assert (out.i1, out.i2, out.i3) == _classes_by_cell_of(grid, planes, r), r
+
+
 def test_nondegeneracy_ratio():
     grid = cube_grid(X012, 2)
     plane = normalize_plane((1, 1), 2, QQ)
@@ -639,37 +701,37 @@ def test_minor_plane_incidences_budget_is_the_kernel_charge():
 
 
 def test_curve_incidences_budget_is_direct_plus_kernel():
-    # interval 3: the direct half does 3^5 = 243 lookups, after building
-    # for each of the 5 distinct differences its table {u*b: count} and its
-    # list [u*c], 3 steps each (243 + 30 = 273); then 81 curve forms
-    # ((t-c, b-a), t*b - a*c), each sorted, negated when its larger entry
-    # exceeds minus its smaller, merge into 19 forms whose prefixes take 5
-    # distinct values: 3 * 5 steps for their distributions and 3 lookups
-    # per merged form (57): 273 + 15 + 57 = 345.
+    # interval 3: the direct half tallies the projection of the 3^3 = 27
+    # points along (1, 1, 1); then 81 curve forms ((t-c, b-a), t*b - a*c),
+    # each sorted, negated when its larger entry exceeds minus its smaller,
+    # merge into 19 forms whose prefixes take 5 distinct values: 3 * 5 steps
+    # for their distributions and 3 lookups per merged form (57):
+    # 27 + 15 + 57 = 99.
     U = make_ground_set([1, 2, 3], QQ)
-    count = curve_incidences_n3(U, budget=345)
+    count = curve_incidences_n3(U, budget=99)
     assert count == curve_incidences_n3(U)
     # the refusal at pin - 1 reports both halves' total
     with pytest.raises(BudgetExceededError) as exc:
-        curve_incidences_n3(U, budget=344)
-    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (345, 344, "curve_incidences_n3")
+        curve_incidences_n3(U, budget=98)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (99, 98, "curve_incidences_n3")
 
 
 def test_curve_incidences_prime_field_budget():
     # over F_p the kernel reduces the curve forms ((t-c, b-a), t*b - a*c)
     # mod p, so forms equal mod p merge: over all of F_7 the total is
-    # 7^5 + 2 * 7 * 7 (the direct half) plus the kernel's 1,379 steps
+    # 7^3 = 343 (the direct half) plus the kernel's 1,379 steps
     U = make_ground_set(range(7), F7)
-    assert curve_incidences_n3(U, budget=18_284) == 18_865
+    assert curve_incidences_n3(U, budget=1_722) == 18_865
     with pytest.raises(BudgetExceededError) as exc:
-        curve_incidences_n3(U, budget=18_283)
-    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (18_284, 18_283, "curve_incidences_n3")
+        curve_incidences_n3(U, budget=1_721)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (1_722, 1_721, "curve_incidences_n3")
     # over F_101 the entries of interval 10's forms lie in (-10, 10), so
-    # no two of them are equal mod 101 unless equal as ints
+    # no two of them are equal mod 101 unless equal as ints: 10^3 = 1,000
+    # for the direct half plus the kernel's 32,070 steps
     U = make_ground_set(range(1, 11), FieldSpec.prime(101))
-    assert curve_incidences_n3(U, budget=132_450) == 56_488
+    assert curve_incidences_n3(U, budget=33_070) == 56_488
     with pytest.raises(BudgetExceededError):
-        curve_incidences_n3(U, budget=132_449)
+        curve_incidences_n3(U, budget=33_069)
 
 
 def test_classify_budget_is_the_last_coordinate_solve():
