@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import getitem
 
 from .errors import Meter, PreconditionError
-from .detcount import _class_table, _count_forms, _pair_vectors, _singular_pairs
+from .detcount import _class_table, _count_forms, _count_groups, _orient, _pair_vectors, _singular_pairs
 from .matrices import _eliminate
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -386,18 +387,34 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     `count_det_rowblock` runs per direction at n = 3 and d = 0. The curve
     half makes each fixed (a, b, c, t) the form ((t-c, b-a), t*b - a*c, 1)
     of the linear-form kernel, which counts the (r, q) on that curve. The
-    budget is charged |U|^3 for the direct half's tally before it runs,
-    then the kernel's steps on the same meter. The two tallies must
-    agree."""
+    |U|^4 forms share at most (2|U| - 1)^2 directions (t-c, b-a), mod p
+    over F_p: the pairs of U^2 are grouped by their difference, each
+    direction's offsets are tallied at once, and `_orient` orients the
+    direction once for all of them, by the rule `_count_forms` applies
+    form by form, so `_count_groups` gets the same merged forms and
+    charges the same steps. The budget is charged |U|^3 for the direct
+    half's tally before it runs, then the kernel's steps on the same meter.
+    The two tallies must agree."""
     meter = Meter(budget, "curve_incidences_n3")
     lift = int_lift(U)
+    p = lift.modulus
     meter.charge(len(lift.elements) ** 3)
-    direct = _singular_pairs((1, 1, 1), lift.elements, lift.modulus)
-    forms = (
-        ((t - c, b - a), t * b - a * c, 1)
-        for a, b, c, t in itertools.product(lift.elements, repeat=4)
-    )
-    via_curves = _count_forms(forms, lift.elements, lift.modulus, meter)
+    direct = _singular_pairs((1, 1, 1), lift.elements, p)
+    # the pairs (x, y) of U^2 by their difference y - x (mod p over F_p)
+    by_step: dict = {}
+    for x, y in itertools.product(lift.elements, repeat=2):
+        by_step.setdefault((y - x) % p if p else y - x, []).append((x, y))
+    groups: dict = {}
+    # (a, b, c, t) and (c, t, a, b) swap the direction and keep the offset
+    for (alpha, ct), (beta, ab) in itertools.combinations_with_replacement(by_step.items(), 2):
+        offsets = Counter([t * b - a * c for a, b in ab for c, t in ct])
+        k = 1 if alpha == beta else 2
+        lead, q, s = _orient((alpha, beta), p)
+        members = groups.setdefault(q, {})
+        for t, w in offsets.items():
+            key = (lead, s * t % p if p else s * t)
+            members[key] = members.get(key, 0) + k * w
+    via_curves = _count_groups(groups, lift.elements, p, meter)
     if direct != via_curves:
         raise AssertionError(
             f"curve double count disagrees: direct {direct}, curves {via_curves}"

@@ -16,6 +16,7 @@ from detlab.detcount import (
     _class_size,
     _class_table,
     _count_forms,
+    _fold,
     _mirror,
     _perms,
     count_det_brute,
@@ -464,6 +465,44 @@ def test_class_size_over_q_and_fp():
     assert _class_size((0, 0, 3), 7) == 6
     # over F_2 every residue is its own negation
     assert _class_size((0, 1, 1), 2) == 3
+
+
+@pytest.mark.parametrize(
+    "p, key_len, keys",
+    [
+        # sorted 3-keys over Q: v[0] + v[2] below, above and at 0, where
+        # the middle entry breaks the tie, and the self-mirror (-a, 0, a)
+        (None, 3, [(-5, 1, 2), (-2, -1, 1), (-2, -1, 3), (-3, 1, 2), (1, 2, 3), (-3, -2, -1),
+                   (-3, -1, 3), (-3, 1, 3), (-4, 0, 4), (-1, 0, 1), (0, 0, 0), (-2, 2, 2)]),
+        # sorted 4-keys over Q take the generic path
+        (None, 4, [(-2, 0, 1, 1), (-1, -1, 0, 2), (-3, -1, 2, 3), (-3, -2, 1, 3), (-1, -1, 1, 1), (0, 1, 2, 3)]),
+        # sorted residues over F_5 and F_7
+        (5, 3, [(0, 1, 4), (0, 1, 2), (0, 3, 4), (2, 2, 3), (2, 3, 3), (0, 0, 0)]),
+        (7, 4, [(0, 1, 2, 6), (0, 1, 5, 6), (1, 2, 5, 6), (3, 3, 4, 4)]),
+        # level vectors, negated entry by entry, not sorted
+        (None, None, [(1, -2, 0, 3, -1, 2), (-1, 2, 0, -3, 1, -2), (0, 0, 0, 0, 0, 0), (0, -1, 4, 0, 0, 1)]),
+        (7, None, [(1, 5, 0, 3, 6, 2), (6, 2, 0, 4, 1, 5), (0, 0, 0, 0, 0, 0), (0, 0, 3, 0, 0, 4)]),
+    ],
+)
+def test_fold_keys_each_vector_by_the_smaller_of_it_and_its_mirror(p, key_len, keys):
+    def mirror(v):
+        if key_len:
+            return _mirror(v, p)
+        return tuple(-x % p if p else -x for x in v)
+
+    chunks = [
+        (1, Counter({v: i + 1 for i, v in enumerate(keys)})),
+        (6, Counter({v: 2 for v in keys[::2]})),
+        (3, Counter({v: 5 for v in keys[1::3]})),
+        (2, Counter()),
+    ]
+    oracle = Counter()
+    for w, tally in chunks:
+        for v, a in tally.items():
+            oracle[min(v, mirror(v))] += w * a
+    assert _fold(iter(chunks), p, key_len) == oracle
+    # the fold pops every tally empty as it goes
+    assert all(not tally for _, tally in chunks)
 
 
 def test_class_size_matches_permutation_sets():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from detlab.errors import BudgetExceededError, PreconditionError
-from detlab import incidence
+from detlab.errors import BudgetExceededError, Meter, PreconditionError
+from detlab import detcount, incidence
 from detlab.detcount import count_det_brute, det_spectrum, minor_multiplicity_map
 from detlab.energy import energy_Estar_mu
 from detlab.incidence import (
@@ -26,7 +26,7 @@ from detlab.incidence import (
     planes_from_minors,
 )
 from detlab.matrices import _eliminate
-from detlab.scalars import FieldSpec, make_ground_set
+from detlab.scalars import FieldSpec, int_lift, make_ground_set
 
 from conftest import QQ, F7, fraction_ground_sets, int_ground_sets
 
@@ -163,7 +163,6 @@ def test_incidence_kernel_calls_get_plain_ints(monkeypatch):
     monkeypatch.setattr(incidence, "_count_forms", checked)
     for X, d in ((HALVES, 0), (HALVES, Fraction(3, 4)), (Y124, 3)):
         assert planes_from_minors(X, d).det_count_via_incidences() == count_det_brute(X, 3, d)
-        curve_incidences_n3(X)
     assert moduli == {None, 7}
 
 
@@ -505,11 +504,48 @@ def test_curve_count_matches_six_variable_loop(U):
 
 def test_curve_double_count_stays_live(monkeypatch):
     # a curve half that is off by one must make the double count raise
-    count_forms = incidence._count_forms
-    monkeypatch.setattr(incidence, "_count_forms", lambda *args: count_forms(*args) + 1)
-    for U in (X012, HALVES, Y124):
+    count_groups = incidence._count_groups
+    monkeypatch.setattr(incidence, "_count_groups", lambda *args: count_groups(*args) + 1)
+    for U in (X012, HALVES, Y124, make_ground_set([0, 3, 5, 6], F7)):
         with pytest.raises(AssertionError, match="curve double count disagrees"):
             curve_incidences_n3(U)
+
+
+@pytest.mark.parametrize(
+    "U",
+    [
+        make_ground_set([-2, 0, 1, 3], QQ),
+        make_ground_set([-3, -1, 0, 2, 5], QQ),
+        HALVES,
+        make_ground_set([Fraction(-1, 2), 0, Fraction(1, 2), 1], QQ),
+        make_ground_set([0, 1, 2, 4], F5),
+        make_ground_set(range(5), F5),
+        make_ground_set([0, 3, 5, 6], F7),
+        Y124,
+    ],
+)
+def test_curve_half_hands_the_kernel_the_merged_raw_forms(monkeypatch, U):
+    # the curve half merges its forms by direction; the kernel must see
+    # exactly the groups that _count_forms builds from all |U|^4 raw forms
+    # ((t-c, b-a), t*b - a*c, 1), so it charges the same steps
+    seen = []
+
+    def spy(groups, *args):
+        seen.append(groups)
+        return count_groups(groups, *args)
+
+    count_groups = detcount._count_groups
+    monkeypatch.setattr(incidence, "_count_groups", spy)
+    monkeypatch.setattr(detcount, "_count_groups", spy)
+    count = curve_incidences_n3(U)
+    lift = int_lift(U)
+    forms = (
+        ((t - c, b - a), t * b - a * c, 1)
+        for a, b, c, t in itertools.product(lift.elements, repeat=4)
+    )
+    assert detcount._count_forms(forms, lift.elements, lift.modulus, Meter(None, "raw")) == count
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert all(type(v) is int for q, members in seen[0].items() for key, w in members.items() for v in (*q, *key, w))
 
 
 def test_curve_direct_half_stays_live(monkeypatch):
