@@ -49,28 +49,27 @@ mass by its class size (`_class_size`); `minor_multiplicity_map` and
 field scalars.
 
 Every linear-form count in the package goes through one kernel: it sums
-w * #{r in X^k : <c, r> = t} over forms (c, t, w). `_orient` orients a
-key c: it looks up one entry of the sorted c (over Q, after negating
+w * #{r in X^k : <c, r> = t} over forms (c, t, w). `_count_forms` groups
+the forms: it looks up one entry of each sorted c (over Q, after negating
 (c, t) when need be, the entry of largest absolute value; over F_p the
-last residue), the other entries being its prefix. `_count_forms` orients
-each form and merges equal forms by prefix. `_count_groups` counts the
-merged forms: it builds one value distribution per distinct prefix, then
-does |X| lookups per merged form. The callers are
-`count_det_rowblock` through `_count_by_classes` (on lifted ints, each
+last residue), and merges equal forms by prefix, the other entries.
+`_count_groups` counts the merged forms: it builds one value distribution
+per distinct prefix, then does |X| lookups per merged form. The callers
+are `count_det_rowblock` through `_count_by_classes` (on lifted ints, each
 pair key over Q divided by the gcd of its entries, as is the target, and one
 form per key at d = 0 and two, at d and -d, otherwise; the pair keys are
 already sorted and oriented, so it groups them for `_count_groups` itself,
 as they leave the walk; at n = 3 it is reached at d != 0 only, and stays
-the oracle of `_singular_n3` at d = 0), the curve half of
+the oracle of `_singular_n3` at d = 0),
+`MinorPlanes.det_count_via_incidences`, the curve half of
 `incidence.curve_incidences_n3` (its |U|^4 forms share at most
-(2|U| - 1)^2 keys, so it tallies each key's targets first, orients each
-key once and merges the forms for `_count_groups` itself), and, through
-`_count_forms`, `MinorPlanes.det_count_via_incidences` and
-`energy.count_bilinear` (lifted ints, with the modulus over F_p). The
-rowblock spectrum at n >= 3 folds the weighted pair keys over the same
-prefix trie, from the leaves up to the root, one first entry's subtree at
-a time. The oracles of those routes use none of the kernel, the fold, the
-class walk, the pair-product correlation or the lift:
+(2|U| - 1)^2 keys and come in swapped pairs, so it hands the kernel one
+form of weight 2 per pair) and `energy.count_bilinear` (lifted ints,
+with the modulus over F_p). The rowblock spectrum at n >= 3 folds the
+weighted pair keys over the same prefix trie, from the leaves up to the
+root, one first entry's subtree at a time. The oracles of those routes use
+none of the kernel, the fold, the class walk, the pair-product correlation
+or the lift:
 `count_det_brute`, `_spectrum_brute`, `count_rank`,
 `energy.count_bilinear_brute`, `incidence.incidences_brute` and the
 `energy_*_brute` counts. The direct half of `curve_incidences_n3`, whose
@@ -117,37 +116,31 @@ def _shift_add(into: dict, dist: dict, terms, modulus: int | None = None) -> dic
     return into
 
 
-def _orient(c, modulus: int | None) -> tuple:
-    """(a, q, s) for the key c of plain ints: the form (c, t) counts as
-    a*r_0 + <q, r'> = s*t (reduced mod `modulus` when one is given). The
-    count does not change when c is permuted, nor when (c, t) is negated,
-    so c is sorted and one entry a of it is looked up: with a `modulus` (c
-    reduced mod that prime) the last one, s = 1; without, the first, after
-    the form is negated (s = -1) when its last entry exceeds minus its
-    first, which puts the entry of largest absolute value first, negative.
-    The other entries are the prefix q."""
-    if modulus:
-        c = sorted([x % modulus for x in c])
-        return c[-1], tuple(c[:-1]), 1
-    c = sorted(c)
-    if c[-1] > -c[0]:
-        c.reverse()
-        return -c[0], tuple(map(neg, c[1:])), -1
-    return c[0], tuple(c[1:]), 1
-
-
 def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
     """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w) of
-    plain ints, all of one length k >= 2, by `_count_groups`: each form is
-    oriented by `_orient`, and equal forms merge, their weights added,
-    keyed by (a, t) per prefix q."""
+    plain ints, all of one length k >= 2, by `_count_groups`. The count does
+    not change when c is permuted, nor when (c, t) is negated, so each c is
+    sorted and one entry a of it is looked up: with a `modulus` (c and t
+    reduced mod that prime) the last one; without, the first, after the form
+    is negated when its last entry exceeds minus its first, which puts the
+    entry of largest absolute value first, negative. The other entries are
+    the form's prefix q, and equal forms merge, their weights added, keyed
+    by (a, t) per prefix."""
     groups: dict = {}
     for c, t, w in forms:
-        a, q, s = _orient(c, modulus)
+        if modulus:
+            c = sorted([x % modulus for x in c])
+            t %= modulus
+            a, q = c[-1], tuple(c[:-1])
+        else:
+            c = sorted(c)
+            if c[-1] > -c[0]:
+                c, t = sorted(map(neg, c)), -t
+            a, q = c[0], tuple(c[1:])
         members = groups.get(q)
         if members is None:
             members = groups[q] = {}
-        key = (a, s * t % modulus if modulus else s * t)
+        key = (a, t)
         members[key] = members.get(key, 0) + w
     return _count_groups(groups, elems, modulus, meter)
 
@@ -448,37 +441,28 @@ def _fold(chunks, p: int | None, key_len: int | None) -> dict:
     chunk's tally, emptying it, and adds weight times each count under the
     smaller of the vector v and its negation: -v entry by entry for level
     vectors (`key_len` None), the sorted key of -v (`_mirror`) for sorted
-    keys of length `key_len` (negated residues over F_p). The negation is
-    picked once per fold, not per entry. Over Q a sorted v with
-    v[0] + v[-1] < 0 is below its mirror, which starts at -v[-1] > v[0],
-    so the mirror is built only when v[0] + v[-1] >= 0, and a 3-key's
-    mirror (-v[2], -v[1], -v[0]) is built inline by indexing."""
-    if p:
-        mirror = (lambda v: tuple(sorted([-x % p for x in v]))) if key_len else (lambda v: tuple([-x % p for x in v]))
-    elif key_len:
-        # a key with v[0] + v[-1] < 0 is the smaller: it is returned as it is
-        mirror = lambda v: tuple(map(neg, v[::-1])) if v[0] + v[-1] >= 0 else v
-    else:
-        mirror = lambda v: tuple(map(neg, v))
+    keys of length `key_len` (negated residues over F_p). Over Q a sorted v
+    with v[0] + v[-1] < 0 is below its mirror, which starts at
+    -v[-1] > v[0], so the mirror is built only when v[0] + v[-1] >= 0; a
+    3-key's mirror is (-v[2], -v[1], -v[0])."""
     merged: dict = {}
     get = merged.get
     for w, tally in chunks:
         # popping frees keys as they fold: interval 16 peaks at 165, not 182 MB
-        entries = map(dict.popitem, repeat(tally, len(tally)))
-        if key_len == 3 and not p:
+        for v, a in map(dict.popitem, repeat(tally, len(tally))):
             # inlined: a call per entry cost 3-5% of the interval 6 and 8 walks
-            for v, a in entries:
-                if v[0] + v[2] >= 0:
-                    u = (-v[2], -v[1], -v[0])
-                    if u < v:
-                        v = u
-                merged[v] = get(v, 0) + w * a
-        else:
-            for v, a in entries:
-                u = mirror(v)
-                if u < v:
-                    v = u
-                merged[v] = get(v, 0) + w * a
+            if p:
+                u = [-x % p for x in v]
+                u = tuple(sorted(u) if key_len else u)
+            elif key_len == 3:
+                u = (-v[2], -v[1], -v[0]) if v[0] + v[2] >= 0 else v
+            elif key_len:
+                u = tuple(map(neg, v[::-1])) if v[0] + v[-1] >= 0 else v
+            else:
+                u = tuple(map(neg, v))
+            if u < v:
+                v = u
+            merged[v] = get(v, 0) + w * a
     return merged
 
 

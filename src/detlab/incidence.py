@@ -21,13 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import getitem
 
 from .errors import Meter, PreconditionError
-from .detcount import _class_table, _count_forms, _count_groups, _orient, _pair_vectors, _singular_pairs
+from .detcount import _class_table, _count_forms, _pair_vectors, _singular_pairs
 from .matrices import _eliminate
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -388,13 +387,13 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     half makes each fixed (a, b, c, t) the form ((t-c, b-a), t*b - a*c, 1)
     of the linear-form kernel, which counts the (r, q) on that curve. The
     |U|^4 forms share at most (2|U| - 1)^2 directions (t-c, b-a), mod p
-    over F_p: the pairs of U^2 are grouped by their difference, each
-    direction's offsets are tallied at once, and `_orient` orients the
-    direction once for all of them, by the rule `_count_forms` applies
-    form by form, so `_count_groups` gets the same merged forms and
-    charges the same steps. The budget is charged |U|^3 for the direct
-    half's tally before it runs, then the kernel's steps on the same meter.
-    The two tallies must agree."""
+    over F_p, and (a, b, c, t) and (c, t, a, b) swap the direction and keep
+    the offset: the pairs of U^2 are grouped by their difference, and each
+    unordered pair of differences gives its forms weight 2 (1 when the two
+    are equal), so the kernel sees half as many forms, merges them into the
+    same groups and charges the same steps. The budget is charged |U|^3 for
+    the direct half's tally before it runs, then the kernel's steps on the
+    same meter. The two tallies must agree."""
     meter = Meter(budget, "curve_incidences_n3")
     lift = int_lift(U)
     p = lift.modulus
@@ -404,17 +403,13 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     by_step: dict = {}
     for x, y in itertools.product(lift.elements, repeat=2):
         by_step.setdefault((y - x) % p if p else y - x, []).append((x, y))
-    groups: dict = {}
-    # (a, b, c, t) and (c, t, a, b) swap the direction and keep the offset
-    for (alpha, ct), (beta, ab) in itertools.combinations_with_replacement(by_step.items(), 2):
-        offsets = Counter([t * b - a * c for a, b in ab for c, t in ct])
-        k = 1 if alpha == beta else 2
-        lead, q, s = _orient((alpha, beta), p)
-        members = groups.setdefault(q, {})
-        for t, w in offsets.items():
-            key = (lead, s * t % p if p else s * t)
-            members[key] = members.get(key, 0) + k * w
-    via_curves = _count_groups(groups, lift.elements, p, meter)
+    forms = (
+        ((alpha, beta), t * b - a * c, 1 if alpha == beta else 2)
+        for (alpha, ct), (beta, ab) in itertools.combinations_with_replacement(by_step.items(), 2)
+        for a, b in ab
+        for c, t in ct
+    )
+    via_curves = _count_forms(forms, lift.elements, p, meter)
     if direct != via_curves:
         raise AssertionError(
             f"curve double count disagrees: direct {direct}, curves {via_curves}"

@@ -163,6 +163,7 @@ def test_incidence_kernel_calls_get_plain_ints(monkeypatch):
     monkeypatch.setattr(incidence, "_count_forms", checked)
     for X, d in ((HALVES, 0), (HALVES, Fraction(3, 4)), (Y124, 3)):
         assert planes_from_minors(X, d).det_count_via_incidences() == count_det_brute(X, 3, d)
+        curve_incidences_n3(X)
     assert moduli == {None, 7}
 
 
@@ -504,8 +505,8 @@ def test_curve_count_matches_six_variable_loop(U):
 
 def test_curve_double_count_stays_live(monkeypatch):
     # a curve half that is off by one must make the double count raise
-    count_groups = incidence._count_groups
-    monkeypatch.setattr(incidence, "_count_groups", lambda *args: count_groups(*args) + 1)
+    count_forms = incidence._count_forms
+    monkeypatch.setattr(incidence, "_count_forms", lambda *args: count_forms(*args) + 1)
     for U in (X012, HALVES, Y124, make_ground_set([0, 3, 5, 6], F7)):
         with pytest.raises(AssertionError, match="curve double count disagrees"):
             curve_incidences_n3(U)
@@ -525,9 +526,9 @@ def test_curve_double_count_stays_live(monkeypatch):
     ],
 )
 def test_curve_half_hands_the_kernel_the_merged_raw_forms(monkeypatch, U):
-    # the curve half merges its forms by direction; the kernel must see
-    # exactly the groups that _count_forms builds from all |U|^4 raw forms
-    # ((t-c, b-a), t*b - a*c, 1), so it charges the same steps
+    # the curve half weights each swapped pair of forms once by 2; the
+    # kernel must see exactly the groups that _count_forms builds from all
+    # |U|^4 raw forms ((t-c, b-a), t*b - a*c, 1), so it charges the same steps
     seen = []
 
     def spy(groups, *args):
@@ -535,7 +536,6 @@ def test_curve_half_hands_the_kernel_the_merged_raw_forms(monkeypatch, U):
         return count_groups(groups, *args)
 
     count_groups = detcount._count_groups
-    monkeypatch.setattr(incidence, "_count_groups", spy)
     monkeypatch.setattr(detcount, "_count_groups", spy)
     count = curve_incidences_n3(U)
     lift = int_lift(U)
