@@ -67,11 +67,11 @@ the oracle of `_singular_n3` at d = 0),
 form of weight 2 per pair) and `energy.count_bilinear` (lifted ints,
 with the modulus over F_p). The rowblock spectrum at n >= 3 folds the
 weighted pair keys over the same prefix trie, from the leaves up to the
-root, one first entry's subtree at a time; over Q a dense level of a
-subtree holds each node's distribution packed into one int (`_pack`,
-`_shift_add_packed`), from there up to the root. The oracles of those
-routes use none of the kernel, the fold, the class walk, the pair-product
-correlation or the lift:
+root, one first entry's subtree at a time; a dense level of a subtree
+holds each node's distribution packed into one int (`_pack`,
+`_shift_add_packed`), from there up to the root, with cyclic slots over
+F_p. The oracles of those routes use none of the kernel, the fold, the
+class walk, the pair-product correlation or the lift:
 `count_det_brute`, `_spectrum_brute`, `count_rank`,
 `energy.count_bilinear_brute`, `incidence.incidences_brute` and the
 `energy_*_brute` counts. The direct half of `curve_incidences_n3`, whose
@@ -94,7 +94,7 @@ import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, getitem, neg
+from operator import add, attrgetter, getitem, neg
 
 from .errors import Meter, PreconditionError
 from .matrices import _det_rows, _eliminate
@@ -132,7 +132,10 @@ _SLOT_BITS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 # +-30 0.87, interval 3 at n = 4 0.96, GP(2) 6 1.01 (it never packs). With
 # no slots per node, interval 2 and 3 at n = 4 read 1.52 and 1.12; K = 16
 # left interval 6 at 0.81; K = 64 with 512 slots per node read 1.04 on
-# random 7 in +-30.
+# random 7 in +-30. Over F_p, where a node spans p slots, the same K and
+# slots per node read 0.92 on F_101 interval 4, 0.71 on interval 6, 0.59 on
+# interval 8 and 0.73 on F_31 interval 6; F_10007 interval 6 and the small
+# F_5 and F_7 sets never pack (packing every level read 1.83 on F_10007).
 _PACK_SPAN = 32
 _NODE_SLOTS = 256
 
@@ -148,15 +151,23 @@ def _pack(dist: dict, width: int) -> tuple:
     return lo, int.from_bytes(buf, sys.byteorder)
 
 
-def _shift_add_packed(into: tuple | None, node: tuple, terms, width: int) -> tuple:
+def _shift_add_packed(into: tuple | None, node: tuple, terms, width: int, modulus: int | None = None) -> tuple:
     """The packed distribution `into` (None for an empty one) plus the packed
     `node` shifted by each term: `_shift_add` in |terms| big-int shifts and
     adds. The shifted copies are summed before they meet `into`, which may be
-    much longer, and the sum takes the lower of the two least values."""
+    much longer, and the sum takes the lower of the two least values. With a
+    `modulus` p (terms and values residues) the slots are cyclic: the sum is
+    rebased to least value 0 and its slots from p on, at most p - 1 of them,
+    fold back onto the low end, so a packed node holds at most p slots."""
     lo, packed = node
     low = min(terms)
     packed = sum([packed << width * (t - low) for t in terms])
     lo += low
+    if modulus:
+        packed <<= width * lo
+        high = packed >> width * modulus
+        packed += high - (high << width * modulus)
+        lo = 0
     if into is None:
         return lo, packed
     base, total = into
@@ -271,7 +282,10 @@ class SpectrumHistogram:
         return self.entries.get(self.ground_set.field.coerce(d), 0)
 
     def sorted_items(self) -> list:
-        return sorted(self.entries.items())
+        """The entries by ascending d: over a prime field by residue."""
+        if self.ground_set.field.is_rational:
+            return sorted(self.entries.items())
+        return sorted(self.entries.items(), key=lambda item: item[0].residue)
 
     def argmax(self, exclude_zero: bool) -> tuple[Scalar, int]:
         """The most frequent determinant and its count, ties resolved to the
@@ -287,7 +301,7 @@ class SpectrumHistogram:
         if self.ground_set.field.is_rational:
             d = min(candidates, key=lambda k: (abs(k), 0 if k >= 0 else 1))
         else:
-            d = min(candidates)
+            d = min(candidates, key=attrgetter("residue"))
         return d, best
 
 
@@ -387,8 +401,12 @@ def _perms(key) -> int:
 
 
 def _mirror(key, p: int | None) -> tuple:
-    """Sorted key of -c for the sorted key c (negated residues over F_p)."""
-    return tuple(sorted([-x % p for x in key])) if p else tuple(map(neg, key[::-1]))
+    """Sorted key of -c for the sorted key c: over F_p its leading zeros,
+    then p - x for the other residues x in reverse order."""
+    if p:
+        z = key.count(0)
+        return key[:z] + tuple([p - x for x in reversed(key[z:])])
+    return tuple(map(neg, key[::-1]))
 
 
 def _class_size(key, p: int | None) -> int:
@@ -504,8 +522,9 @@ def _fold(chunks, p: int | None, key_len: int | None) -> dict:
     chunk's tally, emptying it, and adds weight times each count under the
     smaller of the vector v and its negation: -v entry by entry for level
     vectors (`key_len` None), the sorted key of -v (`_mirror`) for sorted
-    keys of length `key_len` (negated residues over F_p). Over Q a sorted v
-    with v[0] + v[-1] < 0 is below its mirror, which starts at
+    keys of length `key_len`, built by indexing: over F_p the leading zeros
+    of v, then p - x for its other residues x in reverse order. Over Q a
+    sorted v with v[0] + v[-1] < 0 is below its mirror, which starts at
     -v[-1] > v[0], so the mirror is built only when v[0] + v[-1] >= 0; a
     3-key's mirror is (-v[2], -v[1], -v[0])."""
     merged: dict = {}
@@ -515,8 +534,14 @@ def _fold(chunks, p: int | None, key_len: int | None) -> dict:
         for v, a in map(dict.popitem, repeat(tally, len(tally))):
             # inlined: a call per entry cost 3-5% of the interval 6 and 8 walks
             if p:
-                u = [-x % p for x in v]
-                u = tuple(sorted(u) if key_len else u)
+                if key_len == 3:
+                    x, y, z = v
+                    u = (p - z, p - y, p - x) if x else (0, p - z, p - y) if y else (0, 0, p - z) if z else v
+                elif key_len:
+                    z = v.count(0)
+                    u = v[:z] + tuple([p - x for x in reversed(v[z:])])
+                else:
+                    u = tuple([-x % p for x in v])
             elif key_len == 3:
                 u = (-v[2], -v[1], -v[0]) if v[0] + v[2] >= 0 else v
             elif key_len:
@@ -777,16 +802,19 @@ def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -
     return dict(_brute_histogram(X, n, Meter(budget, "det_spectrum[brute]"), threads))
 
 
-def _dense(nodes: dict, k: int, top: int, xlo: int, xhi: int, entries: int) -> bool:
-    """Whether a level of the spectrum fold over Q packs: the slots its
-    `nodes` (holding sums of k terms) span once shifted, plus _NODE_SLOTS
-    per node, come to at most _PACK_SPAN per entry. Each node's span is
-    bounded from its key alone: k terms c*x with c in [q[-1], top] and x in
-    [xlo, xhi], shifted by q[-1]*x. It is at least k*top*(xhi - xlo) + 1,
-    which rules most sparse levels out before any node is read."""
+def _dense(nodes: dict, k: int, top: int, xlo: int, xhi: int, entries: int, p: int | None = None) -> bool:
+    """Whether a level of the spectrum fold packs: the slots its `nodes`
+    (holding sums of k terms) span once shifted, plus _NODE_SLOTS per node,
+    come to at most _PACK_SPAN per entry. Over F_p every node spans the p
+    residues. Over Q each node's span is bounded from its key alone: k terms
+    c*x with c in [q[-1], top] and x in [xlo, xhi], shifted by q[-1]*x. It
+    is at least k*top*(xhi - xlo) + 1, which rules most sparse levels out
+    before any node is read."""
     budget = _PACK_SPAN * entries
-    if len(nodes) * (k * top * (xhi - xlo) + 1 + _NODE_SLOTS) > budget:
+    if len(nodes) * ((p or k * top * (xhi - xlo) + 1) + _NODE_SLOTS) > budget:
         return False
+    if p:
+        return True
     spans = _NODE_SLOTS * len(nodes)
     for q in nodes:
         a, b = q[-1] * xlo, q[-1] * xhi
@@ -808,17 +836,19 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     by c*x into its parent's, until the one node (c1,) shifts into the root
     (), which holds h once every subtree is in. Over F_p every sum is
     reduced mod p, which keeps each dict within p entries (at |X| = 6 over
-    F_101 the fold without it took 1.7 to 2.8 times as long). Over Q, where
-    nothing caps a dict, each level of a subtree whose nodes are dense
-    (`_dense`) packs them (`_pack`): one int per node, one slot per value
-    from its least, wide enough for the mass |X|^(n^2), and shifting by c*x
-    is one big-int shift and add per x (`_shift_add_packed`) where a dict
-    takes one update per entry. The subtree stays packed up to the root,
-    whose packed sum over the subtrees is decoded into h once, at the end;
-    sparse levels (GP and large random sets never pack) stay dicts. Before
-    each level of each subtree runs, the budget is charged |X| per nonzero
-    entry of the distributions it will shift, a dict's entries or a packed
-    node's nonzero slots (|X| per pair key at the leaf level): per level the
+    F_101 the fold without it took 1.7 to 2.8 times as long). Each level of
+    a subtree whose nodes are dense (`_dense`) packs them (`_pack`): one int
+    per node, one slot per value from its least, wide enough for the mass
+    |X|^(n^2), and shifting by c*x is one big-int shift and add per x
+    (`_shift_add_packed`) where a dict takes one update per entry. Over F_p
+    the slots are cyclic: slot r holds the residue r, and after each shift
+    the slots past p - 1 fold back onto the low end. The subtree stays
+    packed up to the root, whose packed sum over the subtrees is decoded
+    into h once, at the end; sparse levels (GP and large random sets over
+    Q, large p over F_p) stay dicts. Before each level of each subtree
+    runs, the budget is charged |X| per nonzero entry of the distributions
+    it will shift, a dict's entries or a packed node's nonzero slots (|X|
+    per pair key at the leaf level): per level the
     same totals as charging the whole trie level at once, packed or not. A
     class and its mirror give v and -v the same counts, so the spectrum is
     (h(v) + h(-v)) / 2 (-v mod p over F_p), set in h itself."""
@@ -838,11 +868,10 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     for m in pairs:
         subtrees.setdefault(m[0], []).append(m)
     hist: dict = {}
-    # over Q a node may hold its distribution packed (`_pack`): no slot
-    # exceeds the mass |X|^(n^2), so its width must hold that
-    width = None if p else next((w for w in _SLOT_BITS if B ** (n * n) < 1 << w), None)
-    if width:
-        xlo, xhi = min(elems), max(elems)
+    # a node may hold its distribution packed (`_pack`): no slot exceeds
+    # the mass |X|^(n^2), so its width must hold that
+    width = next((w for w in _SLOT_BITS if B ** (n * n) < 1 << w), None)
+    xlo, xhi = min(elems), max(elems)
     root = None
     while subtrees:
         c1, keys = subtrees.popitem()
@@ -862,7 +891,7 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
             else:
                 entries = sum(map(len, nodes.values()))
                 meter.charge(B * entries)
-                if width and _dense(nodes, n - j, -c1, xlo, xhi, entries):
+                if width and _dense(nodes, n - j, -c1, xlo, xhi, entries, p):
                     packed = True
                     for q, dist in nodes.items():
                         nodes[q] = _pack(dist, width)
@@ -872,7 +901,8 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
                 while nodes:
                     q, node = nodes.popitem()
                     r = q[:-1]
-                    parents[r] = _shift_add_packed(parents.get(r), node, [q[-1] * x for x in elems], width)
+                    terms = [q[-1] * x % p for x in elems] if p else [q[-1] * x for x in elems]
+                    parents[r] = _shift_add_packed(parents.get(r), node, terms, width, p)
                 nodes = parents
                 continue
             # the subtree's one node (c1,) shifts into the root

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import runpy
@@ -54,6 +55,13 @@ def test_spectrum_prime_field(capsys):
     assert obj["total_mass"] == str(3**4)
     assert obj["field"] == "fp:7"
     assert sum(int(c) for _, c in obj["entries"]) == 3**4
+
+
+def test_prime_field_spectrum_report_is_byte_pinned(capsys):
+    # the n = 3 spectrum over F_101, sorted by residue: sha256 of the exact stdout
+    rc, out = run_cli(capsys, "spectrum", "--field", "fp:101", "--family", "interval", "--size", "4", "--n", "3")
+    assert rc == 0 and out.startswith('{"X": 4, "distinct": 101, "engine": "rowblock", "entries": [["0", "29104"], ["1",')
+    assert hashlib.sha256(out.encode()).hexdigest() == "51a1211351fd522f1ab20b3c0a09ca90cab0f50607ae440a38598ad39e6249ef"
 
 
 def test_rank_command(capsys):

@@ -30,7 +30,7 @@ from detlab.detcount import (
 from detlab.energy import dyadic_pyramid, energy_Estar_mu
 from detlab.families import FamilySpec, generate
 from detlab.matrices import _det_rows
-from detlab.scalars import FieldSpec, int_lift, make_ground_set, scale_set
+from detlab.scalars import FieldSpec, GroundSet, int_lift, make_ground_set, scale_set
 
 from conftest import QQ, F7, int_ground_sets, fraction_ground_sets, small_fractions
 
@@ -166,11 +166,24 @@ def test_dsup_examples():
 
 
 def test_dsup_prime_field_tiebreak():
-    Xp = make_ground_set([1, 2], F7)
-    d, cnt = dsup(Xp, 2, True)
-    spec = det_spectrum(Xp, 2, "brute")
-    assert spec.entries[d] == cnt
-    assert all(v < cnt or (v == cnt and d <= k) for k, v in spec.entries.items() if k)
+    # d and -d tie (the row swap), so the argmax is the smaller residue of
+    # each tied pair, whatever order the spectrum was built in
+    for values, n in (([1, 2], 2), ([1, 2, 3], 3), ([0, 2, 5], 3)):
+        Xp = make_ground_set(values, F7)
+        spec = det_spectrum(Xp, n, "brute")
+        for exclude_zero in (True, False):
+            d, cnt = dsup(Xp, n, exclude_zero)
+            assert spec.entries[d] == cnt
+            ties = [k.residue for k, v in spec.entries.items() if v == cnt and (k or not exclude_zero)]
+            assert d.residue == min(ties), (values, n, exclude_zero)
+
+
+def test_prime_field_spectrum_is_reported_by_residue():
+    spec = det_spectrum(generate(FamilySpec("interval", 4), FieldSpec.prime(101)), 3, "rowblock")
+    items = spec.sorted_items()
+    # the order of Mod's own comparison, every residue once
+    assert items == sorted(spec.entries.items())
+    assert [k.residue for k, _ in items] == list(range(101))
 
 
 def test_count_rank_examples():
@@ -478,19 +491,22 @@ def test_class_size_over_q_and_fp():
                    (-3, -1, 3), (-3, 1, 3), (-4, 0, 4), (-1, 0, 1), (0, 0, 0), (-2, 2, 2)]),
         # sorted 4-keys over Q take the generic path
         (None, 4, [(-2, 0, 1, 1), (-1, -1, 0, 2), (-3, -1, 2, 3), (-3, -2, 1, 3), (-1, -1, 1, 1), (0, 1, 2, 3)]),
-        # sorted residues over F_5 and F_7
-        (5, 3, [(0, 1, 4), (0, 1, 2), (0, 3, 4), (2, 2, 3), (2, 3, 3), (0, 0, 0)]),
-        (7, 4, [(0, 1, 2, 6), (0, 1, 5, 6), (1, 2, 5, 6), (3, 3, 4, 4)]),
+        # sorted residues over F_5 and F_7, with none, one, two and all entries 0
+        (5, 3, [(0, 1, 4), (0, 1, 2), (0, 3, 4), (2, 2, 3), (2, 3, 3), (0, 0, 0), (0, 0, 2), (0, 0, 3), (1, 4, 4)]),
+        (7, 4, [(0, 1, 2, 6), (0, 1, 5, 6), (1, 2, 5, 6), (3, 3, 4, 4), (0, 0, 0, 0), (0, 0, 0, 3), (0, 0, 2, 6),
+                (0, 0, 1, 5)]),
         # level vectors, negated entry by entry, not sorted
         (None, None, [(1, -2, 0, 3, -1, 2), (-1, 2, 0, -3, 1, -2), (0, 0, 0, 0, 0, 0), (0, -1, 4, 0, 0, 1)]),
         (7, None, [(1, 5, 0, 3, 6, 2), (6, 2, 0, 4, 1, 5), (0, 0, 0, 0, 0, 0), (0, 0, 3, 0, 0, 4)]),
+        # sorted residues over F_2 and F_3, leading zeros included
+        (2, 3, [(0, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0)]),
+        (3, 4, [(0, 0, 1, 2), (0, 1, 1, 1), (0, 2, 2, 2), (1, 1, 2, 2), (0, 0, 0, 1), (0, 0, 0, 2)]),
     ],
 )
 def test_fold_keys_each_vector_by_the_smaller_of_it_and_its_mirror(p, key_len, keys):
     def mirror(v):
-        if key_len:
-            return _mirror(v, p)
-        return tuple(-x % p if p else -x for x in v)
+        u = tuple(-x % p if p else -x for x in v)
+        return tuple(sorted(u)) if key_len else u
 
     chunks = [
         (1, Counter({v: i + 1 for i, v in enumerate(keys)})),
@@ -505,6 +521,17 @@ def test_fold_keys_each_vector_by_the_smaller_of_it_and_its_mirror(p, key_len, k
     assert _fold(iter(chunks), p, key_len) == oracle
     # the fold pops every tally empty as it goes
     assert all(not tally for _, tally in chunks)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("key_len", [3, 4])
+def test_prime_field_mirror_is_built_by_indexing(p, key_len):
+    # every sorted key of residues, zeros included: `_mirror` and the fold's
+    # own copy keep the leading zeros and map the rest to p - x reversed
+    for v in itertools.combinations_with_replacement(range(p), key_len):
+        oracle = tuple(sorted(-x % p for x in v))
+        assert _mirror(v, p) == oracle, v
+        assert _fold(iter([(3, Counter({v: 2}))]), p, key_len) == {min(v, oracle): 6}, v
 
 
 def test_class_size_matches_permutation_sets():
@@ -765,6 +792,11 @@ _RNG = random.Random(4)
 _RANDOM_4 = [0, *_RNG.sample(range(-9, 0), 2), _RNG.randint(1, 9)]
 
 
+def _over_q(values):
+    """`values` as a ground set over Q, unless it is a ground set already."""
+    return values if isinstance(values, GroundSet) else make_ground_set(values, QQ)
+
+
 @pytest.mark.parametrize("values, n", [
     (range(1, 4), 3),
     (range(1, 5), 3),
@@ -775,11 +807,16 @@ _RANDOM_4 = [0, *_RNG.sample(range(-9, 0), 2), _RNG.randint(1, 9)]
     ([1, 2, 4, 8], 3),
     (_RANDOM_4, 3),
     (range(1, 3), 4),
+    # over F_p the slots are cyclic: the residue 0, and sums past p - 1
+    # folding back onto the low slots
+    (make_ground_set(range(1, 5), FieldSpec.prime(5)), 3),
+    (make_ground_set([0, 3, 5, 6], F7), 3),
+    (make_ground_set(range(1, 3), FieldSpec.prime(3)), 4),
 ])
 def test_packed_and_dict_folds_match_brute(values, n):
     # every level packed and none packed: both give the brute spectrum, and
     # each takes only its own path
-    X = make_ground_set(values, QQ)
+    X = _over_q(values)
     brute = det_spectrum(X, n, "brute").entries
     packed, calls = _fold_spectrum(X, n, math.inf)
     assert packed == brute and calls["_pack"] and not calls["_shift_add"]
@@ -809,21 +846,27 @@ def test_slots_too_narrow_for_the_mass_turn_packing_off(monkeypatch):
     # spectrum_mt's dsup input and a set of large random values: sparse levels stay dicts
     (FamilySpec("gp", 6, ratio=2), False),
     (FamilySpec("random", 6, seed=1, low=-10**6, high=10**6), False),
+    # over F_p every node spans p slots: F_101 packs, F_10007 stays on dicts
+    (generate(FamilySpec("interval", 6), FieldSpec.prime(101)), True),
+    (generate(FamilySpec("interval", 6), FieldSpec.prime(10007)), False),
 ])
 def test_packing_rule_selects_dense_levels(spec, packs):
-    X = generate(spec, QQ)
+    X = generate(spec, QQ) if isinstance(spec, FamilySpec) else spec
     _, calls = _fold_spectrum(X, 3, detcount._PACK_SPAN)
     assert bool(calls["_pack"]) == packs
 
 
-@pytest.mark.parametrize("values, n, pin", [(range(1, 5), 3, 7_264), (range(1, 4), 4, 50_436), (range(-2, 3), 3, 5_810)])
+@pytest.mark.parametrize("values, n, pin", [
+    (range(1, 5), 3, 7_264), (range(1, 4), 4, 50_436), (range(-2, 3), 3, 5_810),
+    (make_ground_set(range(1, 5), FieldSpec.prime(5)), 3, 1_036),
+])
 @pytest.mark.parametrize("span", [0, math.inf])
 def test_packed_fold_charges_as_the_dict_fold(values, n, pin, span, monkeypatch):
     # a packed node is charged |X| per nonzero slot, a dict |X| per entry:
     # the same pins, and the same refusal at pin - 1, with no level packed
     # (K = 0) and with every level packed (K = inf)
     monkeypatch.setattr(detcount, "_PACK_SPAN", span)
-    X = make_ground_set(values, QQ)
+    X = _over_q(values)
     assert det_spectrum(X, n, "rowblock", budget=pin).total_mass() == len(X) ** (n * n)
     with pytest.raises(BudgetExceededError) as exc:
         det_spectrum(X, n, "rowblock", budget=pin - 1)
