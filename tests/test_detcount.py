@@ -181,7 +181,8 @@ def test_dsup_prime_field_tiebreak():
 def test_prime_field_spectrum_is_reported_by_residue():
     spec = det_spectrum(generate(FamilySpec("interval", 4), FieldSpec.prime(101)), 3, "rowblock")
     items = spec.sorted_items()
-    # the order of Mod's own comparison, every residue once
+    # by residue, the order of Mod's own comparison, every residue once
+    assert items == sorted(spec.entries.items(), key=lambda item: item[0].residue)
     assert items == sorted(spec.entries.items())
     assert [k.residue for k, _ in items] == list(range(101))
 
