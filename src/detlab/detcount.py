@@ -54,24 +54,28 @@ the forms: it looks up one entry of each sorted c (over Q, after negating
 (c, t) when need be, the entry of largest absolute value; over F_p the
 last residue), and merges equal forms by prefix, the other entries.
 `_count_groups` counts the merged forms: it builds one value distribution
-per distinct prefix, then does |X| lookups per merged form. The callers
-are `count_det_rowblock` through `_count_by_classes` (on lifted ints, each
-pair key over Q divided by the gcd of its entries, as is the target, and one
-form per key at d = 0 and two, at d and -d, otherwise; the pair keys are
-already sorted and oriented, so it groups them for `_count_groups` itself,
-as they leave the walk; at n = 3 it is reached at d != 0 only, and stays
-the oracle of `_singular_n3` at d = 0),
+per distinct prefix, then does |X| lookups per merged form and target. The
+callers are `count_det_rowblock` through `_count_by_classes` (on lifted
+ints, each pair key over Q divided by the gcd of its entries, as is the
+target, and one form per key, looked up at d and, where -d differs, at -d
+too, from one list of multiples; the pair keys are already sorted and
+oriented, so it groups them for `_count_groups` itself, as they leave the
+walk; at n = 3 it is reached at d != 0 only, and stays the oracle of
+`_singular_n3` at d = 0),
 `MinorPlanes.det_count_via_incidences`, the curve half of
 `incidence.curve_incidences_n3` (its |U|^4 forms share at most
 (2|U| - 1)^2 keys and come in swapped pairs, so it hands the kernel one
 form of weight 2 per pair) and `energy.count_bilinear` (lifted ints,
 with the modulus over F_p). The rowblock spectrum at n >= 3 folds the
 weighted pair keys over the same prefix trie, from the leaves up to the
-root, one first entry's subtree at a time; a dense level of a subtree
-holds each node's distribution packed into one int (`_pack`,
-`_shift_add_packed`), from there up to the root, with cyclic slots over
-F_p. The oracles of those routes use none of the kernel, the fold, the
-class walk, the pair-product correlation or the lift:
+root, one first entry's subtree at a time. At n = 3 over Q it files a key
+(a, b, c) under the leaf (a, u), with u the one of b and c larger in |.|,
+so that the leaf's dict holds the narrower multiples of the other. A
+dense level of a subtree holds each node's distribution packed into one
+int (`_pack`, `_shift_add_packed`), from there up to the root, with
+cyclic slots over F_p. The oracles of those routes use none of the
+kernel, the fold, the class walk, the pair-product correlation or the
+lift:
 `count_det_brute`, `_spectrum_brute`, `count_rank`,
 `energy.count_bilinear_brute`, `incidence.incidences_brute` and the
 `energy_*_brute` counts. The direct half of `curve_incidences_n3`, whose
@@ -219,17 +223,19 @@ def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
     return _count_groups(groups, elems, modulus, meter)
 
 
-def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter) -> int:
+def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter, paired: bool = False) -> int:
     """Sum of w * #{r in elems^k : a*r_0 + <q, r'> = t} over the merged
     forms {q: {(a, t): w}} of plain ints, every prefix q of one length
-    k - 1 >= 1. The value distribution of <q, r'> over r' in X^len(q) is
-    built from that of q[:-1] by shifting with q[-1]*y for each y in X
-    (`_shift_add`), once per distinct prefix, from the root {0: 1}; a
-    merged form then needs |X| lookups of t - a*x, from one list of -a*x
-    per distinct a. With a `modulus`, every key is reduced mod that prime. The `meter` is charged level by level before
-    the level runs: |X| per parent entry for each prefix built, and |X| per
-    merged form with the last level. An all-zero form counts |X|^k when
-    t = 0 and 0 otherwise."""
+    k - 1 >= 1; if `paired`, a form with t != 0 counts at t and at -t, w
+    times the sum of the two. The value distribution of <q, r'> over r' in
+    X^len(q) is built from that of q[:-1] by shifting with q[-1]*y for each
+    y in X (`_shift_add`), once per distinct prefix, from the root {0: 1};
+    a merged form then needs |X| lookups of t - a*x (2|X| if `paired`),
+    from one list of -a*x per distinct a. With a `modulus`, every key is
+    reduced mod that prime. The `meter` is charged level by level before
+    the level runs: |X| per parent entry for each prefix built, and with
+    the last level the lookups, |X| or 2|X| per merged form. An all-zero
+    form counts |X|^k when t = 0 and 0 otherwise."""
     if not groups:
         return 0
     B = len(elems)
@@ -241,7 +247,7 @@ def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter) -> int
         dists = {q: _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus) for q in prefixes}
     # one last-level distribution at a time: holding them all raised the
     # peak memory of a GP 10 count from 110 to 133 MB
-    meter.charge(B * (sum(len(dists[q[:-1]]) for q in groups) + sum(map(len, groups.values()))))
+    meter.charge(B * (sum(len(dists[q[:-1]]) for q in groups) + (1 + paired) * sum(map(len, groups.values()))))
     multiples: dict = {}
     total = 0
     for q, members in groups.items():
@@ -252,9 +258,10 @@ def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter) -> int
             if keys is None:
                 keys = multiples[a] = [-a * x % modulus for x in elems] if modulus else [-a * x for x in elems]
             if t:
-                keys = map(add, keys, repeat(t))
-                if modulus:
-                    keys = map(modulus.__rmod__, keys)
+                found = map(add, keys, repeat(t))
+                if paired:
+                    found = chain(found, map(add, keys, repeat(-t)))
+                keys = map(modulus.__rmod__, found) if modulus else found
             total += w * sum(map(get, keys, repeat(0)))
     return total
 
@@ -641,7 +648,9 @@ def _count_by_classes(lift: IntLift, n: int, target: int, meter: Meter) -> int:
     """D_n(X, d) at n >= 3 from the cofactor classes of `_class_table`, on
     the lifted set `lift` at the lifted `target`. The row swap: as
     <-m, r> = t iff <m, r> = -t, a pair key m of mass w is the form
-    (m, 0, w) at target 0, and (m, t, w) and (m, -t, w), halved, at t != 0.
+    (m, 0, w) at target 0, and at t != 0 one form (m, t, w) looked up at t
+    and at -t (`_count_groups`, paired), halved; over F_2, where t = -t, it
+    is looked up once, unhalved.
     Integer scaling, over Q: #{r : <g*m, r> = t} is #{r : <m, r> = t/g}
     when g | t and 0 otherwise, so each key is divided by the gcd g of its
     entries and the target by g, and a key whose g does not divide the
@@ -650,36 +659,34 @@ def _count_by_classes(lift: IntLift, n: int, target: int, meter: Meter) -> int:
     negation: over Q a pair key is sorted with m[0] + m[-1] <= 0 (it is the
     smaller of a class and its mirror), which dividing by g > 0 keeps, so
     a = m[0] and q = m[1:]; over F_p it is sorted residues, so a = m[-1],
-    q = m[:-1] and the targets are reduced mod p. The pairs are popped as
+    q = m[:-1] and the lookups are reduced mod p. The pairs are popped as
     they are grouped, so the pairs and the merged forms peak at about the
     size of one. Past the lift, `_perms` and `_mirror` it shares no code
     with `_singular_n3`, so it is that route's oracle at d = 0 beyond brute
     reach."""
     pairs, zero = _class_table(lift, n, meter)
     p = lift.modulus
-    signs = (1, -1) if target else (1,)
-    targets = [s * target % p if p else s * target for s in signs]
+    # t and -t are one target at t = 0, and over F_2
+    paired = bool(2 * target % p if p else target)
     groups: dict = {}
     while pairs:
         m, w = pairs.popitem()
+        t = target
         if p:
-            a, q, ts = m[-1], m[:-1], targets
+            a, q = m[-1], m[:-1]
         else:
             g = math.gcd(*m)
-            if g == 1:
-                ts = targets
-            elif target % g:
-                continue
-            else:
-                m, ts = tuple([x // g for x in m]), [t // g for t in targets]
+            if g != 1:
+                if target % g:
+                    continue
+                m, t = tuple([x // g for x in m]), target // g
             a, q = m[0], m[1:]
         members = groups.get(q)
         if members is None:
             members = groups[q] = {}
-        for t in ts:
-            key = (a, t)
-            members[key] = members.get(key, 0) + w
-    total = _count_groups(groups, lift.elements, p, meter) // len(signs)
+        key = (a, t)
+        members[key] = members.get(key, 0) + w
+    total = _count_groups(groups, lift.elements, p, meter, paired) // (2 if paired else 1)
     return total + (zero * len(lift.elements) ** n if not target else 0)
 
 
@@ -802,24 +809,46 @@ def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -
     return dict(_brute_histogram(X, n, Meter(budget, "det_spectrum[brute]"), threads))
 
 
-def _dense(nodes: dict, k: int, top: int, xlo: int, xhi: int, entries: int, p: int | None = None) -> bool:
+class _Multiples(dict):
+    """c -> the terms c*x for x in `elems` (mod `p` when one is given),
+    each list built on its first lookup and kept."""
+
+    def __init__(self, elems, p: int | None):
+        super().__init__()
+        self.elems, self.p = elems, p
+
+    def __missing__(self, c: int) -> list:
+        p = self.p
+        terms = self[c] = [c * x % p for x in self.elems] if p else [c * x for x in self.elems]
+        return terms
+
+
+def _dense(nodes: dict, k: int, top: int | None, xlo: int, xhi: int, entries: int, p: int | None = None) -> bool:
     """Whether a level of the spectrum fold packs: the slots its `nodes`
     (holding sums of k terms) span once shifted, plus _NODE_SLOTS per node,
     come to at most _PACK_SPAN per entry. Over F_p every node spans the p
     residues. Over Q each node's span is bounded from its key alone: k terms
-    c*x with c in [q[-1], top] and x in [xlo, xhi], shifted by q[-1]*x. It
-    is at least k*top*(xhi - xlo) + 1, which rules most sparse levels out
-    before any node is read."""
+    c*x with x in [xlo, xhi], shifted by q[-1]*x, and c in [q[-1], top] in
+    a trie of sorted keys; with `top` None, in a trie that files each key
+    by |entry|, largest first, c in [-|q[-1]|, |q[-1]|]. A node spans at
+    least one slot, which rules out a level of few entries per node before
+    any node is read, and the sum stops at the first node that takes it
+    past the budget, which rules most other sparse levels out after a few."""
     budget = _PACK_SPAN * entries
-    if len(nodes) * ((p or k * top * (xhi - xlo) + 1) + _NODE_SLOTS) > budget:
+    if len(nodes) * ((p or 1) + _NODE_SLOTS) > budget:
         return False
     if p:
         return True
     spans = _NODE_SLOTS * len(nodes)
     for q in nodes:
-        a, b = q[-1] * xlo, q[-1] * xhi
-        spans += k * (max(a, b, top * xhi) - min(a, b, top * xlo)) + abs(q[-1]) * (xhi - xlo) + 1
-    return spans <= budget
+        c = q[-1]
+        lo, hi = (c, top) if top else (-abs(c), abs(c))
+        # hi >= 0, so hi*x is largest at xhi and least at xlo
+        a, b = lo * xlo, lo * xhi
+        spans += k * (max(a, b, hi * xhi) - min(a, b, hi * xlo)) + abs(c) * (xhi - xlo) + 1
+        if spans > budget:
+            return False
+    return True
 
 
 def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
@@ -830,14 +859,25 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     summed over the cofactor classes m with their multiplicities, by a fold
     over the trie of pair keys. The subtrees under different first entries
     meet only at the root, so the fold takes one first entry c1 at a time
-    and holds one subtree: each pair key (..., c) of mass w adds w at c*x
-    for x in X to its parent's dict, read off the pair table, which it
-    empties; at every further level each node (..., c) shift-adds its dict
-    by c*x into its parent's, until the one node (c1,) shifts into the root
-    (), which holds h once every subtree is in. Over F_p every sum is
-    reduced mod p, which keeps each dict within p entries (at |X| = 6 over
-    F_101 the fold without it took 1.7 to 2.8 times as long). Each level of
-    a subtree whose nodes are dense (`_dense`) packs them (`_pack`): one int
+    and holds one subtree: each pair key of mass w adds w at v*x for x in X
+    to the dict of its leaf, the key without one entry v, read off the pair
+    table, which it empties; at every further level each node (..., c)
+    shift-adds its dict by c*x into its parent's, until the one node (c1,)
+    shifts into the root (), which holds h once every subtree is in. The
+    terms c*x of each entry c come from one table per call (`_Multiples`).
+    The distribution of <m, r> over r in X^n does not change when m is
+    permuted, so a key's entries may be filed in any order. At n = 3 over
+    Q the key (c1, b, c) goes under the leaf (c1, u), with u the one of b
+    and c larger in |.| (b on a tie), and adds the multiples of the other.
+    A leaf's dict then holds multiples of entries no larger than u in |.|,
+    and the next level shifts it |X| times per entry: the fold's dict
+    updates at interval 6, 8 and 12 and on {-3, ..., 3} fall to 0.922,
+    0.905, 0.872 and 0.817 of filing every key under (c1, b), and to 0.959
+    on GP(2) 6. Over F_p and at n >= 4 the keys stay sorted, v their last
+    entry: no other order was measured there. Over F_p every sum is reduced
+    mod p, which keeps each dict within p entries (at |X| = 6 over F_101
+    the fold without it took 1.7 to 2.8 times as long). Each level of a
+    subtree whose nodes are dense (`_dense`) packs them (`_pack`): one int
     per node, one slot per value from its least, wide enough for the mass
     |X|^(n^2), and shifting by c*x is one big-int shift and add per x
     (`_shift_add_packed`) where a dict takes one update per entry. Over F_p
@@ -848,10 +888,10 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     Q, large p over F_p) stay dicts. Before each level of each subtree
     runs, the budget is charged |X| per nonzero entry of the distributions
     it will shift, a dict's entries or a packed node's nonzero slots (|X|
-    per pair key at the leaf level): per level the
-    same totals as charging the whole trie level at once, packed or not. A
-    class and its mirror give v and -v the same counts, so the spectrum is
-    (h(v) + h(-v)) / 2 (-v mod p over F_p), set in h itself."""
+    per pair key at the leaf level): per level the same totals as charging
+    the whole trie level at once, packed or not. A class and its mirror
+    give v and -v the same counts, so the spectrum is (h(v) + h(-v)) / 2
+    (-v mod p over F_p), set in h itself."""
     meter = Meter(budget, "det_spectrum[rowblock]")
     B = len(X)
     if n < 2:
@@ -867,6 +907,9 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     subtrees: dict = {}
     for m in pairs:
         subtrees.setdefault(m[0], []).append(m)
+    multiples = _Multiples(elems, p)
+    # at n = 3 over Q the trie files a key by |entry|, largest first (`_dense`)
+    by_size = n == 3 and not p
     hist: dict = {}
     # a node may hold its distribution packed (`_pack`): no slot exceeds
     # the mass |X|^(n^2), so its width must hold that
@@ -875,15 +918,24 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     root = None
     while subtrees:
         c1, keys = subtrees.popitem()
-        # the leaves: each pair key (..., c) of mass w adds w at c*x for x in X to its parent's dict
+        # the leaves: each pair key of mass w adds w at v*x for x in X to its leaf's dict, where v
+        # is its last entry, or at n = 3 over Q its smaller one of b and c in |.| (the leaf keeps the other)
         meter.charge(B * len(keys))
         nodes: dict = {}
         for m in keys:
-            w, c = pairs.pop(m), m[-1]
-            dist = nodes.setdefault(m[:-1], {})
-            for x in elems:
-                k = c * x % p if p else c * x
-                dist[k] = dist.get(k, 0) + w
+            w = pairs.pop(m)
+            if not by_size:
+                leaf, v = m[:-1], m[-1]
+            elif m[1] + m[2] <= 0:
+                leaf, v = m[:2], m[2]
+            else:
+                leaf, v = (c1, m[2]), m[1]
+            dist = nodes.get(leaf)
+            if dist is None:
+                dist = nodes[leaf] = {}
+            get = dist.get
+            for k in multiples[v]:
+                dist[k] = get(k, 0) + w
         packed = False
         for j in range(n - 1, 0, -1):
             if packed:
@@ -891,7 +943,7 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
             else:
                 entries = sum(map(len, nodes.values()))
                 meter.charge(B * entries)
-                if width and _dense(nodes, n - j, -c1, xlo, xhi, entries, p):
+                if width and _dense(nodes, n - j, None if by_size else -c1, xlo, xhi, entries, p):
                     packed = True
                     for q, dist in nodes.items():
                         nodes[q] = _pack(dist, width)
@@ -901,15 +953,14 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
                 while nodes:
                     q, node = nodes.popitem()
                     r = q[:-1]
-                    terms = [q[-1] * x % p for x in elems] if p else [q[-1] * x for x in elems]
-                    parents[r] = _shift_add_packed(parents.get(r), node, terms, width, p)
+                    parents[r] = _shift_add_packed(parents.get(r), node, multiples[q[-1]], width, p)
                 nodes = parents
                 continue
             # the subtree's one node (c1,) shifts into the root
             parents = {(): hist} if j == 1 else {}
             while nodes:
                 q, dist = nodes.popitem()
-                _shift_add(parents.setdefault(q[:-1], {}), dist, [q[-1] * x for x in elems], p)
+                _shift_add(parents.setdefault(q[:-1], {}), dist, multiples[q[-1]], p)
             nodes = parents
         if packed:
             root = nodes[()]

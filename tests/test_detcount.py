@@ -693,7 +693,7 @@ def test_budget_refusal():
 
 def test_budget_covers_solve_phase():
     # the class walk's C(4^2 + 2, 3) = 816 top blocks fit the budget, but
-    # the kernel at d = 1 (3,112 steps in all) and the fold (7,264) behind
+    # the kernel at d = 1 (3,112 steps in all) and the fold (6,856) behind
     # them do not
     X = make_ground_set(range(1, 5), QQ)
     with pytest.raises(BudgetExceededError):
@@ -714,16 +714,18 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
     # root's one entry (4 * 15 steps), the 69 of b*x + e*y from theirs, 4
     # entries each but 1 for the 3 with b = 0 (4 * (66 * 4 + 3) = 1068
     # steps), then does 4 lookups per merged form (584):
-    # 816 + 60 + 1068 + 584 = 2528. The spectrum shifts 4 * 231 leaf entries,
-    # then 4 * 787 entries of the 120 prefix dicts and 4 * 594 of the 15:
-    # 816 + 924 + 3148 + 2376 = 7264. The public d = 0 count projects along
+    # 816 + 60 + 1068 + 584 = 2528. The spectrum files each key (a, b, e)
+    # under the leaf (a, u) with u the larger of b and e in |.|, 108 leaves
+    # in all: it adds 4 * 231 leaf entries, then shifts 4 * 685 entries of
+    # the 108 leaf dicts and 4 * 594 of the 15:
+    # 816 + 924 + 2740 + 2376 = 6856. The public d = 0 count projects along
     # the top row instead: C(4 + 2, 3) = 20 sorted rows, of which
     # (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 2, 4) and (2, 4, 4) share a
     # direction with a primitive row, then 4^3 per each of the 15
     # directions: 20 + 15 * 64 = 980.
     X = make_ground_set(range(1, 5), QQ)
     count = count_det_rowblock(X, 3, 0, budget=980)
-    spec = det_spectrum(X, 3, "rowblock", budget=7_264)
+    spec = det_spectrum(X, 3, "rowblock", budget=6_856)
     assert count == spec.get(0) == count_det_rowblock(X, 3, 0)
     assert spec.entries == det_spectrum(X, 3, "rowblock").entries
     meter = Meter(None, "test")
@@ -734,15 +736,15 @@ def test_rowblock_budget_is_charged_per_sorted_key_class():
         count_det_rowblock(X, 3, 0, budget=979)
     assert (exc.value.estimated, exc.value.budget, exc.value.what) == (980, 979, "count_det_rowblock")
     with pytest.raises(BudgetExceededError) as exc:
-        det_spectrum(X, 3, "rowblock", budget=7_263)
-    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (7_264, 7_263, "det_spectrum[rowblock]")
+        det_spectrum(X, 3, "rowblock", budget=6_855)
+    assert (exc.value.estimated, exc.value.budget, exc.value.what) == (6_856, 6_855, "det_spectrum[rowblock]")
 
 
 @pytest.mark.parametrize("values, field, n, pin", [
     (range(1, 4), QQ, 4, 50_436),
     (range(1, 5), FieldSpec.prime(5), 3, 1_036),
     # symmetric about 0: many classes are their own mirror
-    (range(-2, 3), QQ, 3, 5_810),
+    (range(-2, 3), QQ, 3, 5_450),
 ])
 def test_spectrum_budget_totals(values, field, n, pin):
     # the fold charges each level of each first entry's subtree before it
@@ -825,6 +827,37 @@ def test_packed_and_dict_folds_match_brute(values, n):
     assert unpacked == brute and calls["_shift_add"] and not calls["_pack"]
 
 
+@pytest.mark.parametrize("values", [
+    range(-2, 3), _RANDOM_4, [Fraction(1, 2), 1, Fraction(3, 2)], [1, 2, 4, 8], range(1, 5),
+])
+def test_spectrum_leaves_take_both_entry_choices(values, monkeypatch):
+    # at n = 3 over Q the fold files the pair key (a, b, c) under the leaf
+    # (a, b) when |b| >= |c|, that is b + c <= 0 or b = c, and under (a, c)
+    # otherwise. Each set here has keys of both kinds with b != c. The fold's
+    # leaves must be exactly those, and its spectrum brute's, with every
+    # level packed and with none
+    X = _over_q(values)
+    pairs, _ = _class_table(int_lift(X), 3, Meter(None, "test"))
+    under_b = {m for m in pairs if m[1] + m[2] <= 0}
+    assert any(b != c for _, b, c in under_b) and any(b != c for _, b, c in set(pairs) - under_b)
+    want = {(a, b) if (a, b, c) in under_b else (a, c) for a, b, c in pairs}
+    brute = det_spectrum(X, 3, "brute").entries
+    dense = detcount._dense
+    leaves = set()
+
+    def spy(nodes, k, *args):
+        if k == 1:
+            leaves.update(nodes)
+        return dense(nodes, k, *args)
+
+    monkeypatch.setattr(detcount, "_dense", spy)
+    for span in (0, math.inf):
+        leaves.clear()
+        entries, calls = _fold_spectrum(X, 3, span)
+        assert leaves == want
+        assert entries == brute and bool(calls["_pack"]) == (span > 0)
+
+
 @pytest.mark.parametrize("values, n", [(range(1, 9), 3), (range(1, 4), 4)])
 def test_packed_and_dict_folds_agree_beyond_brute(values, n):
     X = make_ground_set(values, QQ)
@@ -858,7 +891,7 @@ def test_packing_rule_selects_dense_levels(spec, packs):
 
 
 @pytest.mark.parametrize("values, n, pin", [
-    (range(1, 5), 3, 7_264), (range(1, 4), 4, 50_436), (range(-2, 3), 3, 5_810),
+    (range(1, 5), 3, 6_856), (range(1, 4), 4, 50_436), (range(-2, 3), 3, 5_450),
     (make_ground_set(range(1, 5), FieldSpec.prime(5)), 3, 1_036),
 ])
 @pytest.mark.parametrize("span", [0, math.inf])
