@@ -49,24 +49,28 @@ mass by its class size (`_class_size`); `minor_multiplicity_map` and
 field scalars.
 
 Every linear-form count in the package goes through one kernel: it sums
-w * #{r in X^k : <c, r> = t} over forms (c, t, w). `_count_forms` groups
-the forms: it looks up one entry of each sorted c (over Q, after negating
-(c, t) when need be, the entry of largest absolute value; over F_p the
-last residue), and merges equal forms by prefix, the other entries.
-`_count_groups` counts the merged forms: it builds one value distribution
-per distinct prefix, then does |X| lookups per merged form and target. The
+w * #{r in X^k : <c, r> = t} over forms (c, t, w). `_group_forms` holds
+its one orientation rule and merges the forms: each looks up its lead,
+one entry of c (over Q, after negating (c, t) when need be, the entry of
+largest absolute value; over F_p the largest residue), and equal forms
+merge by prefix, the other entries, sorted. `_count_groups` counts the
+merged forms: it builds one value distribution per distinct prefix, then
+does |X| lookups per merged form and target, from one list of multiples
+of the lead per distinct lead, and from one list of lookups per (lead,
+target) that recurs under other prefixes. The
 callers are `count_det_rowblock` through `_count_by_classes` (on lifted
 ints, each pair key over Q divided by the gcd of its entries, as is the
 target, and one form per key, looked up at d and, where -d differs, at -d
-too, from one list of multiples; the pair keys are already sorted and
-oriented, so it groups them for `_count_groups` itself, as they leave the
-walk; at n = 3 it is reached at d != 0 only, and stays the oracle of
-`_singular_n3` at d = 0),
+too; the pair keys are already sorted and oriented, so it groups them for
+`_count_groups` itself, as they leave the walk; at n = 3 it is reached at
+d != 0 only, and stays the oracle of `_singular_n3` at d = 0),
 `MinorPlanes.det_count_via_incidences`, the curve half of
 `incidence.curve_incidences_n3` (its |U|^4 forms share at most
-(2|U| - 1)^2 keys and come in swapped pairs, so it hands the kernel one
-form of weight 2 per pair) and `energy.count_bilinear` (lifted ints,
-with the modulus over F_p). The rowblock spectrum at n >= 3 folds the
+(2|U| - 1)^2 directions and come in swapped pairs; it orients each
+unordered pair of directions once, by its lead (`_by_lead`), and merges
+its offsets into the kernel's groups itself, weight 2 per swapped pair)
+and `energy.count_bilinear` (lifted ints, with the modulus over F_p). The
+rowblock spectrum at n >= 3 folds the
 weighted pair keys over the same prefix trie, from the leaves up to the
 root, one first entry's subtree at a time. At n = 3 over Q it files a key
 (a, b, c) under the leaf (a, u), with u the one of b and c larger in |.|,
@@ -194,33 +198,56 @@ def _nonzero_slots(nodes, width: int) -> int:
     return (packed & int.from_bytes((1).to_bytes(size, "little") * (len(data) // size), "little")).bit_count()
 
 
-def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
-    """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w) of
-    plain ints, all of one length k >= 2, by `_count_groups`. The count does
-    not change when c is permuted, nor when (c, t) is negated, so each c is
-    sorted and one entry a of it is looked up: with a `modulus` (c and t
-    reduced mod that prime) the last one; without, the first, after the form
-    is negated when its last entry exceeds minus its first, which puts the
-    entry of largest absolute value first, negative. The other entries are
-    the form's prefix q, and equal forms merge, their weights added, keyed
-    by (a, t) per prefix."""
+def _group_forms(forms, modulus: int | None) -> dict:
+    """The forms (c, t, w) of plain ints, all of one length, merged as
+    `_count_groups` takes them, {q: {(a, t'): w}}. The count of a form
+    does not change when c is permuted, nor when (c, t) is negated, so each
+    form is oriented: it looks up one entry a of c, its lead, and the other
+    entries, sorted, are its prefix q. With a `modulus`, the lead is c's
+    largest residue and t' = t mod that prime; without, it is c's entry of
+    largest absolute value, the negative one on a tie, and (c, t) is
+    negated when that entry is positive. Equal forms merge, their weights
+    added. `_by_lead` orders entries by the same rule."""
     groups: dict = {}
     for c, t, w in forms:
         if modulus:
             c = sorted([x % modulus for x in c])
-            t %= modulus
-            a, q = c[-1], tuple(c[:-1])
+            q, key = tuple(c[:-1]), (c[-1], t % modulus)
         else:
             c = sorted(c)
             if c[-1] > -c[0]:
                 c, t = sorted(map(neg, c)), -t
-            a, q = c[0], tuple(c[1:])
+            q, key = tuple(c[1:]), (c[0], t)
         members = groups.get(q)
         if members is None:
             members = groups[q] = {}
-        key = (a, t)
         members[key] = members.get(key, 0) + w
-    return _count_groups(groups, elems, modulus, meter)
+    return groups
+
+
+def _by_lead(values, modulus: int | None) -> list:
+    """The distinct plain ints `values` (residues with a `modulus`) sorted so
+    that each one is the lead (`_group_forms`) of every pair it forms with a
+    later one: descending with a modulus; without, by descending absolute
+    value, x < 0 before -x."""
+    return sorted(values, key=(lambda x: -x) if modulus else (lambda x: (-abs(x), x)))
+
+
+def _count_forms(forms, elems, modulus: int | None, meter: Meter) -> int:
+    """Sum of w * #{r in elems^k : <c, r> = t} over the forms (c, t, w) of
+    plain ints, all of one length k >= 2: `_count_groups` on the merged
+    forms of `_group_forms`."""
+    return _count_groups(_group_forms(forms, modulus), elems, modulus, meter)
+
+
+# The merged forms of one (a, t), t != 0, look up t - a*x (and -t - a*x if
+# paired) under each prefix. The first such form in a call shifts the list
+# of -a*x lazily and marks the (a, t); the second builds one list of its
+# lookups, which the later ones reuse. A list at every first form made the
+# curve count on random 16 in +-10^6, whose 16,441 (a, t) all differ, 1.29x
+# slower. Tests set `_LIST_SIGHTING` to 1 (a list at the first form) and
+# to 0 (no lists) against its 2.
+_LIST_SIGHTING = 2
 
 
 def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter, paired: bool = False) -> int:
@@ -230,12 +257,15 @@ def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter, paired
     times the sum of the two. The value distribution of <q, r'> over r' in
     X^len(q) is built from that of q[:-1] by shifting with q[-1]*y for each
     y in X (`_shift_add`), once per distinct prefix, from the root {0: 1};
-    a merged form then needs |X| lookups of t - a*x (2|X| if `paired`),
-    from one list of -a*x per distinct a. With a `modulus`, every key is
-    reduced mod that prime. The `meter` is charged level by level before
-    the level runs: |X| per parent entry for each prefix built, and with
-    the last level the lookups, |X| or 2|X| per merged form. An all-zero
-    form counts |X|^k when t = 0 and 0 otherwise."""
+    a merged form then needs |X| lookups of t - a*x (2|X| if `paired`).
+    They come from one list of -a*x per distinct a, the lookups at t = 0,
+    shifted by t as they are looked up, until an (a, t) recurs under
+    another prefix: from its second form on, one list of its own lookups
+    serves it (`_LIST_SIGHTING`). With a `modulus`, every key is reduced
+    mod that prime. The `meter` is charged level by level before the level
+    runs: |X| per parent entry for each prefix built, and with the last
+    level the lookups, |X| or 2|X| per merged form. An all-zero form counts
+    |X|^k when t = 0 and 0 otherwise."""
     if not groups:
         return 0
     B = len(elems)
@@ -248,21 +278,38 @@ def _count_groups(groups: dict, elems, modulus: int | None, meter: Meter, paired
     # one last-level distribution at a time: holding them all raised the
     # peak memory of a GP 10 count from 110 to 133 MB
     meter.charge(B * (sum(len(dists[q[:-1]]) for q in groups) + (1 + paired) * sum(map(len, groups.values()))))
-    multiples: dict = {}
+    # (a, t): its list of lookups, or 0 once its first form is seen; at
+    # (a, 0) the list of -a*x
+    lookups: dict = {}
+    listed = _LIST_SIGHTING
+    # one endless default for every dist.get, never exhausted
+    zeros = repeat(0)
     total = 0
     for q, members in groups.items():
         dist = _shift_add({}, dists[q[:-1]], [q[-1] * y for y in elems], modulus)
         get = dist.get
-        for (a, t), w in members.items():
-            keys = multiples.get(a)
-            if keys is None:
-                keys = multiples[a] = [-a * x % modulus for x in elems] if modulus else [-a * x for x in elems]
-            if t:
-                found = map(add, keys, repeat(t))
-                if paired:
-                    found = chain(found, map(add, keys, repeat(-t)))
-                keys = map(modulus.__rmod__, found) if modulus else found
-            total += w * sum(map(get, keys, repeat(0)))
+        for key, w in members.items():
+            keys = lookups.get(key)
+            if not keys:
+                a, t = key
+                base = lookups.get((a, 0))
+                if base is None:
+                    base = lookups[a, 0] = [-a * x % modulus for x in elems] if modulus else [-a * x for x in elems]
+                if not t:
+                    keys = base
+                else:
+                    found = map(add, base, repeat(t))
+                    if paired:
+                        found = chain(found, map(add, base, repeat(-t)))
+                    if modulus:
+                        found = map(modulus.__rmod__, found)
+                    if keys is None and listed != 1:
+                        if listed:
+                            lookups[key] = 0
+                        keys = found
+                    else:
+                        keys = lookups[key] = list(found)
+            total += w * sum(map(get, keys, zeros))
     return total
 
 

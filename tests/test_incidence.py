@@ -505,8 +505,8 @@ def test_curve_count_matches_six_variable_loop(U):
 
 def test_curve_double_count_stays_live(monkeypatch):
     # a curve half that is off by one must make the double count raise
-    count_forms = incidence._count_forms
-    monkeypatch.setattr(incidence, "_count_forms", lambda *args: count_forms(*args) + 1)
+    count_groups = detcount._count_groups
+    monkeypatch.setattr(detcount, "_count_groups", lambda *args: count_groups(*args) + 1)
     for U in (X012, HALVES, Y124, make_ground_set([0, 3, 5, 6], F7)):
         with pytest.raises(AssertionError, match="curve double count disagrees"):
             curve_incidences_n3(U)
@@ -523,12 +523,15 @@ def test_curve_double_count_stays_live(monkeypatch):
         make_ground_set(range(5), F5),
         make_ground_set([0, 3, 5, 6], F7),
         Y124,
+        # differences that do not repeat: one or two forms per direction pair
+        make_ground_set(random.Random(2).sample(range(-10**6, 10**6 + 1), 6), QQ),
     ],
 )
 def test_curve_half_hands_the_kernel_the_merged_raw_forms(monkeypatch, U):
-    # the curve half weights each swapped pair of forms once by 2; the
-    # kernel must see exactly the groups that _count_forms builds from all
-    # |U|^4 raw forms ((t-c, b-a), t*b - a*c, 1), so it charges the same steps
+    # the curve half orients each unordered pair of directions once and
+    # weights each swapped pair of forms once by 2; the kernel must see
+    # exactly the groups that _count_forms builds from all |U|^4 raw forms
+    # ((t-c, b-a), t*b - a*c, 1), so it charges the same steps
     seen = []
 
     def spy(groups, *args):
