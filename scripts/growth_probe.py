@@ -38,7 +38,7 @@ def main():
     args = ap.parse_args()
 
     sizes = parse_sizes(args.sizes)
-    threads = resolve_threads(args.threads)
+    resolve_threads(args.threads)
     cache = ResultCache(args.cache) if args.cache else None
     field = FieldSpec.rationals()
 
@@ -57,7 +57,7 @@ def main():
     fits = {}
     for name, template in families:
         rows = run_scan(template, sizes, field, n, "zero", args.engine,
-                        threads=threads, budget=args.budget, cache=cache)
+                        budget=args.budget, cache=cache)
         print(f"  {name}")
         for row in rows:
             cnt = "over budget" if row.budget_hit else row.count

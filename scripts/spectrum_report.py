@@ -36,8 +36,8 @@ def main():
     X = resolve_set(args, field)
 
     n = args.n
-    threads = resolve_threads(args.threads)
-    spec = det_spectrum(X, n, args.engine, budget=args.budget, threads=threads)
+    resolve_threads(args.threads)
+    spec = det_spectrum(X, n, args.engine, budget=args.budget)
     mass = spec.total_mass()
     print(f"set: {{{', '.join(format_scalar(e) for e in X)}}}  over {field.label()}")
     print(f"n = {n}, engine = {args.engine}")

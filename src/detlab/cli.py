@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from contextlib import contextmanager
 
@@ -71,11 +70,10 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
-def resolve_threads(flag: int | None = None) -> int:
-    """Worker count: the explicit flag, which must be at least 1, else the CPU count."""
-    if flag is None:
-        return os.cpu_count() or 1
-    if flag < 1:
+def resolve_threads(flag: int | None = None) -> int | None:
+    """The `--threads` flag, refused below 1. It is accepted and has no
+    effect: every walk runs in one process."""
+    if flag is not None and flag < 1:
         raise PreconditionError(f"--threads must be at least 1, got {flag}")
     return flag
 
@@ -83,7 +81,7 @@ def resolve_threads(flag: int | None = None) -> int:
 def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
     p.add_argument("--field", default="rational", help="rational or fp:<p>")
     if threads:
-        p.add_argument("--threads", type=int, default=None, help="brute-engine workers (default: the CPU count)")
+        p.add_argument("--threads", type=int, default=None, help="accepted and unused; refused below 1")
     p.add_argument("--budget", type=int, default=None, help="enumeration budget in elementary steps")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -151,8 +149,8 @@ def _parse_matrix(text: str, field: FieldSpec) -> Matrix:
 
 def _cmd_count(args, X) -> dict:
     d = parse_scalar(args.d, X.field)
-    threads = resolve_threads(args.threads)
-    cnt = COUNT_ENGINES[args.engine](X, args.n, d, budget=args.budget, threads=threads)
+    resolve_threads(args.threads)
+    cnt = COUNT_ENGINES[args.engine](X, args.n, d, budget=args.budget)
     return {
         "n": args.n,
         "d": format_scalar(d),
@@ -162,8 +160,8 @@ def _cmd_count(args, X) -> dict:
 
 
 def _cmd_spectrum(args, X) -> dict:
-    threads = resolve_threads(args.threads)
-    spec = det_spectrum(X, args.n, args.engine, budget=args.budget, threads=threads)
+    resolve_threads(args.threads)
+    spec = det_spectrum(X, args.n, args.engine, budget=args.budget)
     return {
         "n": args.n,
         "engine": args.engine,
@@ -249,7 +247,7 @@ def _cmd_scan(args, X) -> None:
     sizes = parse_sizes(args.sizes)
     template = _family_from_args(args, sizes[0])
     cache = ResultCache(args.cache) if args.cache else None
-    threads = resolve_threads(args.threads)
+    resolve_threads(args.threads)
     rows = run_scan(
         template,
         sizes,
@@ -258,7 +256,6 @@ def _cmd_scan(args, X) -> None:
         args.dmode,
         args.engine,
         d=None if args.d is None else parse_scalar(args.d, field),
-        threads=threads,
         budget=args.budget,
         cache=cache,
     )

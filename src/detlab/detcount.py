@@ -8,11 +8,11 @@ that are permutations of each other share a class), pairs each class with
 its negation, and counts the first rows per pair by a fold over the trie of
 pair keys.
 
-Each enumeration is one walk over itertools.product. Only the brute oracle
-shards its walk over a process pool (`_brute_histogram`), and its totals are
-identical for any worker count. The cofactor table is walked in one process
-at any worker count: shipping each worker's table back cost more than the
-walk it saved.
+Each enumeration is one walk over itertools.product, and every walk runs in
+the calling process. The public entry points still accept `threads`, which
+selects nothing: sharding the brute oracle over two workers paid only from
+about 4^9 matrices, past the sizes an oracle is run at, and shipping each
+worker's cofactor table back cost more than the walk it saved.
 
 At n = 2 the rowblock engines walk no cofactor classes: D_2(X, d) is the
 difference-correlation of the lifted pair products P(t) = #{uv = t}, read
@@ -377,66 +377,36 @@ class MinorMultiplicityMap:
 # brute-force enumeration (master oracle)
 
 
-def _brute_walk(elems, n, start, stop) -> Counter:
-    """Determinant histogram of the n x n matrices whose top-left entry is one
-    of elems[start:stop]."""
-    lead = elems[start:stop]
-    if n == 2:
-        dets = (a * d - b * c for a, b, c, d in itertools.product(lead, elems, elems, elems))
-    elif n == 3:
-        dets = (
-            x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1) + x3 * (y1 * z2 - y2 * z1)
-            for x1, x2, x3, y1, y2, y3, z1, z2, z3 in itertools.product(lead, *[elems] * 8)
-        )
-    else:
-        rows = list(itertools.product(elems, repeat=n))
-        tops = itertools.product(lead, *[elems] * (n - 1))
-        dets = map(_det_rows, itertools.product(tops, *[rows] * (n - 1)))
-    return Counter(dets)
-
-
-# Brute histogram, 1 vs 2 workers on a 2-core host (medians of 7-9 runs): n = 3
-# at 3^9 = 19,683 items 8 vs 25 ms, n = 2 at 20^4 = 160,000 items 35 vs 49 ms,
-# n = 3 at 4^9 = 262,144 items 115 vs 91 ms; two workers pay from about 2^18.
-_MIN_PARALLEL_ITEMS = 1 << 18
-
-
-def _brute_histogram(X: GroundSet, n: int, meter: Meter, threads: int) -> Counter:
-    """Determinant histogram of X^(n x n), keyed by canonical field scalars.
-    From `_MIN_PARALLEL_ITEMS` matrices on, `threads` workers walk contiguous
-    shards of the leading coordinate's values (at most |X| of them) and their
-    partials are summed key-wise. Over F_p the walk multiplies residues as
-    plain ints, and ints that share a residue are summed into one key. The
+def _brute_histogram(X: GroundSet, n: int, meter: Meter) -> Counter:
+    """Determinant histogram of X^(n x n), keyed by canonical field scalars,
+    in one walk over itertools.product. Over F_p the walk multiplies residues
+    as plain ints, and ints that share a residue are summed into one key. The
     `meter` is charged one step per matrix before the walk."""
     if n < 1:
         raise PreconditionError("dimension must be >= 1")
-    B = len(X)
-    total = B ** (n * n)
-    meter.charge(total)
+    meter.charge(len(X) ** (n * n))
     field = X.field
     elems = X.elements if field.is_rational else tuple(e.residue for e in X)
-    if threads <= 1 or total < _MIN_PARALLEL_ITEMS:
-        parts = [_brute_walk(elems, n, 0, B)]
+    if n == 2:
+        dets = (a * d - b * c for a, b, c, d in itertools.product(elems, repeat=4))
+    elif n == 3:
+        dets = (
+            x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1) + x3 * (y1 * z2 - y2 * z1)
+            for x1, x2, x3, y1, y2, y3, z1, z2, z3 in itertools.product(elems, repeat=9)
+        )
     else:
-        # imported here, at the one use of a pool: the import is a sixth of `import detlab`
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(threads, B)
-        cuts = [B * i // workers for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = zip(cuts, cuts[1:])
-            futures = [pool.submit(_brute_walk, elems, n, start, stop) for start, stop in shards]
-            parts = [f.result() for f in futures]
+        rows = list(itertools.product(elems, repeat=n))
+        dets = map(_det_rows, itertools.product(rows, repeat=n))
     hist = Counter()
-    for part in parts:
-        for k, v in part.items():
-            hist[field.coerce(k)] += v
+    for k, v in Counter(dets).items():
+        hist[field.coerce(k)] += v
     return hist
 
 
 def count_det_brute(X: GroundSet, n: int, d, *, budget: int | None = None, threads: int = 1) -> int:
-    """Number of n x n matrices over X with determinant d, by full enumeration."""
-    hist = _brute_histogram(X, n, Meter(budget, "count_det_brute"), threads)
+    """Number of n x n matrices over X with determinant d, by full enumeration.
+    `threads` is accepted and unused."""
+    hist = _brute_histogram(X, n, Meter(budget, "count_det_brute"))
     return hist.get(X.field.coerce(d), 0)
 
 
@@ -675,8 +645,8 @@ def count_det_rowblock(
     n = 2 it is the product correlation `_conv_n2`. At n = 3 with a lifted
     target of 0 (d = 0 over Q, d = 0 mod p over F_p) it projects along the
     top row (`_singular_n3`); otherwise it pairs the cofactor classes with
-    the first rows (`_count_by_classes`). The table is walked in-process;
-    `threads` is the registry's signature."""
+    the first rows (`_count_by_classes`). `threads` is accepted and
+    unused."""
     if n < 2:
         raise PreconditionError("count_det_rowblock needs n >= 2")
     meter = Meter(budget, "count_det_rowblock")
@@ -844,7 +814,7 @@ def _conv_n2(lift: IntLift, target: int, meter: Meter) -> int:
     return sum(c * prod.get((t - target) % p if p else t - target, 0) for t, c in prod.items())
 
 
-# Count engines by name, each called as f(X, n, d, *, budget, threads).
+# Count engines by name, each called as f(X, n, d, *, budget).
 COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock}
 
 
@@ -852,8 +822,8 @@ COUNT_ENGINES = {"brute": count_det_brute, "rowblock": count_det_rowblock}
 # spectra
 
 
-def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
-    return dict(_brute_histogram(X, n, Meter(budget, "det_spectrum[brute]"), threads))
+def _spectrum_brute(X: GroundSet, n: int, *, budget: int | None) -> dict:
+    return dict(_brute_histogram(X, n, Meter(budget, "det_spectrum[brute]")))
 
 
 class _Multiples(dict):
@@ -898,7 +868,7 @@ def _dense(nodes: dict, k: int, top: int | None, xlo: int, xhi: int, entries: in
     return True
 
 
-def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int) -> dict:
+def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None) -> dict:
     """The spectrum in lifted ints, each lowered to its field scalar at the
     end, one to one: k / L^n over Q, a residue over F_p. At n = 2 it is
     `_cross_terms` of the pair products P, charged |X|^2, then |P|^2.
@@ -1027,7 +997,7 @@ def _spectrum_rowblock(X: GroundSet, n: int, *, budget: int | None, threads: int
     return hist if lift.is_identity else {lift.lower(k, n): v for k, v in hist.items()}
 
 
-# Spectrum engines by name, each called as f(X, n, *, budget, threads) and
+# Spectrum engines by name, each called as f(X, n, *, budget) and
 # returning canonical field-scalar keys.
 SPECTRUM_ENGINES = {"brute": _spectrum_brute, "rowblock": _spectrum_rowblock}
 
@@ -1035,10 +1005,11 @@ SPECTRUM_ENGINES = {"brute": _spectrum_brute, "rowblock": _spectrum_rowblock}
 def det_spectrum(
     X: GroundSet, n: int, engine: str = "brute", *, budget: int | None = None, threads: int = 1
 ) -> SpectrumHistogram:
-    """Full determinant distribution d -> D_n(X, d)."""
+    """Full determinant distribution d -> D_n(X, d). `threads` is accepted
+    and unused."""
     if engine not in SPECTRUM_ENGINES:
         raise PreconditionError(f"unknown spectrum engine {engine!r}")
-    hist = SPECTRUM_ENGINES[engine](X, n, budget=budget, threads=threads)
+    hist = SPECTRUM_ENGINES[engine](X, n, budget=budget)
     return SpectrumHistogram(n, X, engine, hist)
 
 
@@ -1051,8 +1022,9 @@ def dsup(
     budget: int | None = None,
     threads: int = 1,
 ) -> tuple[Scalar, int]:
-    """Argmax of the spectrum, by `SpectrumHistogram.argmax`."""
-    return det_spectrum(X, n, engine, budget=budget, threads=threads).argmax(exclude_zero)
+    """Argmax of the spectrum, by `SpectrumHistogram.argmax`. `threads` is
+    accepted and unused."""
+    return det_spectrum(X, n, engine, budget=budget).argmax(exclude_zero)
 
 
 # ---------------------------------------------------------------------------

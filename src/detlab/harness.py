@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import BudgetExceededError, Meter, PreconditionError
-from .detcount import COUNT_ENGINES, dsup
+from .detcount import COUNT_ENGINES, det_spectrum
 from .families import FamilySpec, generate
 from .scalars import FieldSpec, format_scalar
 
@@ -207,7 +207,10 @@ def run_scan(
     """One row per size, cached by content key; budget misses are recorded as
     rows with budget_hit set and the scan continues. The key holds no budget,
     so refused rows are neither cached nor served from the cache. A negative
-    budget is refused before the first cache lookup, warm cache or cold."""
+    budget is refused before the first cache lookup, warm cache or cold.
+    `threads` is accepted and unused. A `sup_nonzero` size where every matrix
+    is singular is a row with count 0 and d None: the sup over d != 0 is 0,
+    taken at no d."""
     sizes = list(sizes)
     if not sizes:
         raise PreconditionError("no sizes to scan")
@@ -242,10 +245,14 @@ def run_scan(
         try:
             if target is None:
                 exclude = dmode == DMODE_SUP_NONZERO
-                dval, count = dsup(X, n, exclude, engine=engine, budget=budget, threads=threads)
-                row_d = format_scalar(dval)
+                spectrum = det_spectrum(X, n, engine, budget=budget)
+                if exclude and not any(spectrum.entries):
+                    count = 0
+                else:
+                    dval, count = spectrum.argmax(exclude)
+                    row_d = format_scalar(dval)
             else:
-                count = COUNT_ENGINES[engine](X, n, target, budget=budget, threads=threads)
+                count = COUNT_ENGINES[engine](X, n, target, budget=budget)
         except BudgetExceededError:
             count, budget_hit = None, True
         elapsed = (time.perf_counter() - t0) * 1000.0

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-import detlab.detcount as detcount
 from detlab.detcount import (
     count_det_brute,
     count_det_rowblock,
@@ -323,8 +322,7 @@ def test_criterion_10_rank_partition():
     assert report(10, True, "rank counts partition X^(mn); full rank complements D_n(X,0)")
 
 
-def test_criterion_11_scan_determinism(monkeypatch):
-    monkeypatch.setattr(detcount, "_MIN_PARALLEL_ITEMS", 1)
+def test_criterion_11_scan_determinism():
     spec = FamilySpec("random", 4, seed=11)
 
     def run(threads):

@@ -161,6 +161,13 @@ def test_scan_deterministic_bytes(tmp_path, capsys):
     assert strip(a) == strip(b)
 
 
+def test_scan_sup_nonzero_goes_on_past_an_all_singular_size(capsys):
+    rc, out = run_cli(capsys, "scan", "--family", "interval", "--sizes", "1:3", "--n", "2", "--dmode", "sup_nonzero")
+    assert rc == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["X"], r["d"], r["count"]) for r in rows] == [(1, None, "0"), (2, "1", "2"), (3, "1", "8")]
+
+
 # README examples and their exact stdout: key order, spacing and the newline
 README_REPORTS = [
     (
@@ -440,10 +447,8 @@ def test_exit_code_internal_invariant(capsys, monkeypatch, callee, kind):
     assert err.startswith("error: ") and err.count("\n") == 1 and "invariant broken" in err
 
 
-def test_threads_resolution(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 7)
+def test_threads_resolution():
     assert resolve_threads(3) == 3
-    assert resolve_threads(None) == 7
     for flag in (0, -3):
         with pytest.raises(PreconditionError, match="at least 1"):
             resolve_threads(flag)

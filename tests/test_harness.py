@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-import detlab.detcount as detcount
 from detlab.errors import PreconditionError
-from detlab.detcount import COUNT_ENGINES, count_det_brute
+from detlab.detcount import COUNT_ENGINES, count_det_brute, det_spectrum
 from detlab.families import FamilySpec
 from detlab.harness import (
     ARTIFACT_VERSION,
@@ -63,6 +62,25 @@ def test_scan_sup_modes():
     assert rows[0].count == 2 and rows[0].d == "1"
     rows = run_scan(FamilySpec("interval", 2), [2], QQ, 2, "sup_all", "rowblock")
     assert rows[0].count == 6 and rows[0].d == "0"
+
+
+def test_scan_sup_nonzero_records_an_all_singular_size(tmp_path):
+    # every 2 x 2 matrix over {1} is singular: the sup over d != 0 is 0, taken
+    # at no d, so the scan records that size and goes on; a direct argmax refuses
+    spec = FamilySpec("interval", 1)
+    with pytest.raises(PreconditionError, match="no nonzero"):
+        det_spectrum(make_ground_set([1], QQ), 2).argmax(True)
+    strip = lambda r: {k: v for k, v in r.to_json_dict().items() if k != "elapsed_ms"}
+    for engine in COUNT_ENGINES:
+        cache = ResultCache(str(tmp_path / f"{engine}.jsonl"))
+        rows = run_scan(spec, [1, 2, 3], QQ, 2, "sup_nonzero", engine, cache=cache)
+        assert (rows[0].d, rows[0].count, rows[0].budget_hit) == (None, 0, False)
+        rest = run_scan(spec, [2, 3], QQ, 2, "sup_nonzero", engine)
+        assert [strip(r) for r in rows[1:]] == [strip(r) for r in rest]
+        warm = run_scan(spec, [1], QQ, 2, "sup_nonzero", engine, cache=ResultCache(cache.path))
+        assert warm == rows[:1]
+    fit = fit_exponent(rows)
+    assert (fit.points_used, fit.excluded_zero) == (2, 1)
 
 
 def test_scan_rows_reproducible_by_named_engine():
@@ -313,8 +331,7 @@ def test_scan_rows_deterministic_modulo_elapsed():
     assert [strip(r) for r in a] == [strip(r) for r in b]
 
 
-def test_scan_threads_agree(monkeypatch):
-    monkeypatch.setattr(detcount, "_MIN_PARALLEL_ITEMS", 1)
+def test_scan_threads_agree():
     spec = FamilySpec("random", 4, seed=3)
     counts = {}
     for threads in (1, 4):
