@@ -1027,43 +1027,53 @@ def test_n4_interval_3_count():
     assert det_spectrum(X, 4, "rowblock").get(0) == 7_382_001
 
 
-def test_no_call_starts_a_pool(monkeypatch):
-    from detlab.incidence import planes_from_minors
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
 
+def test_parallel_counts_match_serial(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     X = make_ground_set([0, 1, 2], QQ)
+    assert count_det_brute(X, 2, 0, threads=4) == count_det_brute(X, 2, 0, threads=1)
+    assert count_det_rowblock(X, 3, 0, threads=4) == count_det_rowblock(X, 3, 0, threads=1)
+    sb = det_spectrum(X, 2, "brute", threads=4)
+    assert sb.entries == det_spectrum(X, 2, "brute", threads=1).entries
     Xp = make_ground_set([1, 2, 4], F7)
-    Y = make_ground_set([-1, 2, 3], QQ)
+    assert count_det_rowblock(Xp, 2, 3, threads=3) == count_det_rowblock(Xp, 2, 3)
+    # n = 3 walks over Q and F_7, on sets of three and of two values
+    for field in (QQ, F7):
+        for vals, threads in (([-1, 2, 3], 2), ([1, 3], 4)):
+            Y = make_ground_set(vals, field)
+            assert count_det_brute(Y, 3, 1, threads=threads) == count_det_brute(Y, 3, 1)
+            for engine in ("brute", "rowblock"):
+                spec = det_spectrum(Y, 3, engine, threads=threads)
+                assert spec.entries == det_spectrum(Y, 3, engine).entries
+            mm = minor_multiplicity_map(Y, 3, threads=threads)
+            serial = minor_multiplicity_map(Y, 3)
+            assert (mm.entries, mm.zero_count) == (serial.entries, serial.zero_count)
     # 4^9 = 262,144 matrices: the size from which the brute oracle once sharded its walk
     X4 = make_ground_set(range(1, 5), QQ)
+    assert count_det_brute(X4, 3, 0, threads=4) == count_det_brute(X4, 3, 0, threads=1)
+    spec = det_spectrum(X4, 3, "brute", threads=4)
+    assert spec.entries == det_spectrum(X4, 3, "brute", threads=1).entries
+    assert dsup(X4, 3, True, engine="brute", threads=4) == dsup(X4, 3, True, engine="brute", threads=1)
+
+
+def test_cofactor_table_never_starts_a_pool(monkeypatch):
+    from detlab.incidence import planes_from_minors
+
+    X = make_ground_set([-1, 2, 3], QQ)
     calls = [
-        lambda t: count_det_brute(X, 2, 0, threads=t),
-        lambda t: count_det_rowblock(X, 3, 0, threads=t),
-        lambda t: det_spectrum(X, 2, "brute", threads=t),
-        lambda t: count_det_rowblock(Xp, 2, 3, threads=t),
-        lambda t: count_det_rowblock(Y, 3, 1, threads=t),
-        lambda t: dsup(Y, 3, True, threads=t),
-        lambda t: planes_from_minors(Y, 1, threads=t),
-        lambda t: energy_Estar_mu(Y, threads=t),
-        lambda t: dyadic_pyramid(Y, threads=t),
-        lambda t: count_det_brute(X4, 3, 0, threads=t),
-        lambda t: det_spectrum(X4, 3, "brute", threads=t),
-        lambda t: dsup(X4, 3, True, engine="brute", threads=t),
+        lambda t: count_det_rowblock(X, 3, 1, threads=t),
+        lambda t: det_spectrum(X, 3, "rowblock", threads=t),
+        lambda t: dsup(X, 3, True, threads=t),
+        lambda t: minor_multiplicity_map(X, 3, threads=t),
+        lambda t: planes_from_minors(X, 1, threads=t),
+        lambda t: energy_Estar_mu(X, threads=t),
+        lambda t: dyadic_pyramid(X, threads=t),
     ]
-    # n = 3 over Q and F_7, on sets of three and of two values
-    for field in (QQ, F7):
-        for vals in ([-1, 2, 3], [1, 3]):
-            Z = make_ground_set(vals, field)
-            calls += [
-                lambda t, Z=Z: count_det_brute(Z, 3, 1, threads=t),
-                lambda t, Z=Z: det_spectrum(Z, 3, "brute", threads=t),
-                lambda t, Z=Z: det_spectrum(Z, 3, "rowblock", threads=t),
-                lambda t, Z=Z: minor_multiplicity_map(Z, 3, threads=t),
-            ]
     serial = [call(1) for call in calls]
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     assert [call(4) for call in calls] == serial
 
 
